@@ -33,6 +33,6 @@ from .model import (
 from .relmaps import ProjectedPoint, RelationParams, Variant, scale_tail, time_project, transform_pair, translate_head
 from .training import TrainConfig, train
 from .evaluation import EvalMode, EvalProtocol, RankReport, aggregate, beta_sweep, evaluate_split, filtered_rank
-from .data import NegativesTable, TripleStore, build_store, load_dataset, load_negatives, load_triples
+from .data import FilterIndex, NegativesTable, TripleStore, build_store, load_dataset, load_negatives, load_triples
 
 __version__ = "0.1.0"

@@ -178,6 +178,10 @@ def _protocol(config: RunConfig, store) -> EvalProtocol:
 def _store_for_params(params, data_dir):
     """Load the dataset, augmenting it when the checkpoint was trained augmented."""
     store = load_dataset(data_dir)
+    if params.n_entities != store.n_entities:
+        raise ValueError(
+            f"checkpoint has {params.n_entities} entities but the dataset has {store.n_entities}"
+        )
     if params.n_relations == store.n_relations:
         return store
     if params.n_relations == 2 * store.n_relations:

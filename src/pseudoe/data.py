@@ -3,14 +3,16 @@
 Datasets are three tab-separated files (train.txt, valid.txt, test.txt) of
 ``head<TAB>relation<TAB>tail`` lines.  Ids are assigned densely by first
 appearance scanning train, then valid, then test; the filter index is the
-de-duplicated union of all splits.  Fixed negative candidate lists (one line
-per (head, relation) pair, negatives comma-separated) support the
-fixed-negatives evaluation protocol.
+de-duplicated union of all splits, held as a `FilterIndex` of sorted integer
+codes.  Fixed negative candidate lists (one line per (head, relation) pair,
+negatives comma-separated) support the fixed-negatives evaluation protocol.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
+from collections.abc import Set
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "ParseError",
+    "FilterIndex",
     "TripleStore",
     "NegativesTable",
     "load_triples",
@@ -36,6 +39,66 @@ class ParseError(ValueError):
     """A malformed dataset file, with the offending location in the message."""
 
 
+class FilterIndex(Set):
+    """Read-only set of known (head, relation, tail) triples.
+
+    Each triple is stored once as the int64 code ``(h * n_relations + k) *
+    n_entities + t`` in one sorted array, so the true tails of a (head,
+    relation) key form one contiguous run found by two binary searches.
+    Membership, iteration (in code order) and comparison with plain sets of
+    int triples come from `collections.abc.Set`.
+    """
+
+    def __init__(self, rows, n_entities: int, n_relations: int) -> None:
+        self.n_entities, self.n_relations = int(n_entities), int(n_relations)
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        h, k, t = rows.T
+        bad = (h < 0) | (h >= self.n_entities) | (k < 0) | (k >= self.n_relations) | (t < 0) | (t >= self.n_entities)
+        if bad.any():
+            raise ValueError(
+                f"triple {tuple(map(int, rows[np.argmax(bad)]))} lies outside "
+                f"{self.n_entities} entities x {self.n_relations} relations"
+            )
+        self.codes = np.unique(self.encode(h, k, t))
+
+    @classmethod
+    def _from_iterable(cls, it):
+        # Results of set algebra (&, |, -) have no vocabulary sizes: plain sets.
+        return set(it)
+
+    def encode(self, heads, rels, tails) -> np.ndarray:
+        """Codes of in-range id arrays; the sort order is (head, relation, tail)."""
+        return (np.asarray(heads, dtype=np.int64) * self.n_relations + rels) * self.n_entities + tails
+
+    def tails(self, head: int, rel: int) -> np.ndarray:
+        """Sorted tail ids t with (head, rel, t) in the index; none for ids outside it."""
+        head, rel = int(head), int(rel)
+        if not (0 <= head < self.n_entities and 0 <= rel < self.n_relations):
+            return self.codes[:0]
+        base = (head * self.n_relations + rel) * self.n_entities
+        lo, hi = np.searchsorted(self.codes, (base, base + self.n_entities))
+        return self.codes[lo:hi] - base
+
+    def __contains__(self, triple) -> bool:
+        try:
+            h, k, t = (operator.index(v) for v in triple)
+        except (TypeError, ValueError):
+            return False
+        if not (0 <= h < self.n_entities and 0 <= k < self.n_relations and 0 <= t < self.n_entities):
+            return False
+        code = (h * self.n_relations + k) * self.n_entities + t
+        i = int(np.searchsorted(self.codes, code))
+        return i < self.codes.size and int(self.codes[i]) == code
+
+    def __iter__(self):
+        key, t = np.divmod(self.codes, self.n_entities)
+        h, k = np.divmod(key, self.n_relations)
+        return zip(h.tolist(), k.tolist(), t.tolist())
+
+    def __len__(self) -> int:
+        return int(self.codes.size)
+
+
 @dataclass
 class TripleStore:
     """Integer-encoded triples with bidirectional vocabularies and a filter index."""
@@ -43,7 +106,7 @@ class TripleStore:
     entity_to_id: dict[str, int]
     relation_to_id: dict[str, int]
     splits: dict[str, np.ndarray]
-    filter_index: set[tuple[int, int, int]]
+    filter_index: FilterIndex
     entities_not_in_train: list[int] = field(default_factory=list)
     relations_not_in_train: list[int] = field(default_factory=list)
 
@@ -137,7 +200,7 @@ def build_store(train, valid, test) -> TripleStore:
             encoded[i] = (entity_to_id[h], relation_to_id[r], entity_to_id[t])
         splits[split_name] = encoded
 
-    filter_index = {tuple(map(int, row)) for split in splits.values() for row in split}
+    filter_index = FilterIndex(np.concatenate(list(splits.values())), len(entity_to_id), len(relation_to_id))
     if not_in_train_e or not_in_train_r:
         logger.warning(
             "%d entities and %d relations first appear outside the training split",
@@ -173,7 +236,6 @@ def load_negatives(path, store: TripleStore) -> NegativesTable:
         raise ParseError(f"{path}: no such file")
     table: dict[tuple[int, int], np.ndarray] = {}
     length: int | None = None
-    true_hits = 0
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -195,8 +257,10 @@ def load_negatives(path, store: TripleStore) -> NegativesTable:
                 raise ParseError(
                     f"{path}:{lineno}: ragged negative list ({len(ids)} entries, expected {length})"
                 )
-            true_hits += sum((h, k, n) in store.filter_index for n in ids)
             table[(h, k)] = np.asarray(ids, dtype=np.int64)
+    index = store.filter_index
+    codes = [index.encode(h, k, ids) for (h, k), ids in table.items()]
+    true_hits = int(np.isin(np.concatenate(codes), index.codes).sum()) if codes else 0
     if true_hits:
         logger.warning("%d fixed negatives are themselves true triples; kept as given", true_hits)
     return NegativesTable(table=table, length=length or 0)
@@ -218,7 +282,7 @@ def augmented_store(store: TripleStore) -> TripleStore:
             raise ValueError(f"relation name collision for {inv!r}")
         relation_to_id[inv] = k + n_r
     splits = {name: augment_reverse(rows, n_r) for name, rows in store.splits.items()}
-    filter_index = {tuple(map(int, row)) for split in splits.values() for row in split}
+    filter_index = FilterIndex(np.concatenate(list(splits.values())), store.n_entities, 2 * n_r)
     return TripleStore(
         entity_to_id=dict(store.entity_to_id),
         relation_to_id=relation_to_id,

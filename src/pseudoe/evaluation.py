@@ -4,8 +4,9 @@ Each test triple is ranked by scoring its true tail against candidate tails.
 Under the full filtered protocol the candidates are every entity except those
 forming a known true triple (other than the test triple itself); under the
 fixed-negatives protocol they are a stored per-(head, relation) candidate
-list.  Ties share their rank: rank = 1 + #{better} + #{equal}/2, so a
-constant scorer earns mid-range ranks rather than rank 1.
+list.  Either way one `score_tails` pass scores the candidates and the true
+tail together.  Ties share their rank: rank = 1 + #{better} + #{equal}/2, so
+a constant scorer earns mid-range ranks rather than rank 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams, score_tails
-from .data import NegativesTable
+from .data import FilterIndex, NegativesTable
 
 __all__ = [
     "EvalMode",
@@ -83,40 +84,44 @@ def _rank_from_scores(candidate_scores: np.ndarray, true_score: float) -> float:
     return 1.0 + better + 0.5 * equal
 
 
-def _competitor_scores(params, triple, protocol, true_tails_by_key):
+def _competitor_scores(params, triple, protocol, index: FilterIndex):
     h, k, t = (int(v) for v in triple)
     if protocol.mode is EvalMode.FIXED_NEGATIVES:
         entry = protocol.negatives.table.get((h, k))
         if entry is None:
             raise ProtocolError(f"no fixed negatives stored for head={h}, relation={k}")
-        candidates = entry
-    else:
-        known = true_tails_by_key.get((h, k), ())
-        mask = np.ones(params.n_entities, dtype=bool)
-        mask[list(known)] = False
-        mask[t] = False  # the true triple is never its own competitor
-        candidates = np.flatnonzero(mask)
-    scores = score_tails(params, h, k, candidates) if len(candidates) else np.empty(0)
-    true_score = float(score_tails(params, h, k, np.asarray([t]))[0])
-    return scores, true_score
+        scores = score_tails(params, h, k, np.append(entry, t))
+        return scores[:-1], scores[-1]
+    scores = score_tails(params, h, k, np.arange(params.n_entities))
+    keep = np.ones(params.n_entities, dtype=bool)
+    keep[index.tails(h, k)] = False
+    keep[t] = False  # the true triple is never its own competitor
+    return scores[keep], scores[t]
+
+
+def _filter_index(params: ModelParams, filter_set) -> FilterIndex:
+    """``filter_set`` as a FilterIndex, checked against the model's vocabulary sizes."""
+    if not isinstance(filter_set, FilterIndex):
+        filter_set = FilterIndex(list(filter_set), params.n_entities, params.n_relations)
+    sizes = (filter_set.n_entities, filter_set.n_relations)
+    if sizes != (params.n_entities, params.n_relations):
+        raise ValueError(
+            f"filter index covers {sizes[0]} entities and {sizes[1]} relations, "
+            f"the model {params.n_entities} entities and {params.n_relations} relations"
+        )
+    return filter_set
 
 
 def filtered_rank(params: ModelParams, triple, filter_set, protocol: EvalProtocol) -> float:
     """Filtered average-tie rank of one triple's true tail.
 
-    ``filter_set`` holds every known true triple across all splits; candidate
-    tails forming one of them (other than the test triple itself) are
-    excluded in full-filtered mode and ignored in fixed-negatives mode.
+    ``filter_set`` holds every known true triple across all splits, as a
+    `FilterIndex` or a plain set of id triples; candidate tails forming one of
+    them (other than the test triple itself) are excluded in full-filtered
+    mode and ignored in fixed-negatives mode.
     """
-    scores, true_score = _competitor_scores(params, triple, protocol, _tails_by_key(filter_set))
+    scores, true_score = _competitor_scores(params, triple, protocol, _filter_index(params, filter_set))
     return _rank_from_scores(scores, true_score)
-
-
-def _tails_by_key(filter_set) -> dict[tuple[int, int], set[int]]:
-    by_key: dict[tuple[int, int], set[int]] = defaultdict(set)
-    for h, k, t in filter_set:
-        by_key[(h, k)].add(t)
-    return by_key
 
 
 def aggregate(ranks, ks=(1, 3, 10)) -> RankReport:
@@ -159,10 +164,10 @@ def evaluate_split(
     """
     protocol = protocol or EvalProtocol()
     split = np.asarray(split, dtype=np.int64).reshape(-1, 3)
-    by_key = _tails_by_key(filter_set) if protocol.mode is EvalMode.FULL_FILTERED else {}
+    index = _filter_index(params, filter_set)
 
     def rank_row(row):
-        scores, true_score = _competitor_scores(params, row, protocol, by_key)
+        scores, true_score = _competitor_scores(params, row, protocol, index)
         return _rank_from_scores(scores, true_score)
 
     if threads > 1 and split.shape[0] > 1:

@@ -235,23 +235,8 @@ def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
         dt = dt - c * np.floor(dt / c + 0.5)
 
     dx2 = np.einsum("bi,bi->b", dx, dx)
-    s2 = -dt * dt + dx2
-    s2w = dt * dt + dx2
-
-    z1 = (s2 - tfd.u) / tfd.tau1
-    z2 = -tfd.alpha * dt / tfd.tau2
-    z3 = tfd.alpha_prime * dt / tfd.tau2
-    zw = (s2w - tfd.u) / tfd.tau1
-    log_f = np.log(tfd.k_scale) - (softplus(z1) + softplus(z2) + softplus(z3)) / 3.0
-    log_fw = -softplus(zw)
-    log_p = (1.0 - tfd.beta) * log_f + tfd.beta * log_fw
-
-    phi = (
-        log_p
-        - log1mexp(log_p)
-        + params.node_bias[heads]
-        + params.node_bias[tails]
-        + params.rel_c[rels]
+    z1, z2, z3, zw, log_p, phi = _likelihood(
+        tfd, dt, dx2, params.node_bias[heads], params.node_bias[tails], params.rel_c[rels]
     )
     return ForwardCache(
         heads=heads,
@@ -271,6 +256,25 @@ def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
     )
 
 
+def _likelihood(tfd: TfdParams, dt, dx2, head_bias, tail_bias, rel_bias):
+    """Fermi-Dirac exponents z1, z2, z3, zw, the interpolated log-likelihood
+    and the score phi, from the wrapped time displacement ``dt``, the squared
+    space displacement ``dx2`` and the three biases."""
+    s2 = -dt * dt + dx2
+    s2w = dt * dt + dx2
+
+    z1 = (s2 - tfd.u) / tfd.tau1
+    z2 = -tfd.alpha * dt / tfd.tau2
+    z3 = tfd.alpha_prime * dt / tfd.tau2
+    zw = (s2w - tfd.u) / tfd.tau1
+    log_f = np.log(tfd.k_scale) - (softplus(z1) + softplus(z2) + softplus(z3)) / 3.0
+    log_fw = -softplus(zw)
+    log_p = (1.0 - tfd.beta) * log_f + tfd.beta * log_fw
+
+    phi = log_p - log1mexp(log_p) + head_bias + tail_bias + rel_bias
+    return z1, z2, z3, zw, log_p, phi
+
+
 def score_many(params: ModelParams, heads, rels, tails) -> np.ndarray:
     """Scores for parallel arrays of head, relation and tail ids."""
     return _forward(params, heads, rels, tails).phi
@@ -282,12 +286,49 @@ def score(params: ModelParams, head: int, rel: int, tail: int) -> float:
     return float(score_many(params, [head], [rel], [tail])[0])
 
 
+# Candidate rows gathered per block of `score_tails`.  At WN18RR shape
+# (n_x = 500, 40,943 tails, 2-vCPU host) 64 rows measured fastest of 32 to
+# 4,096: the block and its temporaries stay in cache.  Any size gives the
+# same bits.
+_TAIL_BLOCK = 64
+
+
 def score_tails(params: ModelParams, head: int, rel: int, tails) -> np.ndarray:
-    """Scores of (head, rel, t) for every candidate tail id in ``tails``."""
-    tails = np.asarray(tails, dtype=np.intp)
-    heads = np.full(tails.shape, head, dtype=np.intp)
-    rels = np.full(tails.shape, rel, dtype=np.intp)
-    return score_many(params, heads, rels, tails)
+    """Scores of (head, rel, t) for every candidate tail id in ``tails``.
+
+    Bit-identical to `score_many` on the same triples: every per-candidate
+    operation is the one `_forward` applies, with the head and relation side
+    computed once and the candidates walked in fixed blocks of rows.
+    """
+    tails = np.asarray(tails, dtype=np.intp).reshape(-1)
+    _check_ids(params, head, rel, tails)
+    n_t, n = params.n_t, tails.size
+    u, r = params.rel_u[rel], params.rel_r[rel]
+    h = params.rel_h[[rel]]
+
+    t_head_proj = np.einsum("bi,bi->b", h, params.coords[[head], :n_t])[0]
+    t_tail_proj = np.einsum("bi,bi->b", np.repeat(h, n, axis=0), params.coords[tails, :n_t])
+    if params.swap_transforms:
+        dt = r[0] * t_head_proj - (t_tail_proj + u[0])
+        head_x = r[1:] * params.coords[head, n_t:]
+    else:
+        dt = (t_head_proj + u[0]) - r[0] * t_tail_proj
+        head_x = params.coords[head, n_t:] + u[1:]
+    c = params.geometry.cylinder_circumference
+    if c is not None:
+        dt = dt - c * np.floor(dt / c + 0.5)
+
+    dx2 = np.empty(n)
+    for start in range(0, n, _TAIL_BLOCK):
+        x_t = params.coords[tails[start : start + _TAIL_BLOCK], n_t:]
+        if params.swap_transforms:
+            dx = head_x - (x_t + u[1:])
+        else:
+            dx = head_x - r[1:] * x_t
+        dx2[start : start + _TAIL_BLOCK] = np.einsum("bi,bi->b", dx, dx)
+    return _likelihood(
+        params.tfd, dt, dx2, params.node_bias[head], params.node_bias[tails], params.rel_c[rel]
+    )[-1]
 
 
 def probability(params: ModelParams, head: int, rel: int, tail: int) -> float:
@@ -295,10 +336,13 @@ def probability(params: ModelParams, head: int, rel: int, tail: int) -> float:
     return float(sigmoid(score(params, head, rel, tail)))
 
 
-def _check_ids(params: ModelParams, head: int, rel: int, tail: int) -> None:
+def _check_ids(params: ModelParams, head: int, rel: int, tails) -> None:
+    """Raise IndexError unless head, rel and every id in ``tails`` are in range."""
     n, n_r = params.n_entities, params.n_relations
-    if not (0 <= head < n and 0 <= tail < n):
-        raise IndexError(f"entity id out of range [0, {n}): head={head}, tail={tail}")
+    tails = np.asarray(tails)
+    bad_tails = tails[(tails < 0) | (tails >= n)]
+    if not 0 <= head < n or bad_tails.size:
+        raise IndexError(f"entity id out of range [0, {n}): head={head}, bad tails={bad_tails[:5].tolist()}")
     if not 0 <= rel < n_r:
         raise IndexError(f"relation id out of range [0, {n_r}): {rel}")
 

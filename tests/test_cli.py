@@ -187,6 +187,22 @@ class TestEvaluateCommand:
         assert code == 1
         assert "closest" in capsys.readouterr().err
 
+    def test_checkpoint_for_another_entity_count_rejected(self, toy_data, trained, tmp_path, capsys):
+        # Same relations, one entity more: the checkpoint cannot score this dataset.
+        other = tmp_path / "other"
+        other.mkdir()
+        for name in ("train.txt", "valid.txt", "test.txt"):
+            (other / name).write_text((toy_data / name).read_text(encoding="utf-8"), encoding="utf-8")
+        with open(other / "test.txt", "a", encoding="utf-8") as f:
+            f.write("n0\tsame_group\tnewcomer\n")
+        ckpt = str(trained / "model.ckpt")
+        for argv in (
+            ["evaluate", "--checkpoint", ckpt, "--data", str(other)],
+            ["rank", "--checkpoint", ckpt, "--data", str(other), "--head", "n0", "--relation", "same_group"],
+        ):
+            assert main(argv) == 1
+            assert "checkpoint has 12 entities but the dataset has 13" in capsys.readouterr().err
+
 
 class TestSweepAndStats:
     def test_stats(self, toy_data, capsys):

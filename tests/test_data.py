@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudoe.data import (
+    FilterIndex,
     NegativesTable,
     ParseError,
     augmented_store,
@@ -66,11 +67,30 @@ class TestBuildStore:
         assert store.decode(store.splits["train"][0]) == ("alpha", "rel", "beta")
 
     def test_filter_index_matches_linear_scan(self):
-        rows = [("a", "r", "b"), ("b", "r", "c"), ("c", "s", "a")]
-        store = build_store(rows, [("a", "r", "c")], [("b", "s", "a")])
-        everything = np.concatenate(list(store.splits.values()))
-        scan = {tuple(map(int, row)) for row in everything}
-        assert store.filter_index == scan
+        rows = [("a", "r", "b"), ("b", "r", "c"), ("c", "s", "a"), ("a", "r", "b")]
+        base = build_store(rows, [("a", "r", "c")], [("b", "s", "a"), ("d", "s", "a")])
+        for store in (base, augmented_store(base)):
+            everything = np.concatenate(list(store.splits.values()))
+            scan = {tuple(map(int, row)) for row in everything}
+            index = store.filter_index
+            assert index == scan
+            assert len(index) == len(scan)
+            n, n_r = store.n_entities, store.n_relations
+            for h in range(n):
+                for k in range(n_r):
+                    want = sorted(t for hh, kk, t in scan if (hh, kk) == (h, k))
+                    np.testing.assert_array_equal(index.tails(h, k), want)
+                    for t in range(n):
+                        assert ((h, k, t) in index) == ((h, k, t) in scan)
+            assert (n, 0, 0) not in index and (0, -1, 0) not in index and "abc" not in index
+            for h, k in ((0, n_r), (0, -1), (n, 0), (-1, 0)):
+                assert index.tails(h, k).size == 0
+
+    def test_filter_index_rejects_rows_outside_vocabulary(self):
+        FilterIndex(np.array([[2, 1, 2]]), n_entities=3, n_relations=2)
+        for row in ([3, 0, 0], [0, 2, 0], [0, 0, 3], [-1, 0, 0], [0, -1, 0], [0, 0, -1]):
+            with pytest.raises(ValueError, match="outside"):
+                FilterIndex(np.array([row]), n_entities=3, n_relations=2)
 
     def test_degrees(self):
         store = build_store([("a", "r", "b"), ("a", "r", "c"), ("b", "r", "a")], [], [])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_model
-from pseudoe.data import NegativesTable
+from pseudoe.data import FilterIndex, NegativesTable
 from pseudoe.evaluation import (
     EvalMode,
     EvalProtocol,
@@ -154,6 +154,23 @@ class TestEvaluateSplit:
         b = evaluate_split(params, split, filter_set, threads=4)
         assert a.mrr == b.mrr
         assert a.per_triple_ranks == b.per_triple_ranks
+
+    def test_filter_index_must_match_model_vocabulary(self):
+        params = make_random_model(n_entities=6, n_relations=3, seed=2)
+        split = np.array([[0, 0, 1]])
+        rows = np.array([[0, 0, 2]])
+        ok = FilterIndex(rows, n_entities=6, n_relations=3)
+        assert filtered_rank(params, (0, 0, 1), ok, EvalProtocol()) == filtered_rank(
+            params, (0, 0, 1), {(0, 0, 2)}, EvalProtocol()
+        )
+        for n, n_r in ((7, 3), (6, 4)):
+            wrong = FilterIndex(rows, n_entities=n, n_relations=n_r)
+            with pytest.raises(ValueError, match=f"{n} entities and {n_r} relations"):
+                evaluate_split(params, split, wrong, EvalProtocol())
+            with pytest.raises(ValueError, match=f"{n} entities and {n_r} relations"):
+                filtered_rank(params, (0, 0, 1), wrong, EvalProtocol())
+        with pytest.raises(ValueError, match="outside"):
+            evaluate_split(params, split, {(0, 0, 6)}, EvalProtocol())
 
 
 class TestOverfitModelRanking:

@@ -26,6 +26,7 @@ from pseudoe.model import (
     score_many,
     score_tails,
     score_transe,
+    _TAIL_BLOCK,
 )
 from pseudoe.relmaps import RelationParams, Variant, transform_pair
 
@@ -132,6 +133,38 @@ class TestScore:
             score(params, 99, 0, 0)
         with pytest.raises(IndexError):
             score(params, 0, 99, 0)
+
+    def test_score_tails_rejects_out_of_range_ids(self):
+        params = make_random_model()
+        tails = np.arange(params.n_entities)
+        for head, rel, cands in ((-1, 0, tails), (6, 0, tails), (0, -1, tails), (0, 3, tails), (0, 0, [0, 6])):
+            with pytest.raises(IndexError):
+                score_tails(params, head, rel, cands)
+
+
+class TestScoreTails:
+    """The blocked 1-vs-all path gives exactly the bits of the batched kernel."""
+
+    @pytest.mark.parametrize("variant,n_t", [(Variant.DT, 1), (Variant.MT, 2), (Variant.BOTH, 3)])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("cylinder", [None, 2.5])
+    def test_bit_equal_to_score_many(self, variant, n_t, swap, cylinder):
+        n = 3 * _TAIL_BLOCK + 5  # several blocks plus a remainder
+        params = make_random_model(
+            n_entities=n, n_relations=4, n_t=n_t, n_x=7, variant=variant, cylinder=cylinder, seed=8, swap=swap
+        )
+        clone = n - 2  # lands in the last block, its original in the first
+        params.coords[clone] = params.coords[1]
+        params.node_bias[clone] = params.node_bias[1]
+        rng = np.random.default_rng(4)
+        subset = rng.permutation(np.concatenate([rng.integers(0, n, 90), [3, 3, 3]]))
+        for head, rel in ((0, 0), (1, 2), (n - 1, 3)):
+            for tails in (np.arange(n), subset, np.array([], dtype=np.int64)):
+                got = score_tails(params, head, rel, tails)
+                want = score_many(params, np.full(tails.size, head), np.full(tails.size, rel), tails)
+                np.testing.assert_array_equal(got, want)
+            scores = score_tails(params, head, rel, np.arange(n))
+            assert scores[clone] == scores[1]
 
 
 class TestInit:
