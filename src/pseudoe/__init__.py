@@ -25,10 +25,8 @@ from .model import (
     save_checkpoint,
     scale_node_bias,
     score,
-    score_distmult,
     score_many,
     score_tails,
-    score_transe,
 )
 from .relmaps import ProjectedPoint, RelationParams, Variant, scale_tail, time_project, transform_pair, translate_head
 from .training import TrainConfig, train

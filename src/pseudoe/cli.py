@@ -229,7 +229,8 @@ def cmd_evaluate(args) -> int:
             mode=EvalMode.FIXED_NEGATIVES, negatives=load_negatives(args.negatives, store)
         )
     split = store.splits[args.split]
-    report = evaluation.evaluate_split(params, split, store.filter_index, protocol, threads=args.threads)
+    threads = 1 if args.threads is None else args.threads
+    report = evaluation.evaluate_split(params, split, store.filter_index, protocol, threads=threads)
     text = evaluation.format_report(report, store.id_to_relation.get, per_relation=args.per_relation)
     print(text)
     if args.out:
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-b", type=float, default=1.0, help="scale node biases before scoring")
     p.add_argument("--per-relation", action="store_true", help="include the per-relation breakdown")
     p.add_argument("--out", help="also write report.txt and report.csv here")
-    p.add_argument("--threads", type=int, default=int(os.environ.get("PSEUDOE_THREADS", "1")))
+    p.add_argument("--threads", type=int, help="evaluation thread cap (default: PSEUDOE_THREADS, else 1)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("rank", help="top-K tail predictions for a head and relation")
@@ -389,12 +390,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _threads_from_env() -> int | None:
+    """PSEUDOE_THREADS as an integer, or None when it is unset or empty."""
+    raw = os.environ.get("PSEUDOE_THREADS", "")
+    if not raw.strip():
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"PSEUDOE_THREADS must be an integer, got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None) is None and os.environ.get("PSEUDOE_THREADS"):
-        args.threads = int(os.environ["PSEUDOE_THREADS"])
     try:
+        env_threads = _threads_from_env()
+        if env_threads is not None and getattr(args, "threads", 0) is None:
+            args.threads = env_threads
         return args.func(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

@@ -227,14 +227,16 @@ def load_dataset(directory) -> TripleStore:
 def load_negatives(path, store: TripleStore) -> NegativesTable:
     """Read fixed negatives: head<TAB>relation<TAB>neg1,neg2,... per line.
 
-    All names must resolve against the store and all lists must have the same
-    length.  A negative that happens to be a true tail elsewhere is kept, with
-    a warning; the data passes through as given.
+    All names must resolve against the store, all lists must have the same
+    length and each (head, relation) pair may have one line.  A negative that
+    happens to be a true tail elsewhere is kept, with a warning; the data
+    passes through as given.
     """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
     table: dict[tuple[int, int], np.ndarray] = {}
+    first_line: dict[tuple[int, int], int] = {}
     length: int | None = None
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -257,6 +259,12 @@ def load_negatives(path, store: TripleStore) -> NegativesTable:
                 raise ParseError(
                     f"{path}:{lineno}: ragged negative list ({len(ids)} entries, expected {length})"
                 )
+            if (h, k) in first_line:
+                raise ParseError(
+                    f"{path}:{lineno}: second negative list for head {head!r}, relation {rel!r} "
+                    f"(first on line {first_line[(h, k)]})"
+                )
+            first_line[(h, k)] = lineno
             table[(h, k)] = np.asarray(ids, dtype=np.int64)
     index = store.filter_index
     codes = [index.encode(h, k, ids) for (h, k), ids in table.items()]

@@ -92,6 +92,8 @@ def _competitor_scores(params, triple, protocol, index: FilterIndex):
             raise ProtocolError(f"no fixed negatives stored for head={h}, relation={k}")
         scores = score_tails(params, h, k, np.append(entry, t))
         return scores[:-1], scores[-1]
+    if not 0 <= t < params.n_entities:
+        raise IndexError(f"tail id out of range [0, {params.n_entities}): {t}")
     scores = score_tails(params, h, k, np.arange(params.n_entities))
     keep = np.ones(params.n_entities, dtype=bool)
     keep[index.tails(h, k)] = False

@@ -28,7 +28,6 @@ __all__ = [
     "TfdParams",
     "softplus",
     "sigmoid",
-    "log_sigmoid",
     "log1mexp",
     "log_fd",
     "log_tfd",
@@ -88,11 +87,6 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out if out.ndim else float(out)
-
-
-def log_sigmoid(x):
-    """log(sigmoid(x)) = -softplus(-x)."""
-    return -np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
 
 
 def log1mexp(x):

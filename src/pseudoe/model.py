@@ -10,8 +10,8 @@ internal `_forward` kernel evaluates batches of triples with numpy and caches
 every intermediate the backward pass needs; the scalar `score` path and the
 step-by-step composition of the primitive ops must agree with it.
 
-Also here: parameter initialization, node-bias scaling for degree debiasing,
-DistMult/TransE reference scorers and the binary checkpoint format.
+Also here: parameter initialization, node-bias scaling for degree debiasing
+and the binary checkpoint format.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
     "score_tails",
     "probability",
     "scale_node_bias",
-    "score_distmult",
-    "score_transe",
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_MAGIC",
@@ -193,10 +191,9 @@ class ForwardCache(NamedTuple):
     heads: np.ndarray
     rels: np.ndarray
     tails: np.ndarray
-    t_head_proj: np.ndarray  # h_k . t_i, per row
-    t_tail_proj: np.ndarray  # h_k . t_j, per row
+    scaled_proj: np.ndarray  # h_k . t of the scaled side (the tail unless swapped), per row
     dt: np.ndarray  # wrapped time displacement
-    dx: np.ndarray  # space displacement, (B, n_x)
+    dx: np.ndarray  # space map of the translated side minus the scaled side, (B, n_x)
     sig1: np.ndarray  # sigmoid of the F1 exponent
     sig2: np.ndarray
     sig3: np.ndarray
@@ -206,44 +203,52 @@ class ForwardCache(NamedTuple):
     phi: np.ndarray  # full score
 
 
+def _sides(params: ModelParams, head, tail):
+    """The translated (f_k) side, the scaled (g_k) side and the sign of dt.
+
+    By default f_k translates the head and g_k scales the tail: ``(head, tail,
+    1)``.  The swapped assignment is the default one on the exchanged pair with
+    dt negated, ``(tail, head, -1)``, bit for bit, because ``a - b == -(b - a)``
+    in IEEE floats.  dx needs no sign: |dx|^2 does not see it, and the backward
+    pass differentiates the same map.  The exchange is its own inverse, so it
+    also maps per-side results back to head and tail.
+    """
+    return (tail, head, -1) if params.swap_transforms else (head, tail, 1)
+
+
+def _relation_map(p_a, u, r, p_b):
+    """The translated side minus the scaled side: (p_a + u) - r * p_b."""
+    return (p_a + u) - r * p_b
+
+
+def _wrap(dt, c: float | None):
+    """dt wrapped onto [-c/2, c/2) on a time cylinder of circumference c."""
+    return dt if c is None else dt - c * np.floor(dt / c + 0.5)
+
+
 def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
     """Vectorized score of triples (heads[b], rels[b], tails[b])."""
     heads = np.asarray(heads, dtype=np.intp)
     rels = np.asarray(rels, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
-    n_t = params.n_t
-    tfd = params.tfd
+    n_t, c = params.n_t, params.geometry.cylinder_circumference
+    a, b, sign = _sides(params, heads, tails)
+    h, u, r = params.rel_h[rels], params.rel_u[rels], params.rel_r[rels]
 
-    t_h = params.coords[heads, :n_t]
-    x_h = params.coords[heads, n_t:]
-    t_t = params.coords[tails, :n_t]
-    x_t = params.coords[tails, n_t:]
-    h = params.rel_h[rels]
-    u = params.rel_u[rels]
-    r = params.rel_r[rels]
-
-    t_head_proj = np.einsum("bi,bi->b", h, t_h)
-    t_tail_proj = np.einsum("bi,bi->b", h, t_t)
-    if params.swap_transforms:
-        dt = r[:, 0] * t_head_proj - (t_tail_proj + u[:, 0])
-        dx = r[:, 1:] * x_h - (x_t + u[:, 1:])
-    else:
-        dt = (t_head_proj + u[:, 0]) - r[:, 0] * t_tail_proj
-        dx = (x_h + u[:, 1:]) - r[:, 1:] * x_t
-    c = params.geometry.cylinder_circumference
-    if c is not None:
-        dt = dt - c * np.floor(dt / c + 0.5)
+    translated_proj = np.einsum("bi,bi->b", h, params.coords[a, :n_t])
+    scaled_proj = np.einsum("bi,bi->b", h, params.coords[b, :n_t])
+    dt = _wrap(sign * _relation_map(translated_proj, u[:, 0], r[:, 0], scaled_proj), c)
+    dx = _relation_map(params.coords[a, n_t:], u[:, 1:], r[:, 1:], params.coords[b, n_t:])
 
     dx2 = np.einsum("bi,bi->b", dx, dx)
     z1, z2, z3, zw, log_p, phi = _likelihood(
-        tfd, dt, dx2, params.node_bias[heads], params.node_bias[tails], params.rel_c[rels]
+        params.tfd, dt, dx2, params.node_bias[heads], params.node_bias[tails], params.rel_c[rels]
     )
     return ForwardCache(
         heads=heads,
         rels=rels,
         tails=tails,
-        t_head_proj=t_head_proj,
-        t_tail_proj=t_tail_proj,
+        scaled_proj=scaled_proj,
         dt=dt,
         dx=dx,
         sig1=sigmoid(z1),
@@ -277,12 +282,12 @@ def _likelihood(tfd: TfdParams, dt, dx2, head_bias, tail_bias, rel_bias):
 
 def score_many(params: ModelParams, heads, rels, tails) -> np.ndarray:
     """Scores for parallel arrays of head, relation and tail ids."""
+    _check_ids(params, heads, rels, tails)
     return _forward(params, heads, rels, tails).phi
 
 
 def score(params: ModelParams, head: int, rel: int, tail: int) -> float:
     """Score of a single triple."""
-    _check_ids(params, head, rel, tail)
     return float(score_many(params, [head], [rel], [tail])[0])
 
 
@@ -306,25 +311,16 @@ def score_tails(params: ModelParams, head: int, rel: int, tails) -> np.ndarray:
     u, r = params.rel_u[rel], params.rel_r[rel]
     h = params.rel_h[[rel]]
 
-    t_head_proj = np.einsum("bi,bi->b", h, params.coords[[head], :n_t])[0]
-    t_tail_proj = np.einsum("bi,bi->b", np.repeat(h, n, axis=0), params.coords[tails, :n_t])
-    if params.swap_transforms:
-        dt = r[0] * t_head_proj - (t_tail_proj + u[0])
-        head_x = r[1:] * params.coords[head, n_t:]
-    else:
-        dt = (t_head_proj + u[0]) - r[0] * t_tail_proj
-        head_x = params.coords[head, n_t:] + u[1:]
-    c = params.geometry.cylinder_circumference
-    if c is not None:
-        dt = dt - c * np.floor(dt / c + 0.5)
+    head_proj = np.einsum("bi,bi->b", h, params.coords[[head], :n_t])[0]
+    tail_proj = np.einsum("bi,bi->b", np.repeat(h, n, axis=0), params.coords[tails, :n_t])
+    proj_a, proj_b, sign = _sides(params, head_proj, tail_proj)
+    dt = _wrap(sign * _relation_map(proj_a, u[0], r[0], proj_b), params.geometry.cylinder_circumference)
 
+    head_x, u_x, r_x = params.coords[head, n_t:], u[1:], r[1:]
     dx2 = np.empty(n)
     for start in range(0, n, _TAIL_BLOCK):
-        x_t = params.coords[tails[start : start + _TAIL_BLOCK], n_t:]
-        if params.swap_transforms:
-            dx = head_x - (x_t + u[1:])
-        else:
-            dx = head_x - r[1:] * x_t
+        x_a, x_b, _ = _sides(params, head_x, params.coords[tails[start : start + _TAIL_BLOCK], n_t:])
+        dx = _relation_map(x_a, u_x, r_x, x_b)
         dx2[start : start + _TAIL_BLOCK] = np.einsum("bi,bi->b", dx, dx)
     return _likelihood(
         params.tfd, dt, dx2, params.node_bias[head], params.node_bias[tails], params.rel_c[rel]
@@ -336,15 +332,17 @@ def probability(params: ModelParams, head: int, rel: int, tail: int) -> float:
     return float(sigmoid(score(params, head, rel, tail)))
 
 
-def _check_ids(params: ModelParams, head: int, rel: int, tails) -> None:
-    """Raise IndexError unless head, rel and every id in ``tails`` are in range."""
+def _check_ids(params: ModelParams, heads, rels, tails) -> None:
+    """Raise IndexError unless every head, relation and tail id is in range."""
     n, n_r = params.n_entities, params.n_relations
-    tails = np.asarray(tails)
-    bad_tails = tails[(tails < 0) | (tails >= n)]
-    if not 0 <= head < n or bad_tails.size:
-        raise IndexError(f"entity id out of range [0, {n}): head={head}, bad tails={bad_tails[:5].tolist()}")
-    if not 0 <= rel < n_r:
-        raise IndexError(f"relation id out of range [0, {n_r}): {rel}")
+    for side, ids, size in (("head", heads, n), ("relation", rels, n_r), ("tail", tails, n)):
+        ids = np.asarray(ids)
+        if ids.ndim == 0:  # one query id: a plain comparison costs far less than a mask
+            bad = [] if 0 <= int(ids) < size else [int(ids)]
+        else:
+            bad = ids[(ids < 0) | (ids >= size)].tolist()
+        if bad:
+            raise IndexError(f"{side} id out of range [0, {size}): {bad[:5]}")
 
 
 def scale_node_bias(params: ModelParams, gamma_b: float) -> ModelParams:
@@ -355,22 +353,6 @@ def scale_node_bias(params: ModelParams, gamma_b: float) -> ModelParams:
     parameters are untouched and the input model is not modified.
     """
     return replace(params, node_bias=params.node_bias * float(gamma_b))
-
-
-def score_distmult(x_i, x_r, x_j) -> float:
-    """DistMult score: sum_a (x_i)_a (x_r)_a (x_j)_a."""
-    x_i, x_r, x_j = (np.asarray(v, dtype=np.float64) for v in (x_i, x_r, x_j))
-    if not x_i.shape == x_r.shape == x_j.shape:
-        raise ValueError("DistMult requires equal-length vectors")
-    return float(np.sum(x_i * x_r * x_j))
-
-
-def score_transe(x_i, x_r, x_j) -> float:
-    """TransE distance |x_i + x_r - x_j|; smaller is better, so rank by its negation."""
-    x_i, x_r, x_j = (np.asarray(v, dtype=np.float64) for v in (x_i, x_r, x_j))
-    if not x_i.shape == x_r.shape == x_j.shape:
-        raise ValueError("TransE requires equal-length vectors")
-    return float(np.linalg.norm(x_i + x_r - x_j))
 
 
 # --- checkpoint format -----------------------------------------------------

@@ -10,12 +10,14 @@ replacements, or all m on the tail when reversed-triple augmentation is on
 term is dropped; this coupling is enforced).
 
 Gradients are exact, hand-derived chain-rule expressions through the score
-pipeline, accumulated sparsely into a tape that only touches rows referenced
-by the batch.  Optimizers: plain SGD, Adam with bias-corrected moments, and
-SM3 with row/column cover sets over the coordinate table and per-coordinate
-accumulators everywhere else.  The loop shuffles each epoch from the run
-seed, evaluates filtered MRR on the validation split every few epochs and
-early-stops on it, returning the best checkpoint seen.
+pipeline, scattered into a dense tape: one full-size table per parameter
+table, allocated every step, plus the rows the batch references, which are
+the only rows the optimizers update.  Optimizers: plain SGD, Adam with
+bias-corrected moments, and SM3 with row/column cover sets over the
+coordinate table and per-coordinate accumulators everywhere else.  The
+loop shuffles each epoch from the run seed, evaluates filtered MRR on the
+validation split every few epochs and early-stops on it, returning the best
+checkpoint seen.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .likelihood import sigmoid, softplus
-from .model import ModelParams, _forward, init as model_init, InitConfig
+from .model import ModelParams, _forward, _sides, init as model_init, InitConfig
 from .relmaps import Variant
 
 __all__ = [
@@ -239,43 +241,27 @@ def _loss_and_gradients(
     )
     ddx = ((ds2 + ds2w) * 2.0)[:, None] * cache.dx
 
-    # Through the relation maps into coordinates and relation tables.
-    t_h = params.coords[heads, :n_t]
-    t_t = params.coords[tails, :n_t]
-    x_h = params.coords[heads, n_t:]
-    x_t = params.coords[tails, n_t:]
+    # Through the relation maps into coordinates and relation tables.  Both
+    # act as (p_a + u) - r * p_b on the translated side a and the scaled side
+    # b, in time on h . t and in space on x; time enters dt with its sign.
+    a, b, sign = _sides(params, heads, tails)
+    d_time = sign * ddt
     h = params.rel_h[rels]
     r_t = params.rel_r[rels, 0]
-    r_x = params.rel_r[rels, 1:]
+    t_a = params.coords[a, :n_t]
+    t_b = params.coords[b, :n_t]
+    d_a = np.concatenate([d_time[:, None] * h, ddx], axis=1)
+    d_b = np.concatenate([(-d_time * r_t)[:, None] * h, -ddx * params.rel_r[rels, 1:]], axis=1)
+    # Map the sides back to heads and tails: scattering heads first keeps the
+    # summation order, and so the bits, of the swapped assignment.
+    d_heads, d_tails, _ = _sides(params, d_a, d_b)
 
-    if params.swap_transforms:
-        # dt = r_t*(h.t_h) - (h.t_t + u_t); dx = r_x*x_h - (x_t + u_x)
-        d_th = (ddt * r_t)[:, None] * h
-        d_tt = (-ddt)[:, None] * h
-        d_xh = ddx * r_x
-        d_xt = -ddx
-        d_ut = -ddt
-        d_ux = -ddx
-        d_rt = ddt * cache.t_head_proj
-        d_rx = ddx * x_h
-        d_h = (ddt * r_t)[:, None] * t_h - ddt[:, None] * t_t
-    else:
-        # dt = (h.t_h + u_t) - r_t*(h.t_t); dx = (x_h + u_x) - r_x*x_t
-        d_th = ddt[:, None] * h
-        d_tt = (-ddt * r_t)[:, None] * h
-        d_xh = ddx
-        d_xt = -ddx * r_x
-        d_ut = ddt
-        d_ux = ddx
-        d_rt = -ddt * cache.t_tail_proj
-        d_rx = -ddx * x_t
-        d_h = ddt[:, None] * t_h - (ddt * r_t)[:, None] * t_t
-
-    np.add.at(tape.coords, heads, np.concatenate([d_th, d_xh], axis=1))
-    np.add.at(tape.coords, tails, np.concatenate([d_tt, d_xt], axis=1))
-    np.add.at(tape.rel_u, rels, np.concatenate([d_ut[:, None], d_ux], axis=1))
-    np.add.at(tape.rel_r, rels, np.concatenate([d_rt[:, None], d_rx], axis=1))
-    np.add.at(tape.rel_h, rels, d_h)
+    np.add.at(tape.coords, heads, d_heads)
+    np.add.at(tape.coords, tails, d_tails)
+    np.add.at(tape.rel_u, rels, np.concatenate([d_time[:, None], ddx], axis=1))
+    d_r = np.concatenate([(-d_time * cache.scaled_proj)[:, None], -ddx * params.coords[b, n_t:]], axis=1)
+    np.add.at(tape.rel_r, rels, d_r)
+    np.add.at(tape.rel_h, rels, d_time[:, None] * t_a - (d_time * r_t)[:, None] * t_b)
 
     # Tables frozen by the variant receive no gradient.
     if params.variant is Variant.MT:

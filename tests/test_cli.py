@@ -210,6 +210,14 @@ class TestSweepAndStats:
         out = capsys.readouterr().out
         assert "entities" in out and "train" in out
 
+    def test_bad_threads_variable_is_a_one_line_error(self, toy_data, trained, monkeypatch, capsys):
+        monkeypatch.setenv("PSEUDOE_THREADS", "abc")
+        ckpt = str(trained / "model.ckpt")
+        for argv in (["stats", "--data", str(toy_data)], ["evaluate", "--checkpoint", ckpt, "--data", str(toy_data)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == "error: PSEUDOE_THREADS must be an integer, got 'abc'\n"
+
     def test_sweep_rescore(self, toy_data, tmp_path):
         run_out = tmp_path / "run"
         assert run_training(toy_data, run_out) == 0

@@ -146,6 +146,11 @@ class TestLoadNegatives:
         with pytest.raises(ParseError, match="ragged"):
             load_negatives(p, store)
 
+    def test_second_list_for_a_pair_rejected(self, tmp_path, store):
+        p = write(tmp_path / "n.tsv", "a\tr\tb,c\nb\tr\tc,d\na\tr\tc,d\n")
+        with pytest.raises(ParseError, match=r":3: .*'a', relation 'r' \(first on line 1\)"):
+            load_negatives(p, store)
+
 
 class TestAugmentedStore:
     def test_doubles_relations_and_triples(self):

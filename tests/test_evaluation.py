@@ -71,6 +71,17 @@ class TestFilteredRank:
         with pytest.raises(ProtocolError):
             filtered_rank(params, (0, 0, 2), set(), protocol)
 
+    def test_out_of_range_tail_rejected(self):
+        params = make_random_model(n_entities=6, seed=0)
+        index = FilterIndex(np.array([[0, 0, 1]]), n_entities=6, n_relations=3)
+        negs = NegativesTable(table={(0, 0): np.array([1, 2])}, length=2)
+        fixed = EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=negs)
+        for t in (-1, 6):
+            with pytest.raises(IndexError, match="tail id out of range"):
+                evaluate_split(params, [[0, 0, t]], index, EvalProtocol())
+            with pytest.raises(IndexError, match="tail id out of range"):
+                evaluate_split(params, [[0, 0, t]], index, fixed)
+
     def test_protocol_requires_table(self):
         with pytest.raises(ProtocolError):
             EvalProtocol(mode=EvalMode.FIXED_NEGATIVES)

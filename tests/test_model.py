@@ -22,10 +22,8 @@ from pseudoe.model import (
     save_checkpoint,
     scale_node_bias,
     score,
-    score_distmult,
     score_many,
     score_tails,
-    score_transe,
     _TAIL_BLOCK,
 )
 from pseudoe.relmaps import RelationParams, Variant, transform_pair
@@ -134,6 +132,12 @@ class TestScore:
         with pytest.raises(IndexError):
             score(params, 0, 99, 0)
 
+    def test_score_many_rejects_out_of_range_ids(self):
+        params = make_random_model()  # 6 entities, 3 relations
+        for heads, rels, tails in (([0], [0], [-1]), ([0, 1], [0, 0], [1, 6]), ([-1], [0], [0]), ([0], [3], [0])):
+            with pytest.raises(IndexError, match="id out of range"):
+                score_many(params, heads, rels, tails)
+
     def test_score_tails_rejects_out_of_range_ids(self):
         params = make_random_model()
         tails = np.arange(params.n_entities)
@@ -228,28 +232,6 @@ class TestScaleNodeBias:
         s0 = score(scale_node_bias(params, 0.0), 0, 0, 1)
         half = score(scale_node_bias(params, 1.5), 0, 0, 1)
         assert half == pytest.approx(0.5 * (s1 + s0), abs=1e-10)
-
-
-class TestBaselines:
-    def test_distmult(self):
-        assert score_distmult([1.0, 2.0], [3.0, 4.0], [5.0, 6.0]) == 63.0
-        assert score_distmult([1.0, 2.0], [0.0, 0.0], [5.0, 6.0]) == 0.0
-        x = np.array([0.3, -1.2, 2.0])
-        assert score_distmult(x, np.ones(3), x) == pytest.approx(float(x @ x))
-
-    def test_transe(self):
-        assert score_transe([0.0, 0.0], [3.0, 4.0], [0.0, 0.0]) == 5.0
-        assert score_transe([1.0, 1.0], [0.5, -0.5], [1.5, 0.5]) == 0.0
-        # translation invariance of head and tail together
-        a = score_transe([1.0, 2.0], [0.3, 0.4], [2.0, 1.0])
-        b = score_transe([11.0, 12.0], [0.3, 0.4], [12.0, 11.0])
-        assert a == pytest.approx(b)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            score_distmult([1.0], [1.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            score_transe([1.0], [1.0], [1.0, 2.0])
 
 
 class TestCheckpoint:
