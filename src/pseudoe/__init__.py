@@ -6,16 +6,8 @@ likelihood over (projected, transformed) point pairs, optionally blended
 with its Wick-rotated Euclidean counterpart, plus node and relation biases.
 """
 
-from .geometry import (
-    GeometryConfig,
-    Signature,
-    SpacetimePoint,
-    squared_interval,
-    wick_rotate_metric,
-    wick_squared_distance,
-    wrap_time,
-)
-from .likelihood import TfdParams, log_fd, log_interpolated, log_tfd, logit_from_log
+from .geometry import GeometryConfig, Signature
+from .likelihood import TfdParams
 from .model import (
     InitConfig,
     ModelParams,
@@ -28,7 +20,7 @@ from .model import (
     score_many,
     score_tails,
 )
-from .relmaps import ProjectedPoint, RelationParams, Variant, scale_tail, time_project, transform_pair, translate_head
+from .relmaps import Variant
 from .training import TrainConfig, train
 from .evaluation import EvalMode, EvalProtocol, RankReport, aggregate, beta_sweep, evaluate_split, filtered_rank
 from .data import FilterIndex, NegativesTable, TripleStore, build_store, load_dataset, load_negatives, load_triples

@@ -250,6 +250,8 @@ def _resolve_name(name: str, vocab: dict, what: str) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     params = load_checkpoint(args.checkpoint)
     store = _store_for_params(params, args.data)
     if args.gamma_b != 1.0:

@@ -151,6 +151,13 @@ def aggregate(ranks, ks=(1, 3, 10)) -> RankReport:
     return report
 
 
+def _check_counts(**counts: int) -> None:
+    """Raise ValueError for a count argument below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def evaluate_split(
     params: ModelParams,
     split: np.ndarray,
@@ -164,6 +171,7 @@ def evaluate_split(
     over the read-only parameters; ranks are merged in triple order so the
     report does not depend on scheduling.
     """
+    _check_counts(threads=threads)
     protocol = protocol or EvalProtocol()
     split = np.asarray(split, dtype=np.int64).reshape(-1, 3)
     index = _filter_index(params, filter_set)
@@ -199,6 +207,7 @@ def beta_sweep(
     per point instead.  Rows are (beta, relation, mean MRR, across-repeat
     standard deviation); the deviation is 0 when repeats == 1.
     """
+    _check_counts(repeats=repeats, threads=threads)
     rows: list[tuple[float, int, float, float]] = []
     for beta in betas:
         if not 0.0 <= beta <= 1.0:

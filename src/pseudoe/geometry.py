@@ -1,9 +1,7 @@
-"""Flat pseudo-Riemannian kernels.
+"""Geometry configuration: the metric signature and the optional time cylinder.
 
-Squared intervals on (1, n_x) Minkowski submanifolds, their Wick-rotated
-Euclidean counterparts, and cylindrical time wrapping.  Everything here is
-a pure function over float64 inputs; the hot training path inlines the same
-arithmetic, so these definitions double as the reference semantics.
+The squared interval, its Wick-rotated Euclidean counterpart and the
+cylinder wrap are computed by the scoring kernel in `pseudoe.model`.
 """
 
 from __future__ import annotations
@@ -12,15 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Signature",
-    "GeometryConfig",
-    "SpacetimePoint",
-    "wrap_time",
-    "squared_interval",
-    "wick_squared_distance",
-    "wick_rotate_metric",
-]
+__all__ = ["Signature", "GeometryConfig"]
 
 
 @dataclass(frozen=True)
@@ -48,7 +38,7 @@ class GeometryConfig:
 
     A missing circumference means non-compact time: no wrapping is applied
     anywhere.  The winding integer of the identification t ~ t + a*C is
-    implicit in :func:`wrap_time` and never stored.
+    never stored: the kernel wraps each time displacement onto [-C/2, C/2).
     """
 
     signature: Signature
@@ -58,73 +48,3 @@ class GeometryConfig:
         c = self.cylinder_circumference
         if c is not None and not (np.isfinite(c) and c > 0):
             raise ValueError(f"cylinder circumference must be a positive real, got {c}")
-
-
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """A point with time coordinates t (length n_t) and space coordinates x (n_x)."""
-
-    t: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64))
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
-        if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.x))):
-            raise ValueError("spacetime coordinates must be finite")
-
-
-def wrap_time(t, c):
-    """Wrap a time displacement onto a circle of circumference ``c``.
-
-    Returns the representative of ``t`` modulo ``c`` in the half-open
-    interval [-c/2, c/2), i.e. the minimal signed displacement on the
-    circle.  Apply to time *differences*, once, before any distance is
-    formed from them.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("wrap_time requires finite t")
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"circumference must be a positive real, got {c}")
-    wrapped = t - c * np.floor(t / c + 0.5)
-    return wrapped if wrapped.ndim else float(wrapped)
-
-
-def squared_interval(dt, dx):
-    """Squared interval s^2 = -dt^2 + |dx|^2 on a (1, n_x) submanifold.
-
-    ``dt`` is the (possibly wrapped) time displacement, ``dx`` the space
-    displacement vector.  The result is negative for timelike, zero for
-    lightlike and positive for spacelike separations.
-    """
-    dt = np.asarray(dt, dtype=np.float64)
-    dx = np.asarray(dx, dtype=np.float64)
-    if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(dx))):
-        raise ValueError("squared_interval requires finite displacements")
-    s2 = -dt * dt + np.sum(dx * dx, axis=-1)
-    return s2 if s2.ndim else float(s2)
-
-
-def wick_squared_distance(dt, dx):
-    """Squared Euclidean distance dt^2 + |dx|^2 under the Wick-rotated metric.
-
-    Always non-negative; equals ``squared_interval(dt, dx) + 2*dt**2``.
-    """
-    dt = np.asarray(dt, dtype=np.float64)
-    dx = np.asarray(dx, dtype=np.float64)
-    if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(dx))):
-        raise ValueError("wick_squared_distance requires finite displacements")
-    d2 = dt * dt + np.sum(dx * dx, axis=-1)
-    return d2 if d2.ndim else float(d2)
-
-
-def wick_rotate_metric(diag) -> np.ndarray:
-    """Wick-rotate a diagonal metric by taking element-wise absolute values.
-
-    Only non-degenerate diagonal metrics are supported; a zero entry raises.
-    """
-    diag = np.asarray(diag, dtype=np.float64)
-    if np.any(diag == 0.0):
-        raise ValueError("degenerate metric: diagonal contains a zero entry")
-    return np.abs(diag)

@@ -1,4 +1,4 @@
-"""Fermi-Dirac and triple Fermi-Dirac edge likelihoods, computed in log domain.
+"""Parameters and stable scalar helpers of the Fermi-Dirac edge likelihoods.
 
 The single-factor likelihood is F_(tau,u,alpha)(x) = 1 / (exp((alpha*x - u)/tau) + 1).
 The triple form takes the geometric mean of three factors,
@@ -15,7 +15,8 @@ and isotropic likelihood profiles.
 With the prefactor k pinned to 1, every likelihood lies strictly inside (0, 1)
 and the logit of it is always defined.  Exponents (alpha*x - u)/tau reach 1e4
 at realistic temperatures, so everything is kept in log space via softplus and
-log1p-style forms.
+log1p-style forms.  `model._likelihood` implements the formulas above; this
+module holds their parameters and the stable helpers it uses.
 """
 
 from __future__ import annotations
@@ -24,18 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "TfdParams",
-    "softplus",
-    "sigmoid",
-    "log1mexp",
-    "log_fd",
-    "log_tfd",
-    "log_interpolated",
-    "logit_from_log",
-]
-
-_LOG_HALF = float(np.log(0.5))
+__all__ = ["TfdParams", "softplus", "sigmoid", "log1mexp"]
 
 
 @dataclass(frozen=True)
@@ -96,53 +86,4 @@ def log1mexp(x):
     small = x < -np.log(2.0)
     out[small] = np.log1p(-np.exp(x[small]))
     out[~small] = np.log(-np.expm1(x[~small]))
-    return out if out.ndim else float(out)
-
-
-def log_fd(x, tau, u=0.0, alpha=1.0):
-    """Log Fermi-Dirac factor: log F = -softplus((alpha*x - u)/tau)."""
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    z = (alpha * np.asarray(x, dtype=np.float64) - u) / tau
-    out = -softplus(z)
-    return out if out.ndim else float(out)
-
-
-def log_tfd(s2, dt, params: TfdParams):
-    """Log of the triple Fermi-Dirac likelihood for squared interval s2 and time displacement dt.
-
-    log F = log k + (1/3) [log F1(s2) + log F2(-dt) + log F3(dt)].
-    """
-    f1 = log_fd(s2, params.tau1, params.u, 1.0)
-    f2 = log_fd(-np.asarray(dt, dtype=np.float64), params.tau2, 0.0, params.alpha)
-    f3 = log_fd(dt, params.tau2, 0.0, params.alpha_prime)
-    out = np.log(params.k_scale) + (f1 + f2 + f3) / 3.0
-    return out if np.ndim(out) else float(out)
-
-
-def log_interpolated(log_tfd_val, log_wick_fd_val, beta):
-    """Weighted geometric mean in log domain: (1-beta)*log F + beta*log F~.
-
-    beta=0 is the pure lightcone likelihood, beta=1 the pure Euclidean one.
-    The Wick factor reuses tau1, u and unit slope from F1, evaluated on the
-    Wick-rotated squared distance.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    out = (1.0 - beta) * np.asarray(log_tfd_val, dtype=np.float64) + beta * np.asarray(
-        log_wick_fd_val, dtype=np.float64
-    )
-    return out if np.ndim(out) else float(out)
-
-
-def logit_from_log(log_p):
-    """logit(p) from log p: log p - log(1 - p), stable near p = 0 and p = 1.
-
-    Requires log_p < 0, i.e. p strictly inside (0, 1); with k_scale = 1 every
-    likelihood satisfies this.
-    """
-    log_p = np.asarray(log_p, dtype=np.float64)
-    if np.any(log_p >= 0.0):
-        raise ValueError("logit_from_log requires log_p < 0 (p strictly below 1)")
-    out = log_p - log1mexp(log_p)
     return out if out.ndim else float(out)

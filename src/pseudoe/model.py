@@ -7,8 +7,10 @@ The score of a triple (i, k, j) is
 where F_beta is the beta-interpolated triple Fermi-Dirac likelihood, f_k the
 head translation, g_k the tail scaling and tau_k the time projection.  The
 internal `_forward` kernel evaluates batches of triples with numpy and caches
-every intermediate the backward pass needs; the scalar `score` path and the
-step-by-step composition of the primitive ops must agree with it.
+every intermediate the backward pass needs; it is the library's one
+implementation of the score, which `score`, `score_many` and the blocked
+1-vs-all `score_tails` share.  The tests check it against a step-by-step
+single-triple oracle (`tests/reference.py`).
 
 Also here: parameter initialization, node-bias scaling for degree debiasing
 and the binary checkpoint format.

@@ -1,32 +1,19 @@
-"""Relation-specific point transformations.
+"""Relation-map variants.
 
 Each relation owns a time-projection vector h (reducing n_t time coordinates
-to one), a translation vector u applied to the head, a diagonal scaling r
-applied to the tail, and a scalar bias c.  The projection runs first, the
-endomorphism second, so u and r live on the projected (1 + n_x)-dimensional
-submanifold.
+to one), a translation vector u, a diagonal scaling r and a scalar bias c.
+The projection runs first, the endomorphism second, so u and r live on the
+projected (1 + n_x)-dimensional submanifold.  The maps are applied by the
+scoring kernel in `pseudoe.model`; the variant selects which of them are
+active.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
-import numpy as np
-
-from .geometry import SpacetimePoint
-
-__all__ = [
-    "Variant",
-    "RelationParams",
-    "ProjectedPoint",
-    "time_project",
-    "translate_head",
-    "scale_tail",
-    "transform_pair",
-]
+__all__ = ["Variant", "warn_if_time_not_shared"]
 
 
 class Variant(str, Enum):
@@ -42,35 +29,6 @@ class Variant(str, Enum):
     BOTH = "both"
 
 
-class ProjectedPoint(NamedTuple):
-    """A point on a single-time (1, n_x) submanifold."""
-
-    t: float
-    x: np.ndarray
-
-
-@dataclass
-class RelationParams:
-    """Per-relation parameters: u (translation), r (diagonal scaling), h (time projection), c (bias)."""
-
-    u_vec: np.ndarray
-    r_diag: np.ndarray
-    h_vec: np.ndarray
-    c_bias: float
-
-    def __post_init__(self) -> None:
-        self.u_vec = np.asarray(self.u_vec, dtype=np.float64)
-        self.r_diag = np.asarray(self.r_diag, dtype=np.float64)
-        self.h_vec = np.asarray(self.h_vec, dtype=np.float64)
-        if self.u_vec.shape != self.r_diag.shape:
-            raise ValueError("u_vec and r_diag must share the projected dimension 1 + n_x")
-        for name, arr in (("u_vec", self.u_vec), ("r_diag", self.r_diag), ("h_vec", self.h_vec)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-        if not np.isfinite(self.c_bias):
-            raise ValueError("c_bias must be finite")
-
-
 def warn_if_time_not_shared(n_t: int, n_relations: int) -> None:
     """Warn when n_t >= n_relations, i.e. time coordinates are not shared across relations."""
     if n_t >= n_relations:
@@ -79,58 +37,3 @@ def warn_if_time_not_shared(n_t: int, n_relations: int) -> None:
             "time coordinates are normally shared across relations",
             stacklevel=3,
         )
-
-
-def time_project(p: SpacetimePoint, h_vec) -> ProjectedPoint:
-    """Project onto the single-time submanifold selected by h: (t, x) -> (h . t, x)."""
-    h_vec = np.asarray(h_vec, dtype=np.float64)
-    if h_vec.shape != p.t.shape:
-        raise ValueError(f"h_vec length {h_vec.shape} does not match n_t {p.t.shape}")
-    return ProjectedPoint(float(h_vec @ p.t), p.x)
-
-
-def translate_head(p: ProjectedPoint, u_vec) -> ProjectedPoint:
-    """Translate a projected point by u over all 1 + n_x coordinates."""
-    u_vec = np.asarray(u_vec, dtype=np.float64)
-    if u_vec.shape != (1 + p.x.shape[0],):
-        raise ValueError(f"u_vec length {u_vec.shape[0]} does not match 1 + n_x = {1 + p.x.shape[0]}")
-    return ProjectedPoint(p.t + float(u_vec[0]), p.x + u_vec[1:])
-
-
-def scale_tail(p: ProjectedPoint, r_diag) -> ProjectedPoint:
-    """Scale a projected point componentwise by the diagonal r over all 1 + n_x coordinates."""
-    r_diag = np.asarray(r_diag, dtype=np.float64)
-    if r_diag.shape != (1 + p.x.shape[0],):
-        raise ValueError(f"r_diag length {r_diag.shape[0]} does not match 1 + n_x = {1 + p.x.shape[0]}")
-    return ProjectedPoint(p.t * float(r_diag[0]), p.x * r_diag[1:])
-
-
-def _project(p: SpacetimePoint, rel: RelationParams, variant: Variant) -> ProjectedPoint:
-    if variant is Variant.DT:
-        if p.t.shape[0] != 1:
-            raise ValueError("DT variant requires a single time dimension")
-        return ProjectedPoint(float(p.t[0]), p.x)
-    return time_project(p, rel.h_vec)
-
-
-def transform_pair(
-    head: SpacetimePoint,
-    tail: SpacetimePoint,
-    rel: RelationParams,
-    variant: Variant,
-    swap_transforms: bool = False,
-) -> tuple[ProjectedPoint, ProjectedPoint]:
-    """Apply the relation maps to a (head, tail) pair: projection, then endomorphism.
-
-    MT leaves translation and scaling as the identity; DT uses the identity
-    projection.  With ``swap_transforms`` the translation goes to the tail
-    and the scaling to the head (the MuRE-style assignment) instead of the
-    default head-translation / tail-scaling.
-    """
-    head_p = _project(head, rel, variant)
-    tail_p = _project(tail, rel, variant)
-    if variant is Variant.MT:
-        return head_p, tail_p
-    if swap_transforms:
-        return scale_tail(head_p, rel.r_diag), translate_head(tail_p, rel.u_vec)
-    return translate_head(head_p, rel.u_vec), scale_tail(tail_p, rel.r_diag)

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .likelihood import sigmoid, softplus
-from .model import ModelParams, _forward, _sides, init as model_init, InitConfig
+from .model import ModelParams, _check_ids, _forward, _sides, init as model_init, InitConfig
 from .relmaps import Variant
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "GradientTape",
     "DivergenceError",
     "augment_reverse",
-    "sample_negatives",
     "sample_negatives_batch",
     "nll_from_scores",
     "nll_loss",
@@ -171,21 +170,23 @@ def sample_negatives_batch(
     return out
 
 
-def sample_negatives(triple, m: int, mode: NegativeMode, rng: np.random.Generator, n_entities: int):
-    """Corruptions of a single triple, as a list of (head, rel, tail) tuples."""
-    block = sample_negatives_batch(np.asarray(triple).reshape(1, 3), m, mode, rng, n_entities)
-    return [tuple(int(v) for v in row) for row in block[0]]
-
-
 def nll_from_scores(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     """-sum log sigmoid(pos) - sum log(1 - sigmoid(neg)), in stable softplus form."""
     return float(np.sum(softplus(-np.asarray(pos_scores))) + np.sum(softplus(np.asarray(neg_scores))))
+
+
+def _check_triple_ids(params: ModelParams, *triples) -> None:
+    """Raise IndexError unless every id of every (..., 3) triple array is in range."""
+    for rows in triples:
+        rows = np.asarray(rows).reshape(-1, 3)
+        _check_ids(params, rows[:, 0], rows[:, 1], rows[:, 2])
 
 
 def nll_loss(params: ModelParams, batch: np.ndarray, negatives: np.ndarray) -> float:
     """Batch negative log-likelihood; ``negatives`` has shape (B, m, 3)."""
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)
+    _check_triple_ids(params, batch, negatives)
     pos = _forward(params, batch[:, 0], batch[:, 1], batch[:, 2]).phi
     if negatives.size:
         neg = _forward(params, negatives[:, 0], negatives[:, 1], negatives[:, 2]).phi
@@ -200,6 +201,7 @@ def gradients(params: ModelParams, batch: np.ndarray, negatives: np.ndarray) -> 
     Positives and negatives share one backward pass: the gradient of the loss
     with respect to each score is sigmoid(phi) - label.
     """
+    _check_triple_ids(params, batch, negatives)
     return _loss_and_gradients(params, batch, negatives)[1]
 
 

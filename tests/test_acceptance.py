@@ -22,10 +22,12 @@ from pseudoe.experiments import (
     run_direction,
     run_overfit,
 )
-from pseudoe.likelihood import TfdParams, log_fd, log_interpolated, log_tfd
-from pseudoe.model import load_checkpoint, save_checkpoint
+from pseudoe.likelihood import TfdParams
+from pseudoe.model import _likelihood, load_checkpoint, save_checkpoint
+from pseudoe.presets import PRESETS
 from pseudoe.relmaps import Variant
 from pseudoe.training import NegativeMode, OptimizerKind, sample_negatives_batch
+from reference import log_fd, log_interpolated, log_tfd
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -80,7 +82,8 @@ def test_gradient_exactness(rng):
 
 
 def test_likelihood_invariants(rng):
-    """Likelihood stays in (0,1); interpolation endpoints exact; symmetry and monotonicity."""
+    """Likelihood stays in (0,1), in the oracle and in the kernel at preset temperatures
+    with exponents past 1e4; interpolation endpoints exact; symmetry and monotonicity."""
     t0 = time.perf_counter()
     params = TfdParams(tau1=0.29015, tau2=0.21697, u=0.040226, alpha=0.3673, alpha_prime=0.75182)
     s2 = rng.uniform(-100.0, 100.0, 100_000)
@@ -100,12 +103,29 @@ def test_likelihood_invariants(rng):
     mono_values = log_tfd(order, 0.7, params)
     monotone = bool(np.all(np.diff(mono_values) <= 0.0))
 
+    # The kernel, at each dataset's preset temperatures, on displacements that
+    # drive the distance exponent z1 past 1e4 at every temperature.
+    kernel_dt = rng.uniform(-60.0, 60.0, 100_000)
+    kernel_dx2 = rng.uniform(0.0, 3600.0, 100_000)
+    kernel_in_unit = True
+    max_z1 = {}
+    for preset in ("wn18rr-dt", "fb15k237-dt", "hetionet-both"):
+        temps = {key: PRESETS[preset][key] for key in ("tau1", "tau2", "u", "alpha", "alpha_prime")}
+        for beta in (0.0, 0.18, 1.0):
+            tfd = TfdParams(**temps, beta=beta)
+            z1, _, _, _, log_p, phi = _likelihood(tfd, kernel_dt, kernel_dx2, 0.0, 0.0, 0.0)
+            kernel_in_unit = kernel_in_unit and bool(np.all(log_p < 0.0) and np.all(np.isfinite(phi)))
+        max_z1[preset] = float(np.max(np.abs(z1)))
+    extreme = min(max_z1.values()) >= 1e4
+
     elapsed = time.perf_counter() - t0
     report(
         "likelihood invariants",
-        in_unit and endpoints and sym_gap < 1e-12 and monotone,
+        in_unit and endpoints and sym_gap < 1e-12 and monotone and kernel_in_unit and extreme,
         f"1e5 samples in (0,1): {in_unit}; endpoints exact: {endpoints}; "
-        f"dt-symmetry gap {sym_gap:.1e} (< 1e-12); monotone in s2: {monotone}; {elapsed:.1f}s",
+        f"dt-symmetry gap {sym_gap:.1e} (< 1e-12); monotone in s2: {monotone}; "
+        f"kernel in (0,1) with finite phi at 3 presets x beta 0/0.18/1: {kernel_in_unit}, "
+        f"max |z1| {', '.join(f'{k} {v:.2g}' for k, v in max_z1.items())} (>= 1e4); {elapsed:.1f}s",
     )
 
 

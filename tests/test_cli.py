@@ -174,6 +174,14 @@ class TestEvaluateCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 13  # header + all 12 entities
 
+    def test_rank_top_below_one_is_a_one_line_error(self, toy_data, trained, capsys):
+        base = ["rank", "--checkpoint", str(trained / "model.ckpt"), "--data", str(toy_data)]
+        for top in ("0", "-3"):
+            assert main(base + ["--head", "n0", "--relation", "same_group", "--top", top]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --top must be >= 1, got {top}\n"
+
     def test_rank_unknown_name_lists_near_misses(self, toy_data, trained, capsys):
         code = main(
             [
@@ -217,6 +225,23 @@ class TestSweepAndStats:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert err == "error: PSEUDOE_THREADS must be an integer, got 'abc'\n"
+
+    def test_counts_below_one_are_one_line_errors(self, toy_data, trained, tmp_path, monkeypatch, capsys):
+        # --threads, the threads config key and PSEUDOE_THREADS all reach evaluate_split
+        ckpt = str(trained / "model.ckpt")
+        evaluate = ["evaluate", "--checkpoint", ckpt, "--data", str(toy_data)]
+        sweep = ["sweep-beta", "--data", str(toy_data), "--out", str(tmp_path), "--betas", "0", "--checkpoint", ckpt]
+        for argv, message in (
+            (evaluate + ["--threads", "-3"], "threads must be >= 1, got -3"),
+            (sweep + ["--repeats", "0"], "repeats must be >= 1, got 0"),
+            (sweep + ["--set", "threads", "0"], "threads must be >= 1, got 0"),
+        ):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+        monkeypatch.setenv("PSEUDOE_THREADS", "0")
+        assert main(evaluate) == 1
+        assert capsys.readouterr().err == "error: threads must be >= 1, got 0\n"
 
     def test_sweep_rescore(self, toy_data, tmp_path):
         run_out = tmp_path / "run"

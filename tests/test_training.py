@@ -22,7 +22,6 @@ from pseudoe.training import (
     gradients,
     nll_from_scores,
     nll_loss,
-    sample_negatives,
     sample_negatives_batch,
     train,
 )
@@ -63,14 +62,14 @@ class TestAugmentReverse:
 
 class TestSampleNegatives:
     def test_zero(self, rng):
-        assert sample_negatives((0, 0, 1), 0, NegativeMode.BOTH, rng, 5) == []
+        assert sample_negatives_batch(np.array([[0, 0, 1]]), 0, NegativeMode.BOTH, rng, 5)[0].tolist() == []
 
     def test_odd_rejected(self, rng):
         with pytest.raises(ValueError):
-            sample_negatives((0, 0, 1), 3, NegativeMode.BOTH, rng, 5)
+            sample_negatives_batch(np.array([[0, 0, 1]]), 3, NegativeMode.BOTH, rng, 5)
 
     def test_structure_both(self, rng):
-        negs = sample_negatives((2, 1, 4), 4, NegativeMode.BOTH, rng, 10)
+        negs = sample_negatives_batch(np.array([[2, 1, 4]]), 4, NegativeMode.BOTH, rng, 10)[0].tolist()
         assert len(negs) == 4
         assert all(k == 1 for _, k, _ in negs)
         # first half corrupts the tail, second half the head
@@ -78,7 +77,7 @@ class TestSampleNegatives:
         assert all(t == 4 for _, _, t in negs[2:])
 
     def test_structure_tail_only(self, rng):
-        negs = sample_negatives((2, 1, 4), 6, NegativeMode.TAIL_ONLY, rng, 10)
+        negs = sample_negatives_batch(np.array([[2, 1, 4]]), 6, NegativeMode.TAIL_ONLY, rng, 10)[0].tolist()
         assert all(h == 2 and k == 1 for h, k, _ in negs)
 
     def test_uniform_over_vocabulary(self):
@@ -117,6 +116,13 @@ class TestLoss:
                 nh, nk, nt = (int(v) for v in negs[i, j])
                 expected -= math.log(1.0 - float(sigmoid(score(params, nh, nk, nt))))
         assert nll_loss(params, batch, negs) == pytest.approx(expected, rel=1e-10)
+
+    def test_rejects_out_of_range_ids(self):
+        params = make_random_model()  # 6 entities, 3 relations
+        none = np.empty((1, 0, 3), dtype=np.int64)
+        for batch, negs in (([[0, 0, -1]], none), ([[6, 0, 1]], none), ([[0, 0, 1]], [[[0, 3, 1]]])):
+            with pytest.raises(IndexError, match="id out of range"):
+                nll_loss(params, np.array(batch), np.array(negs))
 
 
 class TestGradients:
@@ -166,6 +172,14 @@ class TestGradients:
         params.node_bias[2] = np.inf
         with pytest.raises(DivergenceError, match=r"\(2, 0, 1\)"):
             gradients(params, np.array([[2, 0, 1]]), np.empty((1, 0, 3), dtype=np.int64))
+
+    def test_rejects_out_of_range_ids(self):
+        # a negative id would otherwise reach the optimizer as row N - 1
+        params = make_random_model()  # 6 entities, 3 relations
+        none = np.empty((1, 0, 3), dtype=np.int64)
+        for batch, negs in (([[0, 0, -1]], none), ([[0, -1, 1]], none), ([[0, 0, 1]], [[[6, 0, 1]]])):
+            with pytest.raises(IndexError, match="id out of range"):
+                gradients(params, np.array(batch), np.array(negs))
 
 
 class TestOptimizers:
