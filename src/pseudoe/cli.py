@@ -121,7 +121,12 @@ def resolve_config(preset: str | None = None, config_file=None, overrides: dict 
         values.update(_read_config_file(config_file))
     for key, raw in (overrides or {}).items():
         values[key] = _parse_value(key, raw)
-    return RunConfig(**values)
+    config = RunConfig(**values)
+    # Checked here so that `train` fails before it trains, and never freezes a
+    # thread count that `evaluate` and `sweep-beta` would reject.
+    if config.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {config.threads}")
+    return config
 
 
 def write_resolved(config: RunConfig, path) -> None:

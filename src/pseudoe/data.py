@@ -128,11 +128,8 @@ class TripleStore:
 
     def entity_degrees(self) -> np.ndarray:
         """In-degree plus out-degree per entity, over the training split."""
-        deg = np.zeros(self.n_entities, dtype=np.int64)
         train = self.splits["train"]
-        np.add.at(deg, train[:, 0], 1)
-        np.add.at(deg, train[:, 2], 1)
-        return deg
+        return np.bincount(np.concatenate([train[:, 0], train[:, 2]]), minlength=self.n_entities)
 
     def summary(self) -> dict:
         return {

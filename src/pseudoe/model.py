@@ -233,14 +233,25 @@ def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
     heads = np.asarray(heads, dtype=np.intp)
     rels = np.asarray(rels, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
-    n_t, c = params.n_t, params.geometry.cylinder_circumference
+    n_t, n_r, c = params.n_t, params.n_relations, params.geometry.cylinder_circumference
     a, b, sign = _sides(params, heads, tails)
-    h, u, r = params.rel_h[rels], params.rel_u[rels], params.rel_r[rels]
+    h = params.rel_h[rels]
 
     translated_proj = np.einsum("bi,bi->b", h, params.coords[a, :n_t])
     scaled_proj = np.einsum("bi,bi->b", h, params.coords[b, :n_t])
-    dt = _wrap(sign * _relation_map(translated_proj, u[:, 0], r[:, 0], scaled_proj), c)
-    dx = _relation_map(params.coords[a, n_t:], u[:, 1:], r[:, 1:], params.coords[b, n_t:])
+    u_t, r_t = params.rel_u[rels, 0], params.rel_r[rels, 0]
+    dt = _wrap(sign * _relation_map(translated_proj, u_t, r_t, scaled_proj), c)
+
+    # The space map (x_a + u) - r * x_b, with x_a + u computed once per
+    # distinct (translated entity, relation) pair: the negatives of a positive
+    # share its translated side in tail-only mode.  Same operations per
+    # element as `_relation_map`, in two row-sized buffers.
+    pairs, pair_of_row = np.unique(a * n_r + rels, return_inverse=True)
+    translated = params.coords[pairs // n_r, n_t:] + params.rel_u[pairs % n_r, 1:]
+    dx = params.coords[b, n_t:]
+    scratch = params.rel_r[rels, 1:]
+    dx *= scratch
+    np.subtract(np.take(translated, pair_of_row, axis=0, out=scratch, mode="clip"), dx, out=dx)
 
     dx2 = np.einsum("bi,bi->b", dx, dx)
     z1, z2, z3, zw, log_p, phi = _likelihood(

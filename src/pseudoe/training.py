@@ -10,9 +10,11 @@ replacements, or all m on the tail when reversed-triple augmentation is on
 term is dropped; this coupling is enforced).
 
 Gradients are exact, hand-derived chain-rule expressions through the score
-pipeline, scattered into a dense tape: one full-size table per parameter
-table, allocated every step, plus the rows the batch references, which are
-the only rows the optimizers update.  Optimizers: plain SGD, Adam with
+pipeline.  Each table's rows are summed per entity or relation in the order
+``np.add.at`` would add them, so every bit is fixed by the batch, and written
+once into a dense tape: one full-size table per parameter table, allocated
+each step as lazily zeroed pages, plus the rows the batch references, which
+are the only rows the optimizers update.  Optimizers: plain SGD, Adam with
 bias-corrected moments, and SM3 with row/column cover sets over the
 coordinate table and per-coordinate accumulators everywhere else.  The
 loop shuffles each epoch from the run seed, evaluates filtered MRR on the
@@ -106,11 +108,12 @@ class TrainConfig:
 
 @dataclass
 class GradientTape:
-    """Dense gradient accumulators matching the ModelParams layout.
+    """Dense gradients in the ModelParams layout: one table per parameter table.
 
-    Rows not referenced by the batch stay exactly zero; ``touched_entities``
-    and ``touched_relations`` list the referenced rows so optimizers can
-    update only those.
+    Only the rows the batch references are written; every other row, and every
+    row of a table the variant freezes, stays exactly zero (+0.0).
+    ``touched_entities`` and ``touched_relations`` list the referenced rows,
+    sorted, so optimizers can update only those.
     """
 
     coords: np.ndarray
@@ -124,13 +127,17 @@ class GradientTape:
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "GradientTape":
+        # np.zeros takes pages that the kernel zeroes on first touch, where
+        # np.zeros_like would write every byte of the 164 MB WN18RR-shape
+        # coordinate table once more; a step pays only for the pages its rows
+        # touch.
         return cls(
-            coords=np.zeros_like(params.coords),
-            node_bias=np.zeros_like(params.node_bias),
-            rel_u=np.zeros_like(params.rel_u),
-            rel_r=np.zeros_like(params.rel_r),
-            rel_h=np.zeros_like(params.rel_h),
-            rel_c=np.zeros_like(params.rel_c),
+            coords=np.zeros(params.coords.shape),
+            node_bias=np.zeros(params.node_bias.shape),
+            rel_u=np.zeros(params.rel_u.shape),
+            rel_r=np.zeros(params.rel_r.shape),
+            rel_h=np.zeros(params.rel_h.shape),
+            rel_c=np.zeros(params.rel_c.shape),
             touched_entities=np.empty(0, dtype=np.intp),
             touched_relations=np.empty(0, dtype=np.intp),
         )
@@ -205,6 +212,68 @@ def gradients(params: ModelParams, batch: np.ndarray, negatives: np.ndarray) -> 
     return _loss_and_gradients(params, batch, negatives)[1]
 
 
+class _Segments:
+    """Rows grouped by key, summed per key exactly as ``np.add.at`` sums them.
+
+    ``np.add.at(np.zeros(size), keys, values)`` adds each row to its key's
+    total in row order, starting from 0.0.  `sum` keeps that order per key, so
+    every total, signed zeros included, has the same bits:
+
+    - 1-D values and single columns go through ``np.bincount``, which adds in
+      row order (``np.add.reduce`` would sum a single column pairwise);
+    - for wider values, each of the most repeated keys (relations, a hub
+      entity) is one sequential ``np.add.reduce(axis=0)`` over its rows, and
+      the other keys are summed in occurrence rounds: round r adds each
+      key's r-th row, so no round repeats a key.  The split minimizes the
+      number of numpy calls, reduces plus rounds.
+
+    ``keys`` lists the distinct keys, most repeated first, in the order of
+    the sums.
+    """
+
+    def __init__(self, keys):
+        keys = np.asarray(keys, dtype=np.intp)
+        order = np.argsort(keys, kind="stable")
+        distinct, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+        by_count = np.argsort(-counts, kind="stable")
+        position = np.empty_like(by_count)
+        position[by_count] = np.arange(by_count.size)
+        self._group = np.empty_like(order)
+        self._group[order] = np.repeat(position, counts)
+        self.keys = distinct[by_count]
+        starts, counts = starts[by_count], counts[by_count]
+
+        # Keys [0, n_reduced) are reduced one by one; the rest, which hold at
+        # most counts[n_reduced] rows each, take that many rounds.
+        n_reduced = int(np.argmin(np.arange(counts.size + 1) + np.r_[counts, 0]))
+        self._reduced = [order[s : s + c] for s, c in zip(starts[:n_reduced], counts[:n_reduced])]
+        starts, counts = starts[n_reduced:], counts[n_reduced:]
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        rank = np.arange(first.size) - first
+        self._round_rows = order[(np.repeat(starts, counts) + rank)[np.argsort(rank, kind="stable")]]
+        # Keys still adding in round r: those with more than r rows.
+        self._round_sizes = counts.size - np.cumsum(np.bincount(counts))[:-1]
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        n_keys = self.keys.size
+        if values.ndim == 1 or values.shape[1] == 1:
+            sums = np.bincount(self._group, weights=values.reshape(-1), minlength=n_keys)
+            return sums.reshape((n_keys,) + values.shape[1:])
+        sums = np.empty((n_keys,) + values.shape[1:])
+        for key, rows in enumerate(self._reduced):
+            np.add.reduce(values[rows], axis=0, initial=0.0, out=sums[key])
+        # Round 0 adds each key's first row to 0.0: that row, taken in place,
+        # plus 0.0, which turns -0.0 into 0.0 as np.add.at does.
+        rounds = sums[len(self._reduced) :]
+        done = len(rounds)
+        np.take(values, self._round_rows[:done], axis=0, out=rounds, mode="clip")
+        rounds += 0.0
+        for size in self._round_sizes[1:]:
+            rounds[:size] += values[self._round_rows[done : done + size]]
+            done += size
+        return sums
+
+
 def _loss_and_gradients(
     params: ModelParams, batch: np.ndarray, negatives: np.ndarray
 ) -> tuple[float, GradientTape]:
@@ -222,15 +291,9 @@ def _loss_and_gradients(
     loss = float(np.sum(softplus((1.0 - 2.0 * labels) * cache.phi)))
     dphi = sigmoid(cache.phi) - labels
 
-    tape = GradientTape.zeros_like(params)
     heads, rels, tails = cache.heads, cache.rels, cache.tails
     tfd = params.tfd
-    n_t = params.n_t
-
-    # Bias terms enter the score additively.
-    np.add.at(tape.node_bias, heads, dphi)
-    np.add.at(tape.node_bias, tails, dphi)
-    np.add.at(tape.rel_c, rels, dphi)
+    n_t, n = params.n_t, heads.size
 
     # Through the logit and the beta-mix into the three FD factors.
     dlogp = dphi * cache.dphi_dlogp
@@ -241,39 +304,53 @@ def _loss_and_gradients(
         dlogp * w_tfd * (tfd.alpha * cache.sig2 - tfd.alpha_prime * cache.sig3) / tfd.tau2
         + (ds2w - ds2) * 2.0 * cache.dt
     )
-    ddx = ((ds2 + ds2w) * 2.0)[:, None] * cache.dx
 
     # Through the relation maps into coordinates and relation tables.  Both
     # act as (p_a + u) - r * p_b on the translated side a and the scaled side
     # b, in time on h . t and in space on x; time enters dt with its sign.
+    # time_grads[s] and space_grads[s] hold the coordinate gradients of the
+    # heads (s = 0) or the tails (s = 1) per row, so that the sums add every
+    # head row before any tail row, in row order, whichever side is
+    # translated.
     a, b, sign = _sides(params, heads, tails)
+    side_a, side_b, _ = _sides(params, 0, 1)
     d_time = sign * ddt
     h = params.rel_h[rels]
     r_t = params.rel_r[rels, 0]
-    t_a = params.coords[a, :n_t]
-    t_b = params.coords[b, :n_t]
-    d_a = np.concatenate([d_time[:, None] * h, ddx], axis=1)
-    d_b = np.concatenate([(-d_time * r_t)[:, None] * h, -ddx * params.rel_r[rels, 1:]], axis=1)
-    # Map the sides back to heads and tails: scattering heads first keeps the
-    # summation order, and so the bits, of the swapped assignment.
-    d_heads, d_tails, _ = _sides(params, d_a, d_b)
+    time_grads = np.empty((2, n, n_t))
+    np.multiply(d_time[:, None], h, out=time_grads[side_a])
+    np.multiply((-d_time * r_t)[:, None], h, out=time_grads[side_b])
+    space_grads = np.empty((2, n, params.n_x))
+    ddx = np.multiply(((ds2 + ds2w) * 2.0)[:, None], cache.dx, out=space_grads[side_a])
+    # -ddx * r as ddx * (-r), the same bits, negating the small table instead
+    np.multiply(ddx, np.negative(params.rel_r[:, 1:])[rels], out=space_grads[side_b])
 
-    np.add.at(tape.coords, heads, d_heads)
-    np.add.at(tape.coords, tails, d_tails)
-    np.add.at(tape.rel_u, rels, np.concatenate([d_time[:, None], ddx], axis=1))
-    d_r = np.concatenate([(-d_time * cache.scaled_proj)[:, None], -ddx * params.coords[b, n_t:]], axis=1)
-    np.add.at(tape.rel_r, rels, d_r)
-    np.add.at(tape.rel_h, rels, d_time[:, None] * t_a - (d_time * r_t)[:, None] * t_b)
+    # Each table is summed per row key in np.add.at's order, then written into
+    # a tape of lazily zeroed pages once.
+    tape = GradientTape.zeros_like(params)
+    entities = _Segments(np.concatenate([heads, tails]))
+    relations = _Segments(rels)
+    ent_keys, rel_keys = entities.keys, relations.keys
+    tape.node_bias[ent_keys] = entities.sum(np.concatenate([dphi, dphi]))
+    tape.coords[ent_keys, :n_t] = entities.sum(time_grads.reshape(2 * n, n_t))
+    tape.coords[ent_keys, n_t:] = entities.sum(space_grads.reshape(2 * n, -1))
+    tape.rel_c[rel_keys] = relations.sum(dphi)
+    # Tables frozen by the variant receive no gradient: MT fixes rel_u and
+    # rel_r, DT fixes rel_h.
+    if params.variant is not Variant.MT:
+        tape.rel_u[rel_keys, 0] = relations.sum(d_time)
+        tape.rel_u[rel_keys, 1:] = relations.sum(ddx)
+        tape.rel_r[rel_keys, 0] = relations.sum(-d_time * cache.scaled_proj)
+        # -ddx * x_b, formed in place as -(x_b * ddx): the same bits
+        x_b = params.coords[b, n_t:]
+        x_b *= ddx
+        tape.rel_r[rel_keys, 1:] = relations.sum(np.negative(x_b, out=x_b))
+    if params.variant is not Variant.DT:
+        t_a, t_b = params.coords[a, :n_t], params.coords[b, :n_t]
+        tape.rel_h[rel_keys] = relations.sum(d_time[:, None] * t_a - (d_time * r_t)[:, None] * t_b)
 
-    # Tables frozen by the variant receive no gradient.
-    if params.variant is Variant.MT:
-        tape.rel_u[:] = 0.0
-        tape.rel_r[:] = 0.0
-    elif params.variant is Variant.DT:
-        tape.rel_h[:] = 0.0
-
-    tape.touched_entities = np.unique(np.concatenate([heads, tails]))
-    tape.touched_relations = np.unique(rels)
+    tape.touched_entities = np.sort(ent_keys)
+    tape.touched_relations = np.sort(rel_keys)
     return loss, tape
 
 

@@ -243,6 +243,25 @@ class TestSweepAndStats:
         assert main(evaluate) == 1
         assert capsys.readouterr().err == "error: threads must be >= 1, got 0\n"
 
+    def test_train_rejects_thread_counts_below_one(self, toy_data, tmp_path, monkeypatch, capsys):
+        # --threads, the threads config key and PSEUDOE_THREADS are checked
+        # when the config is resolved, before anything is trained or written
+        out = tmp_path / "run"
+        config = tmp_path / "bad.cfg"
+        config.write_text("threads = 0\n", encoding="utf-8")
+        train = ["train", "--data", str(toy_data), "--out", str(out), "--set", "max_epochs", "5"]
+        for argv, message in (
+            (train + ["--threads", "-3"], "threads must be >= 1, got -3"),
+            (train + ["--set", "threads", "0"], "threads must be >= 1, got 0"),
+            (train + ["--config", str(config)], "threads must be >= 1, got 0"),
+        ):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        monkeypatch.setenv("PSEUDOE_THREADS", "-1")
+        assert main(train) == 1
+        assert capsys.readouterr().err == "error: threads must be >= 1, got -1\n"
+        assert not out.exists()
+
     def test_sweep_rescore(self, toy_data, tmp_path):
         run_out = tmp_path / "run"
         assert run_training(toy_data, run_out) == 0

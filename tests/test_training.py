@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from conftest import make_random_model
 from pseudoe.geometry import GeometryConfig, Signature
@@ -18,8 +21,10 @@ from pseudoe.training import (
     SgdOptimizer,
     Sm3Optimizer,
     TrainConfig,
+    _Segments,
     augment_reverse,
     gradients,
+    make_optimizer,
     nll_from_scores,
     nll_loss,
     sample_negatives_batch,
@@ -182,6 +187,106 @@ class TestGradients:
                 gradients(params, np.array(batch), np.array(negs))
 
 
+def add_at_heads_then_tails(heads, tails, head_values, tail_values):
+    """The summation the gradient tape is specified by: np.add.at over heads, then tails."""
+    size = max([*heads, *tails], default=-1) + 1
+    out = np.zeros((size,) + head_values.shape[1:])
+    np.add.at(out, heads, head_values)
+    np.add.at(out, tails, tail_values)
+    return out
+
+
+def assert_segment_sums_match(heads, tails, head_values, tail_values):
+    expected = add_at_heads_then_tails(heads, tails, head_values, tail_values)
+    segments = _Segments(np.concatenate([heads, tails]).astype(np.intp))
+    sums = segments.sum(np.concatenate([head_values, tail_values]))
+    np.testing.assert_array_equal(np.sort(segments.keys), np.unique(np.concatenate([heads, tails])))
+    assert sums.shape == (segments.keys.size,) + head_values.shape[1:]
+    # bit for bit: same signed zeros, same last bits
+    assert sums.tobytes() == expected[segments.keys].tobytes()
+
+
+@st.composite
+def keyed_rows(draw):
+    """Head and tail keys with heavy repeats (a hub key among the heads) and
+    values that include -0.0, as 1-D rows or rows of 1 to 7 columns."""
+    n_keys = draw(st.integers(1, 12))
+    key = st.integers(0, n_keys - 1)
+    heads = draw(st.lists(key, max_size=30)) + [draw(key)] * draw(st.sampled_from([0, 1, 9, 31, 60]))
+    heads = np.array(draw(st.permutations(heads)), dtype=np.intp)
+    tails = np.array(draw(st.lists(key, max_size=30)), dtype=np.intp)
+    columns = draw(st.sampled_from([(), (1,), (2,), (3,), (7,)]))
+    # magnitudes over 16 decades, so that a different summation order rounds
+    # differently, and a drawn share of -0.0 entries
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    negative_zeros = draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+    def values(n):
+        out = rng.normal(size=(n, *columns)) * 10.0 ** rng.integers(-8, 8, size=(n, *columns))
+        out[rng.random(out.shape) < negative_zeros] = -0.0
+        return out
+
+    return heads, tails, values(heads.size), values(tails.size)
+
+
+class TestSegmentSums:
+    @given(keyed_rows())
+    def test_bit_equal_to_add_at(self, rows):
+        assert_segment_sums_match(*rows)
+
+    @pytest.mark.parametrize("columns", [(), (1,), (4,)])
+    def test_empty(self, columns):
+        none = np.empty(0, dtype=np.intp)
+        assert_segment_sums_match(none, none, np.empty((0, *columns)), np.empty((0, *columns)))
+
+    @pytest.mark.parametrize("columns", [(), (1,), (3,)])
+    def test_negative_zeros_sum_to_positive_zero(self, columns):
+        # np.add.at starts every total at 0.0, and 0.0 + -0.0 is 0.0
+        keys = np.array([2, 0, 2], dtype=np.intp)
+        values = np.full((3, *columns), -0.0)
+        assert_segment_sums_match(keys, keys, values, values)
+        assert not np.signbit(_Segments(np.r_[keys, keys]).sum(np.r_[values, values])).any()
+
+    @pytest.mark.parametrize("columns", [(), (1,), (2,), (6,)])
+    def test_hub_and_light_keys_in_one_sum(self, columns, rng):
+        # heads of a tail-only batch: each of 5 positives' heads on 1 + 30
+        # rows, one head a hub of 3 positives, and 200 mostly distinct tails
+        heads = np.repeat(np.array([7, 7, 7, 3, 11]), 31)
+        tails = rng.integers(0, 400, 200)
+        head_values = rng.normal(size=(heads.size, *columns)) * 10.0 ** rng.integers(-8, 8, (heads.size, *columns))
+        tail_values = rng.normal(size=(tails.size, *columns))
+        assert_segment_sums_match(heads, tails, head_values, tail_values)
+
+
+class TestGradientTapeLayout:
+    """The dense layout that the optimizers and the benchmark read."""
+
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(GradientTape)]
+        assert names == [
+            "coords", "node_bias", "rel_u", "rel_r", "rel_h", "rel_c", "touched_entities", "touched_relations",
+        ]
+
+    @pytest.mark.parametrize("variant,n_t", [(Variant.BOTH, 2), (Variant.DT, 1), (Variant.MT, 2)])
+    def test_dense_tables_and_untouched_rows(self, variant, n_t, rng):
+        params = make_random_model(n_entities=12, n_relations=5, n_t=n_t, variant=variant, seed=2)
+        batch = np.array([[0, 1, 2], [2, 3, 0], [4, 1, 4]])
+        negs = sample_negatives_batch(batch, 4, NegativeMode.BOTH, rng, 6)  # entities 0..5 only
+        tape = gradients(params, batch, negs)
+        for name in ("coords", "node_bias", "rel_u", "rel_r", "rel_h", "rel_c"):
+            table = getattr(tape, name)
+            assert table.shape == getattr(params, name).shape and table.dtype == np.float64
+        rows = np.concatenate([batch, negs.reshape(-1, 3)])
+        touched = np.unique(rows[:, [0, 2]])
+        np.testing.assert_array_equal(tape.touched_entities, touched)
+        np.testing.assert_array_equal(tape.touched_relations, [1, 3])
+        untouched = np.setdiff1d(np.arange(12), touched)
+        for table in (tape.coords, tape.node_bias):
+            assert not table[untouched].any() and not np.signbit(table[untouched]).any()
+        for table in (tape.rel_u, tape.rel_r, tape.rel_h, tape.rel_c):
+            assert not table[[0, 2, 4]].any() and not np.signbit(table[[0, 2, 4]]).any()
+
+
 class TestOptimizers:
     def test_sgd_exact_step(self, rng):
         params = make_random_model(seed=6)
@@ -221,9 +326,26 @@ class TestOptimizers:
             prev_col = opt.coord_col.copy()
 
     @pytest.mark.parametrize("kind", [OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.SM3])
-    def test_step_touches_only_batch_parameters(self, kind, rng):
-        from pseudoe.training import make_optimizer
+    def test_frozen_tables_stay_at_identity(self, kind, rng):
+        # MT fixes rel_u = 0 and rel_r = 1, DT fixes rel_h = 1: their
+        # gradients are never computed, so their tape rows stay exactly zero
+        for variant, n_t in ((Variant.MT, 2), (Variant.DT, 1)):
+            params = make_random_model(n_entities=8, n_relations=3, n_t=n_t, variant=variant, seed=5)
+            opt = make_optimizer(kind, params, 0.5)
+            for _ in range(4):
+                batch, negs = random_batch(params, rng)
+                tape = gradients(params, batch, negs)
+                frozen = (tape.rel_u, tape.rel_r) if variant is Variant.MT else (tape.rel_h,)
+                assert not any(t.any() or np.signbit(t).any() for t in frozen)
+                opt.step(params, tape)
+            if variant is Variant.MT:
+                assert np.all(params.rel_u == 0.0) and np.all(params.rel_r == 1.0)
+            else:
+                assert np.all(params.rel_h == 1.0)
+            params.validate()
 
+    @pytest.mark.parametrize("kind", [OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.SM3])
+    def test_step_touches_only_batch_parameters(self, kind, rng):
         params = make_random_model(n_entities=9, n_relations=4, seed=6)
         opt = make_optimizer(kind, params, 0.5)
         batch = np.array([[0, 0, 1]])
