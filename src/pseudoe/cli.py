@@ -28,7 +28,7 @@ from .likelihood import TfdParams, sigmoid
 from .model import InitConfig, load_checkpoint, save_checkpoint, scale_node_bias, score_tails
 from .presets import PRESETS
 from .relmaps import Variant
-from .training import OptimizerKind, TrainConfig
+from .training import TrainConfig
 
 __all__ = ["RunConfig", "resolve_config", "main"]
 
@@ -158,7 +158,7 @@ def _train_config(config: RunConfig) -> TrainConfig:
         m_negatives=config.m_negatives,
         batch_size=config.batch_size,
         learning_rate=config.learning_rate,
-        optimizer=OptimizerKind(config.optimizer),
+        optimizer=config.optimizer,
         max_epochs=config.max_epochs,
         eval_every=config.eval_every,
         patience=config.patience,
@@ -201,8 +201,6 @@ def cmd_train(args) -> int:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     store = load_dataset(config.data)
-    eval_store = augmented_store(store) if config.augment_reverse else store
-    protocol = _protocol(config, eval_store)
     params, log = training.train(
         store,
         _train_config(config),
@@ -210,7 +208,7 @@ def cmd_train(args) -> int:
         _tfd(config),
         Variant(config.variant),
         init_cfg=InitConfig(sigma_init=config.sigma_init, seed=config.seed),
-        protocol=protocol,
+        protocol=_protocol(config, store),
         swap_transforms=config.swap_transforms,
     )
     save_checkpoint(params, out / "model.ckpt")

@@ -275,7 +275,8 @@ def augmented_store(store: TripleStore) -> TripleStore:
     """Store with reversed triples appended to every split under fresh inverse relations.
 
     Every relation k gains an inverse k + n_relations named ``inv:<name>``;
-    each (h, k, t) in any split gains (t, inv k, h) in the same split.
+    each (h, k, t) in any split gains (t, inv k, h) in the same split, and
+    the inverse of a relation missing from the training split is missing too.
     """
     from .training import augment_reverse
 
@@ -294,5 +295,5 @@ def augmented_store(store: TripleStore) -> TripleStore:
         splits=splits,
         filter_index=filter_index,
         entities_not_in_train=list(store.entities_not_in_train),
-        relations_not_in_train=list(store.relations_not_in_train),
+        relations_not_in_train=store.relations_not_in_train + [k + n_r for k in store.relations_not_in_train],
     )

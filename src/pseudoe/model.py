@@ -12,12 +12,14 @@ implementation of the score, which `score`, `score_many` and the blocked
 1-vs-all `score_tails` share.  The tests check it against a step-by-step
 single-triple oracle (`tests/reference.py`).
 
-Also here: parameter initialization, node-bias scaling for degree debiasing
-and the binary checkpoint format.
+Also here: the one declaration of the six parameter tables and of what each
+variant freezes (`TABLES`, `FROZEN`), parameter initialization, node-bias
+scaling for degree debiasing and the binary checkpoint format.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -29,6 +31,8 @@ from .likelihood import TfdParams, log1mexp, sigmoid, softplus
 from .relmaps import Variant, warn_if_time_not_shared
 
 __all__ = [
+    "TABLES",
+    "FROZEN",
     "InitConfig",
     "ModelParams",
     "init",
@@ -47,6 +51,40 @@ CHECKPOINT_MAGIC = b"PSEUDOE1"
 _VARIANT_CODES = {Variant.MT: 0, Variant.DT: 1, Variant.BOTH: 2}
 _VARIANT_FROM_CODE = {v: k for k, v in _VARIANT_CODES.items()}
 _SWAP_BIT = 1 << 3
+
+
+# The six parameter tables in checkpoint order, each with the id that keys
+# its rows.
+TABLES = (
+    ("coords", "entity"),
+    ("node_bias", "entity"),
+    ("rel_u", "relation"),
+    ("rel_r", "relation"),
+    ("rel_h", "relation"),
+    ("rel_c", "relation"),
+)
+
+# The relation tables each variant freezes, with their identity value: MT
+# models a relation as its own time projection, so translation and scaling
+# stay identity; DT models it as translation and scaling only, so the
+# projection stays identity (on n_t = 1).  Frozen tables never change.
+FROZEN = {
+    Variant.MT: {"rel_u": 0.0, "rel_r": 1.0},
+    Variant.DT: {"rel_h": 1.0},
+    Variant.BOTH: {},
+}
+
+
+def _table_shapes(n_entities: int, n_relations: int, signature: Signature) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter table, in checkpoint order: one row per key."""
+    rows = {"entity": n_entities, "relation": n_relations}
+    columns = {
+        "coords": (signature.dim,),
+        "rel_u": (1 + signature.n_x,),
+        "rel_r": (1 + signature.n_x,),
+        "rel_h": (signature.n_t,),
+    }
+    return {name: (rows[key], *columns.get(name, ())) for name, key in TABLES}
 
 
 @dataclass(frozen=True)
@@ -68,9 +106,8 @@ class ModelParams:
     coords holds one row per entity, time coordinates first (n_t columns)
     then space (n_x).  Relation tables are row-per-relation: rel_u and rel_r
     over the projected 1 + n_x coordinates, rel_h over the n_t time
-    coordinates.  Depending on the variant some relation tables are frozen
-    at their identity values (MT: rel_u = 0, rel_r = 1; DT: rel_h = 1) and
-    never receive gradient.
+    coordinates.  The tables `FROZEN` lists for the variant hold their
+    identity values and are never trained.
     """
 
     coords: np.ndarray
@@ -100,50 +137,35 @@ class ModelParams:
     def n_x(self) -> int:
         return self.geometry.signature.n_x
 
+    @property
+    def trained_tables(self) -> tuple[tuple[str, str], ...]:
+        """The (name, key) pairs of `TABLES` that the variant trains."""
+        return tuple(table for table in TABLES if table[0] not in FROZEN[self.variant])
+
     def validate(self) -> None:
         sig = self.geometry.signature
-        n, n_r = self.n_entities, self.n_relations
-        expect = {
-            "coords": (n, sig.dim),
-            "node_bias": (n,),
-            "rel_u": (n_r, 1 + sig.n_x),
-            "rel_r": (n_r, 1 + sig.n_x),
-            "rel_h": (n_r, sig.n_t),
-            "rel_c": (n_r,),
-        }
-        for name, shape in expect.items():
+        for name, shape in _table_shapes(self.n_entities, self.n_relations, sig).items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
-        if self.variant is Variant.DT:
-            if sig.n_t != 1:
-                raise ValueError("DT variant requires n_t == 1")
-            if not np.all(self.rel_h == 1.0):
-                raise ValueError("DT variant requires rel_h frozen at 1")
-        if self.variant is Variant.MT:
-            if not (np.all(self.rel_u == 0.0) and np.all(self.rel_r == 1.0)):
-                raise ValueError("MT variant requires rel_u frozen at 0 and rel_r at 1")
+        if self.variant is Variant.DT and sig.n_t != 1:
+            raise ValueError("DT variant requires n_t == 1")
+        for name, value in FROZEN[self.variant].items():
+            if not np.all(getattr(self, name) == value):
+                raise ValueError(f"{self.variant.name} variant requires {name} frozen at {value:g}")
 
     def copy(self) -> "ModelParams":
         """Deep copy of all parameter arrays (configuration is shared, it is immutable)."""
-        return replace(
-            self,
-            coords=self.coords.copy(),
-            node_bias=self.node_bias.copy(),
-            rel_u=self.rel_u.copy(),
-            rel_r=self.rel_r.copy(),
-            rel_h=self.rel_h.copy(),
-            rel_c=self.rel_c.copy(),
-        )
+        return replace(self, **{name: getattr(self, name).copy() for name, _ in TABLES})
 
 
 def init(
     n_entities: int,
     n_relations: int,
     geometry: GeometryConfig,
-    variant: Variant,
+    variant: Variant | str,
     init_cfg: InitConfig,
     tfd: TfdParams | None = None,
     swap_transforms: bool = False,
@@ -151,33 +173,25 @@ def init(
     """Draw fresh parameters: coordinates and translations N(0, sigma^2),
     projections N(0, 1/n_t), scalings exactly 1, biases 0.
 
-    Frozen tables (per variant) start at their identity values instead of
-    being sampled.  Deterministic given the seed.
+    Tables the variant freezes start at their identity values instead of
+    being sampled.  Deterministic given the seed.  ``variant`` may be given
+    by its value, e.g. ``"dt"``.
     """
+    variant = Variant(variant)
     sig = geometry.signature
-    if variant is Variant.DT and sig.n_t != 1:
-        raise ValueError("DT variant requires n_t == 1")
-    if variant in (Variant.MT, Variant.BOTH):
+    if "rel_h" not in FROZEN[variant]:  # one learned time projection per relation
         warn_if_time_not_shared(sig.n_t, n_relations)
     rng = np.random.default_rng(init_cfg.seed)
-    sigma = init_cfg.sigma_init
-    coords = rng.normal(0.0, sigma, size=(n_entities, sig.dim))
-    if variant is Variant.MT:
-        rel_u = np.zeros((n_relations, 1 + sig.n_x))
-    else:
-        rel_u = rng.normal(0.0, sigma, size=(n_relations, 1 + sig.n_x))
-    rel_r = np.ones((n_relations, 1 + sig.n_x))
-    if variant is Variant.DT:
-        rel_h = np.ones((n_relations, 1))
-    else:
-        rel_h = rng.normal(0.0, np.sqrt(1.0 / sig.n_t), size=(n_relations, sig.n_t))
+    scales = {"coords": init_cfg.sigma_init, "rel_u": init_cfg.sigma_init, "rel_h": np.sqrt(1.0 / sig.n_t)}
+    fills = {"node_bias": 0.0, "rel_r": 1.0, "rel_c": 0.0, **FROZEN[variant]}
+    # Sampled in table order: coordinates, then translations and projections
+    # unless the variant freezes them.
+    tables = {
+        name: np.full(shape, fills[name]) if name in fills else rng.normal(0.0, scales[name], size=shape)
+        for name, shape in _table_shapes(n_entities, n_relations, sig).items()
+    }
     params = ModelParams(
-        coords=coords,
-        node_bias=np.zeros(n_entities),
-        rel_u=rel_u,
-        rel_r=rel_r,
-        rel_h=rel_h,
-        rel_c=np.zeros(n_relations),
+        **tables,
         tfd=tfd if tfd is not None else TfdParams(tau1=1.0, tau2=1.0, u=0.0, alpha=0.5, alpha_prime=1.0),
         geometry=geometry,
         variant=variant,
@@ -373,9 +387,10 @@ def scale_node_bias(params: ModelParams, gamma_b: float) -> ModelParams:
 # Little-endian throughout.  Header: magic "PSEUDOE1", then n_t, n_x, N, n_r
 # and the variant tag as uint64 (bit 3 of the tag records swap_transforms),
 # then the likelihood parameters (tau1, tau2, u, alpha, alpha_prime, k, beta)
-# and the cylinder flag/circumference as float64.  Body: coords row-major,
-# node biases, then per relation u_vec, r_diag, h_vec, c_bias.
-
+# and the cylinder flag/circumference as float64.  Body, float64: the entity
+# tables one after the other (coords row-major, then node biases), then the
+# relation tables as one row-major (n_r, 2(1 + n_x) + n_t + 1) block whose
+# row k is u_vec, r_diag, h_vec and c_bias of relation k.
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write the model to ``path``; loading it back is bit-exact."""
@@ -402,13 +417,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
     )
     with open(path, "wb") as f:
         f.write(header)
-        f.write(np.ascontiguousarray(params.coords, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(params.node_bias, dtype="<f8").tobytes())
-        for k in range(params.n_relations):
-            f.write(np.ascontiguousarray(params.rel_u[k], dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(params.rel_r[k], dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(params.rel_h[k], dtype="<f8").tobytes())
-            f.write(struct.pack("<d", float(params.rel_c[k])))
+        for name, key in TABLES:
+            if key == "entity":
+                f.write(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
+        relation_block = np.column_stack([getattr(params, name) for name, key in TABLES if key == "relation"])
+        f.write(np.ascontiguousarray(relation_block, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -428,41 +441,24 @@ def load_checkpoint(path) -> ModelParams:
     tfd = TfdParams(tau1=tau1, tau2=tau2, u=u, alpha=alpha, alpha_prime=alpha_prime, beta=beta, k_scale=k_scale)
 
     body = np.frombuffer(blob[head_size:], dtype="<f8")
-    dim = n_t + n_x
-    per_rel = 2 * (1 + n_x) + n_t + 1
-    expected = n * dim + n + n_r * per_rel
+    shapes = _table_shapes(n, n_r, geometry.signature)
+    widths = {name: math.prod(shape[1:]) for name, shape in shapes.items()}
+    expected = sum(math.prod(shape) for shape in shapes.values())
     if body.size != expected:
         raise ValueError(f"{path}: body holds {body.size} values, expected {expected}")
-    pos = 0
-
-    def take(count, shape):
-        nonlocal pos
-        out = body[pos : pos + count].reshape(shape).copy()
-        pos += count
-        return out
-
-    coords = take(n * dim, (n, dim))
-    node_bias = take(n, (n,))
-    rel_u = np.empty((n_r, 1 + n_x))
-    rel_r = np.empty((n_r, 1 + n_x))
-    rel_h = np.empty((n_r, n_t))
-    rel_c = np.empty(n_r)
-    for k in range(n_r):
-        rel_u[k] = take(1 + n_x, (1 + n_x,))
-        rel_r[k] = take(1 + n_x, (1 + n_x,))
-        rel_h[k] = take(n_t, (n_t,))
-        rel_c[k] = take(1, (1,))[0]
+    tables, pos = {}, 0
+    for name, key in TABLES:
+        if key == "entity":
+            tables[name] = body[pos : pos + n * widths[name]].reshape(shapes[name]).copy()
+            pos += n * widths[name]
+    block_width = sum(widths[name] for name, key in TABLES if key == "relation")
+    block, col = body[pos:].reshape(n_r, block_width), 0
+    for name, key in TABLES:
+        if key == "relation":
+            tables[name] = block[:, col : col + widths[name]].reshape(shapes[name]).copy()
+            col += widths[name]
     params = ModelParams(
-        coords=coords,
-        node_bias=node_bias,
-        rel_u=rel_u,
-        rel_r=rel_r,
-        rel_h=rel_h,
-        rel_c=rel_c,
-        tfd=tfd,
-        geometry=geometry,
-        variant=variant,
-        swap_transforms=bool(tag & _SWAP_BIT),
+        **tables, tfd=tfd, geometry=geometry, variant=variant, swap_transforms=bool(tag & _SWAP_BIT)
     )
     params.validate()
     return params

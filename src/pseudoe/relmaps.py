@@ -22,6 +22,10 @@ class Variant(str, Enum):
     MT: time projection only (translation and scaling stay identity).
     DT: translation and scaling only (projection is the identity, n_t = 1).
     BOTH: projection followed by translation/scaling.
+
+    `pseudoe.model.FROZEN` declares the tables each variant freezes and
+    their identity values; initialization, validation, the backward pass and
+    the optimizers all read it.
     """
 
     MT = "mt"

@@ -16,7 +16,8 @@ once into a dense tape: one full-size table per parameter table, allocated
 each step as lazily zeroed pages, plus the rows the batch references, which
 are the only rows the optimizers update.  Optimizers: plain SGD, Adam with
 bias-corrected moments, and SM3 with row/column cover sets over the
-coordinate table and per-coordinate accumulators everywhere else.  The
+coordinate table and per-coordinate accumulators everywhere else.  They keep
+state for, and step, only the tables the variant trains (`model.FROZEN`).  The
 loop shuffles each epoch from the run seed, evaluates filtered MRR on the
 validation split every few epochs and early-stops on it, returning the best
 checkpoint seen.
@@ -33,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .likelihood import sigmoid, softplus
-from .model import ModelParams, _check_ids, _forward, _sides, init as model_init, InitConfig
+from .model import FROZEN, TABLES, ModelParams, _check_ids, _forward, _sides, init as model_init, InitConfig
 from .relmaps import Variant
 
 __all__ = [
@@ -79,7 +80,8 @@ class TrainConfig:
     """Knobs of the minibatch loop.
 
     m_negatives must be even (half head, half tail corruptions in BOTH mode).
-    With augment_reverse the corruption mode is forced to tail-only.
+    With augment_reverse the corruption mode is forced to tail-only.  The
+    optimizer may be given by its value, e.g. ``"sm3"``.
     """
 
     m_negatives: int = 10
@@ -93,6 +95,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "optimizer", OptimizerKind(self.optimizer))
         if self.m_negatives <= 0 or self.m_negatives % 2 != 0:
             raise ValueError(f"m_negatives must be a positive even integer, got {self.m_negatives}")
         for name in ("batch_size", "max_epochs", "eval_every", "patience"):
@@ -132,12 +135,7 @@ class GradientTape:
         # coordinate table once more; a step pays only for the pages its rows
         # touch.
         return cls(
-            coords=np.zeros(params.coords.shape),
-            node_bias=np.zeros(params.node_bias.shape),
-            rel_u=np.zeros(params.rel_u.shape),
-            rel_r=np.zeros(params.rel_r.shape),
-            rel_h=np.zeros(params.rel_h.shape),
-            rel_c=np.zeros(params.rel_c.shape),
+            **{name: np.zeros(getattr(params, name).shape) for name, _ in TABLES},
             touched_entities=np.empty(0, dtype=np.intp),
             touched_relations=np.empty(0, dtype=np.intp),
         )
@@ -335,17 +333,18 @@ def _loss_and_gradients(
     tape.coords[ent_keys, :n_t] = entities.sum(time_grads.reshape(2 * n, n_t))
     tape.coords[ent_keys, n_t:] = entities.sum(space_grads.reshape(2 * n, -1))
     tape.rel_c[rel_keys] = relations.sum(dphi)
-    # Tables frozen by the variant receive no gradient: MT fixes rel_u and
-    # rel_r, DT fixes rel_h.
-    if params.variant is not Variant.MT:
+    # Tables the variant freezes receive no gradient.
+    frozen = FROZEN[params.variant]
+    if "rel_u" not in frozen:
         tape.rel_u[rel_keys, 0] = relations.sum(d_time)
         tape.rel_u[rel_keys, 1:] = relations.sum(ddx)
+    if "rel_r" not in frozen:
         tape.rel_r[rel_keys, 0] = relations.sum(-d_time * cache.scaled_proj)
         # -ddx * x_b, formed in place as -(x_b * ddx): the same bits
         x_b = params.coords[b, n_t:]
         x_b *= ddx
         tape.rel_r[rel_keys, 1:] = relations.sum(np.negative(x_b, out=x_b))
-    if params.variant is not Variant.DT:
+    if "rel_h" not in frozen:
         t_a, t_b = params.coords[a, :n_t], params.coords[b, :n_t]
         tape.rel_h[rel_keys] = relations.sum(d_time[:, None] * t_a - (d_time * r_t)[:, None] * t_b)
 
@@ -364,7 +363,7 @@ class SgdOptimizer:
         self.lr = learning_rate
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
-        for name, rows in _update_plan(tape):
+        for name, rows in _update_plan(params, tape):
             getattr(params, name)[rows] -= self.lr * getattr(tape, name)[rows]
 
 
@@ -377,12 +376,13 @@ class AdamOptimizer:
 
     def __init__(self, params: ModelParams, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
-        self.m = {n: np.zeros_like(getattr(params, n)) for n in _PARAM_FIELDS}
-        self.v = {n: np.zeros_like(getattr(params, n)) for n in _PARAM_FIELDS}
-        self.t = {n: np.zeros(getattr(params, n).shape[0], dtype=np.int64) for n in _PARAM_FIELDS}
+        names = [name for name, _ in params.trained_tables]
+        self.m = {n: np.zeros_like(getattr(params, n)) for n in names}
+        self.v = {n: np.zeros_like(getattr(params, n)) for n in names}
+        self.t = {n: np.zeros(getattr(params, n).shape[0], dtype=np.int64) for n in names}
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
-        for name, rows in _update_plan(tape):
+        for name, rows in _update_plan(params, tape):
             if rows.size == 0:
                 continue
             g = getattr(tape, name)[rows]
@@ -409,7 +409,7 @@ class Sm3Optimizer:
         self.lr = learning_rate
         self.coord_row = np.zeros(params.coords.shape[0])
         self.coord_col = np.zeros(params.coords.shape[1])
-        self.acc = {n: np.zeros_like(getattr(params, n)) for n in _PARAM_FIELDS if n != "coords"}
+        self.acc = {n: np.zeros_like(getattr(params, n)) for n, _ in params.trained_tables if n != "coords"}
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
         rows = tape.touched_entities
@@ -421,7 +421,7 @@ class Sm3Optimizer:
             params.coords[rows] -= self.lr * upd
             self.coord_row[rows] = nu.max(axis=1)
             self.coord_col = np.maximum(self.coord_col, nu.max(axis=0))
-        for name, idx in _update_plan(tape):
+        for name, idx in _update_plan(params, tape):
             if name == "coords" or idx.size == 0:
                 continue
             g = getattr(tape, name)[idx]
@@ -432,27 +432,18 @@ class Sm3Optimizer:
             self.acc[name][idx] = nu
 
 
-_PARAM_FIELDS = ("coords", "node_bias", "rel_u", "rel_r", "rel_h", "rel_c")
+def _update_plan(params: ModelParams, tape: GradientTape):
+    """(table name, rows to update) for each table the variant trains."""
+    rows = {"entity": tape.touched_entities, "relation": tape.touched_relations}
+    return [(name, rows[key]) for name, key in params.trained_tables]
 
 
-def _update_plan(tape: GradientTape):
-    ents, rels = tape.touched_entities, tape.touched_relations
-    return (
-        ("coords", ents),
-        ("node_bias", ents),
-        ("rel_u", rels),
-        ("rel_r", rels),
-        ("rel_h", rels),
-        ("rel_c", rels),
-    )
+_OPTIMIZERS = {OptimizerKind.SGD: SgdOptimizer, OptimizerKind.ADAM: AdamOptimizer, OptimizerKind.SM3: Sm3Optimizer}
 
 
-def make_optimizer(kind: OptimizerKind, params: ModelParams, learning_rate: float):
-    if kind is OptimizerKind.SGD:
-        return SgdOptimizer(params, learning_rate)
-    if kind is OptimizerKind.ADAM:
-        return AdamOptimizer(params, learning_rate)
-    return Sm3Optimizer(params, learning_rate)
+def make_optimizer(kind: OptimizerKind | str, params: ModelParams, learning_rate: float):
+    """The optimizer of ``kind``, which may be given by its value, e.g. ``"adam"``."""
+    return _OPTIMIZERS[OptimizerKind(kind)](params, learning_rate)
 
 
 # --- training loop ------------------------------------------------------------

@@ -163,3 +163,11 @@ class TestAugmentedStore:
         assert inv == store.relation_to_id["r"] + 2
         forward = tuple(store.splits["train"][0])
         assert (forward[2], inv, forward[0]) in aug.filter_index
+
+    def test_inverse_of_relation_missing_from_train_is_missing(self):
+        store = build_store([("a", "r", "b")], [("b", "s", "c")], [("c", "t", "a")])
+        assert store.relations_not_in_train == [1, 2]
+        aug = augmented_store(store)
+        assert sorted(aug.relations_not_in_train) == [1, 2, 4, 5]
+        assert aug.relation_to_id["inv:s"] == 4 and aug.relation_to_id["inv:t"] == 5
+        assert aug.summary()["relations_not_in_train"] == 4

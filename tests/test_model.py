@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -178,6 +179,18 @@ class TestInit:
         with pytest.raises(ValueError):
             init(4, 2, GeometryConfig(Signature(2, 3)), Variant.DT, InitConfig(0.1))
 
+    def test_variant_given_by_value(self):
+        geo = GeometryConfig(Signature(1, 3))
+        by_value = init(6, 4, geo, "dt", InitConfig(0.5, seed=0))
+        by_member = init(6, 4, geo, Variant.DT, InitConfig(0.5, seed=0))
+        assert by_value.variant is Variant.DT
+        for name in ("coords", "node_bias", "rel_u", "rel_r", "rel_h", "rel_c"):
+            np.testing.assert_array_equal(getattr(by_value, name), getattr(by_member, name))
+        with pytest.raises(ValueError):
+            init(4, 2, GeometryConfig(Signature(2, 3)), "dt", InitConfig(0.1))
+        with pytest.raises(ValueError):
+            init(4, 2, geo, "nonsense", InitConfig(0.1))
+
     def test_warns_when_time_dims_reach_relation_count(self):
         with pytest.warns(UserWarning):
             init(4, 2, GeometryConfig(Signature(2, 3)), Variant.MT, InitConfig(0.1))
@@ -228,6 +241,38 @@ class TestCheckpoint:
         assert loaded.geometry == params.geometry
         assert loaded.variant == params.variant
         assert loaded.swap_transforms == params.swap_transforms
+
+    @pytest.mark.parametrize("variant,n_t", [(Variant.MT, 3), (Variant.DT, 1), (Variant.BOTH, 2)])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("cylinder", [None, 2.5])
+    def test_documented_layout(self, tmp_path, variant, n_t, swap, cylinder):
+        # Expected bytes built value by value from the documented layout: the
+        # header, coords row by row, the node biases, then per relation
+        # u_vec, r_diag, h_vec and c_bias.
+        params = make_random_model(
+            n_entities=5, n_relations=3, n_t=n_t, n_x=2, variant=variant, cylinder=cylinder, swap=swap, seed=9
+        )
+        if variant is Variant.BOTH:
+            params.rel_r[:] = np.random.default_rng(4).normal(1.0, 0.1, params.rel_r.shape)
+        tfd = params.tfd
+        tag = {Variant.MT: 0, Variant.DT: 1, Variant.BOTH: 2}[variant] | (8 if swap else 0)
+        expected = struct.pack(
+            "<8s5Q9d", b"PSEUDOE1", n_t, 2, 5, 3, tag, tfd.tau1, tfd.tau2, tfd.u, tfd.alpha, tfd.alpha_prime,
+            tfd.k_scale, tfd.beta, 0.0 if cylinder is None else 1.0, 0.0 if cylinder is None else cylinder,
+        )
+        values = [float(v) for row in params.coords for v in row] + [float(v) for v in params.node_bias]
+        for k in range(3):
+            values += [float(v) for v in params.rel_u[k]] + [float(v) for v in params.rel_r[k]]
+            values += [float(v) for v in params.rel_h[k]] + [float(params.rel_c[k])]
+        expected += b"".join(struct.pack("<d", v) for v in values)
+
+        save_checkpoint(params, tmp_path / "saved.ckpt")
+        assert (tmp_path / "saved.ckpt").read_bytes() == expected
+        (tmp_path / "packed.ckpt").write_bytes(expected)
+        loaded = load_checkpoint(tmp_path / "packed.ckpt")
+        for name in ("coords", "node_bias", "rel_u", "rel_r", "rel_h", "rel_c"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
+        assert (loaded.variant, loaded.swap_transforms, loaded.geometry) == (variant, swap, params.geometry)
 
     def test_scores_survive_roundtrip(self, tmp_path):
         params = make_random_model(seed=31)

@@ -345,6 +345,33 @@ class TestOptimizers:
             params.validate()
 
     @pytest.mark.parametrize("kind", [OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.SM3])
+    @pytest.mark.parametrize("variant,n_t", [(Variant.MT, 2), (Variant.DT, 1)])
+    def test_frozen_tables_ignore_a_nonzero_gradient(self, kind, variant, n_t):
+        params = make_random_model(n_entities=8, n_relations=3, n_t=n_t, variant=variant, seed=5)
+        before = params.copy()
+        opt = make_optimizer(kind, params, 0.5)
+        tape = GradientTape.zeros_like(params)
+        for name in ("coords", "node_bias", "rel_u", "rel_r", "rel_h", "rel_c"):
+            getattr(tape, name)[:] = 0.3
+        tape.touched_entities = np.arange(params.n_entities)
+        tape.touched_relations = np.arange(params.n_relations)
+        for _ in range(3):
+            opt.step(params, tape)
+        frozen = ("rel_u", "rel_r") if variant is Variant.MT else ("rel_h",)
+        for name in ("coords", "node_bias", "rel_u", "rel_r", "rel_h", "rel_c"):
+            changed = not np.array_equal(getattr(params, name), getattr(before, name))
+            assert changed is (name not in frozen), name
+        params.validate()
+
+    def test_optimizer_given_by_value(self):
+        params = make_random_model(seed=6)
+        assert type(make_optimizer("sgd", params, 0.1)) is SgdOptimizer
+        assert type(make_optimizer("adam", params, 0.1)) is AdamOptimizer
+        assert type(make_optimizer("sm3", params, 0.1)) is Sm3Optimizer
+        with pytest.raises(ValueError):
+            make_optimizer("nonsense", params, 0.1)
+
+    @pytest.mark.parametrize("kind", [OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.SM3])
     def test_step_touches_only_batch_parameters(self, kind, rng):
         params = make_random_model(n_entities=9, n_relations=4, seed=6)
         opt = make_optimizer(kind, params, 0.5)
@@ -370,6 +397,12 @@ class TestTrainConfig:
             TrainConfig(m_negatives=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+
+    def test_optimizer_given_by_value(self):
+        assert TrainConfig(optimizer="adam").optimizer is OptimizerKind.ADAM
+        assert TrainConfig(optimizer="sgd").optimizer is OptimizerKind.SGD
+        with pytest.raises(ValueError):
+            TrainConfig(optimizer="nonsense")
 
     def test_augmentation_forces_tail_only(self):
         assert TrainConfig(augment_reverse=True).negative_mode is NegativeMode.TAIL_ONLY
