@@ -180,9 +180,8 @@ def _protocol(config: RunConfig, store) -> EvalProtocol:
     return EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=table)
 
 
-def _store_for_params(params, data_dir):
-    """Load the dataset, augmenting it when the checkpoint was trained augmented."""
-    store = load_dataset(data_dir)
+def _store_for_params(params, store):
+    """The loaded dataset, augmented when the checkpoint was trained augmented."""
     if params.n_entities != store.n_entities:
         raise ValueError(
             f"checkpoint has {params.n_entities} entities but the dataset has {store.n_entities}"
@@ -221,7 +220,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    store = _store_for_params(params, args.data)
+    store = _store_for_params(params, load_dataset(args.data))
     if args.gamma_b != 1.0:
         params = scale_node_bias(params, args.gamma_b)
     protocol = EvalProtocol()
@@ -256,7 +255,7 @@ def cmd_rank(args) -> int:
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
     params = load_checkpoint(args.checkpoint)
-    store = _store_for_params(params, args.data)
+    store = _store_for_params(params, load_dataset(args.data))
     if args.gamma_b != 1.0:
         params = scale_node_bias(params, args.gamma_b)
     head = _resolve_name(args.head, store.entity_to_id, "entity")
@@ -282,7 +281,7 @@ def cmd_sweep_beta(args) -> int:
     store = load_dataset(config.data)
     if args.checkpoint:
         params = load_checkpoint(args.checkpoint)
-        eval_store = _store_for_params(params, config.data)
+        eval_store = _store_for_params(params, store)
         protocol = _protocol(config, eval_store)
         split = eval_store.splits["valid"]
         retrain = None

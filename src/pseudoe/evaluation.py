@@ -4,9 +4,17 @@ Each test triple is ranked by scoring its true tail against candidate tails.
 Under the full filtered protocol the candidates are every entity except those
 forming a known true triple (other than the test triple itself); under the
 fixed-negatives protocol they are a stored per-(head, relation) candidate
-list.  Either way one `score_tails` pass scores the candidates and the true
-tail together.  Ties share their rank: rank = 1 + #{better} + #{equal}/2, so
-a constant scorer earns mid-range ranks rather than rank 1.
+list.  Ties share their rank: rank = 1 + #{better} + #{equal}/2, so a
+constant scorer earns mid-range ranks rather than rank 1.
+
+Queries are ranked in batches.  In full-filtered mode one pass over the
+entity table screens every entity against every query of a batch with two
+matrix products (`model._screen_tails`), with a margin that bounds the
+distance to the exact score; only the candidates within their margin of the
+true score are rescored with `score_tails`.  In fixed-negatives mode the
+batch's candidate lists are stacked and scored by the kernel in fixed blocks
+of rows.  Either way every comparison is made on the kernel's exact scores,
+so ranks equal brute force, ties included.
 """
 
 from __future__ import annotations
@@ -16,10 +24,11 @@ from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .model import ModelParams, score_tails
+from .model import ModelParams, _check_ids, _forward, _screen_tails, score_tails
 from .data import FilterIndex, NegativesTable
 
 __all__ = [
@@ -77,28 +86,89 @@ class RankReport:
     per_relation: dict[int, RelationStats] = field(default_factory=dict)
 
 
-def _rank_from_scores(candidate_scores: np.ndarray, true_score: float) -> float:
-    """Average-tie rank of the true score among competitor scores."""
-    better = int(np.sum(candidate_scores > true_score))
-    equal = int(np.sum(candidate_scores == true_score))
-    return 1.0 + better + 0.5 * equal
+# Queries ranked per pass of the full-filtered screen over the entity table,
+# and candidate rows scored per `_forward` call in fixed-negatives mode.
+_QUERY_BATCH = 64
+_NEGATIVE_BLOCK = 1024
 
 
-def _competitor_scores(params, triple, protocol, index: FilterIndex):
-    h, k, t = (int(v) for v in triple)
-    if protocol.mode is EvalMode.FIXED_NEGATIVES:
-        entry = protocol.negatives.table.get((h, k))
+def _full_filtered_counts(params: ModelParams, queries: np.ndarray, index: FilterIndex):
+    """Exact better/equal counts of each query's true tail against every
+    entity it is not filtered against.
+
+    `_screen_tails` decides every candidate whose approximate score lies
+    farther from the true score than its margin; the rest, typically a
+    handful, are rescored with `score_tails`, the kernel's exact bits.
+    """
+    true_scores = _forward(params, *queries.T).phi
+    better = np.zeros(len(queries), dtype=np.int64)
+    equal = np.zeros(len(queries), dtype=np.int64)
+    keep = np.empty(params.n_entities, dtype=bool)
+    screens = _screen_tails(params, queries[:, 0], queries[:, 1])
+    for q, (phi, margin) in enumerate(screens):
+        h, k, t = (int(v) for v in queries[q])
+        keep[:] = True
+        keep[index.tails(h, k)] = False
+        keep[t] = False  # the true triple is never its own competitor
+        gap = phi - true_scores[q]
+        above, below = gap > margin, gap < -margin
+        undecided = np.flatnonzero(keep & ~above & ~below)  # NaN gaps included
+        exact = score_tails(params, h, k, undecided)
+        better[q] = np.count_nonzero(keep & above) + np.count_nonzero(exact > true_scores[q])
+        equal[q] = np.count_nonzero(exact == true_scores[q])
+    return better, equal
+
+
+def _fixed_negative_counts(params: ModelParams, queries: np.ndarray, negatives: NegativesTable):
+    """Exact better/equal counts of each query's true tail against its stored
+    negatives: every list and its true tail stacked and scored by `_forward`
+    in `_NEGATIVE_BLOCK`-row blocks, then compared all at once."""
+    rows = []
+    for h, k, t in queries.tolist():
+        entry = negatives.table.get((h, k))
         if entry is None:
             raise ProtocolError(f"no fixed negatives stored for head={h}, relation={k}")
-        scores = score_tails(params, h, k, np.append(entry, t))
-        return scores[:-1], scores[-1]
-    if not 0 <= t < params.n_entities:
-        raise IndexError(f"tail id out of range [0, {params.n_entities}): {t}")
-    scores = score_tails(params, h, k, np.arange(params.n_entities))
-    keep = np.ones(params.n_entities, dtype=bool)
-    keep[index.tails(h, k)] = False
-    keep[t] = False  # the true triple is never its own competitor
-    return scores[keep], scores[t]
+        rows.append(np.append(entry, t))
+    sizes = np.array([row.size for row in rows])
+    tails = np.concatenate(rows)
+    heads, rels = np.repeat(queries[:, 0], sizes), np.repeat(queries[:, 1], sizes)
+    _check_ids(params, heads, rels, tails)
+    blocks = [slice(s, s + _NEGATIVE_BLOCK) for s in range(0, tails.size, _NEGATIVE_BLOCK)]
+    scores = np.concatenate([_forward(params, heads[b], rels[b], tails[b]).phi for b in blocks])
+    last = np.cumsum(sizes) - 1  # each query's true tail closes its list
+    query_of_row = np.repeat(np.arange(len(queries)), sizes)
+    true_scores = scores[last][query_of_row]
+    negative = np.ones(tails.size, dtype=bool)
+    negative[last] = False
+    better = np.bincount(query_of_row[negative & (scores > true_scores)], minlength=len(queries))
+    equal = np.bincount(query_of_row[negative & (scores == true_scores)], minlength=len(queries))
+    return better, equal
+
+
+def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol: EvalProtocol, threads: int):
+    """Average-tie rank 1 + #better + #equal / 2 of every triple of ``split``.
+
+    The triples are ranked in batches of at most `_QUERY_BATCH`, spread over
+    ``threads`` worker threads; every count is exact, so the ranks do not
+    depend on the batching or the scheduling.
+    """
+    _check_ids(params, split[:, 0], split[:, 1], split[:, 2])
+    if split.shape[0] == 0:
+        return np.zeros(0)
+    if protocol.mode is EvalMode.FIXED_NEGATIVES:
+        count = partial(_fixed_negative_counts, params, negatives=protocol.negatives)
+    else:
+        count = partial(_full_filtered_counts, params, index=index)
+    size = min(_QUERY_BATCH, -(-split.shape[0] // threads))
+    batches = [split[s : s + size] for s in range(0, split.shape[0], size)]
+    if threads > 1 and len(batches) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            counts = list(pool.map(count, batches))
+    else:
+        counts = [count(batch) for batch in batches]
+    better = np.concatenate([b for b, _ in counts])
+    equal = np.concatenate([e for _, e in counts])
+    return 1.0 + better + 0.5 * equal
 
 
 def _filter_index(params: ModelParams, filter_set) -> FilterIndex:
@@ -122,8 +192,8 @@ def filtered_rank(params: ModelParams, triple, filter_set, protocol: EvalProtoco
     them (other than the test triple itself) are excluded in full-filtered
     mode and ignored in fixed-negatives mode.
     """
-    scores, true_score = _competitor_scores(params, triple, protocol, _filter_index(params, filter_set))
-    return _rank_from_scores(scores, true_score)
+    split = np.asarray(triple, dtype=np.int64).reshape(1, 3)
+    return float(_ranks(params, split, _filter_index(params, filter_set), protocol, threads=1)[0])
 
 
 def aggregate(ranks, ks=(1, 3, 10)) -> RankReport:
@@ -167,25 +237,15 @@ def evaluate_split(
 ) -> RankReport:
     """Rank every triple of a split and aggregate.
 
-    Parallelism (``threads`` > 1) splits the triples across worker threads
-    over the read-only parameters; ranks are merged in triple order so the
-    report does not depend on scheduling.
+    Parallelism (``threads`` > 1) spreads batches of triples over worker
+    threads that share the read-only parameters; ranks are exact and merged
+    in triple order, so the report does not depend on scheduling.
     """
     _check_counts(threads=threads)
     protocol = protocol or EvalProtocol()
     split = np.asarray(split, dtype=np.int64).reshape(-1, 3)
-    index = _filter_index(params, filter_set)
-
-    def rank_row(row):
-        scores, true_score = _competitor_scores(params, row, protocol, index)
-        return _rank_from_scores(scores, true_score)
-
-    if threads > 1 and split.shape[0] > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(rank_row, split))
-    else:
-        values = [rank_row(row) for row in split]
-    pairs = [(tuple(int(v) for v in row), rank) for row, rank in zip(split, values)]
+    ranks = _ranks(params, split, _filter_index(params, filter_set), protocol, threads)
+    pairs = [(tuple(row), rank) for row, rank in zip(split.tolist(), ranks.tolist())]
     return aggregate(pairs, protocol.ks)
 
 

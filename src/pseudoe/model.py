@@ -335,15 +335,9 @@ def score_tails(params: ModelParams, head: int, rel: int, tails) -> np.ndarray:
     tails = np.asarray(tails, dtype=np.intp).reshape(-1)
     _check_ids(params, head, rel, tails)
     n_t, n = params.n_t, tails.size
-    u, r = params.rel_u[rel], params.rel_r[rel]
-    h = params.rel_h[[rel]]
+    dt = _tail_dt(params, head, rel, tails)
 
-    head_proj = np.einsum("bi,bi->b", h, params.coords[[head], :n_t])[0]
-    tail_proj = np.einsum("bi,bi->b", np.repeat(h, n, axis=0), params.coords[tails, :n_t])
-    proj_a, proj_b, sign = _sides(params, head_proj, tail_proj)
-    dt = _wrap(sign * _relation_map(proj_a, u[0], r[0], proj_b), params.geometry.cylinder_circumference)
-
-    head_x, u_x, r_x = params.coords[head, n_t:], u[1:], r[1:]
+    head_x, u_x, r_x = params.coords[head, n_t:], params.rel_u[rel, 1:], params.rel_r[rel, 1:]
     dx2 = np.empty(n)
     for start in range(0, n, _TAIL_BLOCK):
         x_a, x_b, _ = _sides(params, head_x, params.coords[tails[start : start + _TAIL_BLOCK], n_t:])
@@ -352,6 +346,145 @@ def score_tails(params: ModelParams, head: int, rel: int, tails) -> np.ndarray:
     return _likelihood(
         params.tfd, dt, dx2, params.node_bias[head], params.node_bias[tails], params.rel_c[rel]
     )[-1]
+
+
+def _tail_dt(params: ModelParams, head: int, rel: int, tails: np.ndarray) -> np.ndarray:
+    """The wrapped time displacement of (head, rel, t) for every t in ``tails``,
+    with `_forward`'s operations."""
+    n_t = params.n_t
+    u, r = params.rel_u[rel, 0], params.rel_r[rel, 0]
+    h = params.rel_h[[rel]]
+    head_proj = np.einsum("bi,bi->b", h, params.coords[[head], :n_t])[0]
+    tail_proj = np.einsum("bi,bi->b", np.repeat(h, tails.size, axis=0), params.coords[tails, :n_t])
+    proj_a, proj_b, sign = _sides(params, head_proj, tail_proj)
+    return _wrap(sign * _relation_map(proj_a, u, r, proj_b), params.geometry.cylinder_circumference)
+
+
+# Entity rows per block of the screen's pass over the space columns: the
+# block and its square stay in cache for the two matrix products.
+_SCREEN_BLOCK = 1024
+
+# The unit roundoff eps of float64, and the factor by which the margin of
+# `_screen_tails` covers the rounding of the likelihood functions (a few ulps
+# each for exp, log, log1p and expm1, over a dozen dependent operations).
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_LIBM_ULPS = 64.0
+
+
+def _screen_tails(params: ModelParams, heads, rels):
+    """For each query (heads[q], rels[q]), every entity's approximate score as
+    its tail and a margin: yields ``(phi, margin)`` arrays over all entities
+    such that the exact score (`score_tails`) lies within ``margin`` of ``phi``.
+
+    *The expansion.*  Write the kernel's space displacement as dx = p + q,
+    where one vector is shared by the whole query and the other belongs to the
+    candidate c:
+
+    - by default p = fl(x_h + u), which the kernel computes bit for bit, and
+      q = -r * x_c, so |dx|^2 = |p|^2 - 2 (r * p) . x_c + (r * r) . (x_c * x_c);
+    - swapped, p = x_c and q = u - fl(r * x_h), so |dx|^2 = (x_c * x_c) . 1 +
+      2 q . x_c + |q|^2.
+
+    One pass over the entity table in `_SCREEN_BLOCK`-row blocks computes the
+    cross terms of every query as one matrix product, and the squared rows
+    times r * r of each distinct relation (or times 1) as another; no
+    (N, n_x) temporary is formed.  dt and the biases are the kernel's own:
+    `_tail_dt` and the same tables.
+
+    *The rounding bound.*  With eps = 2^-53 the unit roundoff and gamma_k =
+    k eps / (1 - k eps), a dot product of length n computed in any order,
+    with or without FMA, is within gamma_n sum |a_i b_i| of the exact one.
+    Let P = |p| + |q| + |u|.  The kernel rounds each coordinate of dx twice
+    (the product or sum, then the difference), each within eps (|p_i| + |q_i|
+    + |u_i|), then sums the squares: its |dx|^2 is within (4 eps + gamma_n)
+    sum (|p_i| + |q_i| + |u_i|)^2 <= gamma_(n+4) P^2 of the exact value.  The
+    expansion rounds its weights once or twice, its three dot products within
+    gamma_(n+2), and its two additions within eps each of a partial sum no
+    larger than P^2: it is within gamma_(n+4) P^2 as well.  So the two differ by at most
+    e = 2 gamma_(n+4) P^2; the margin uses twice that, which also covers the
+    rounding of P itself, computed from the expansion's own |p|^2 and |q|^2.
+    The |u| term matters only in the swapped assignment, where the kernel
+    rounds x_c + u but the expansion never forms it.
+
+    *From |dx|^2 to phi.*  For fixed dt and biases, log p is decreasing in
+    |dx|^2 with slope at most (1 - beta) / (3 tau1) + beta / tau1 <= 1 / tau1
+    (each factor's exponent has slope 1 / tau1 and softplus' slope is below
+    1), and phi = log p - log(1 - p) + biases has slope 1 / (1 - p) in log p,
+    increasing in p.  Over the interval between the two |dx|^2 values, log p
+    is therefore at most the screen's log p + e / tau1 (plus its rounding), so
+    |Delta phi| <= (e / tau1) / (1 - p_max), with p_max the likelihood at the
+    interval's low end.  Where that bound reaches p_max >= 1 the margin is
+    infinite and the candidate is always rescored.
+
+    *The libm slack.*  Both scores are themselves rounded.  The kernel and the
+    screen share dt, fl(dt * dt) and the biases, so each rounding in
+    `_likelihood` is relative to its own result: an exponent z is within a
+    few ulps of |z|, a softplus within a few ulps of its argument plus one,
+    and the final sums within a few ulps of their largest term.  An error in
+    log p reaches phi through the same slope 1 / (1 - p).  The slack is
+    therefore `_LIBM_ULPS` eps times (1 + |z1| + |z2| + |z3| + |zw|) / (1 -
+    p_max) for each of the two scores, plus `_LIBM_ULPS` eps times (1 + |phi|
+    + 2 |log p| + 2 |biases|), which bounds log p, log(1 - p) and the
+    biases, the largest terms of phi; it is not scaled by |phi|, which
+    cancellation can make small.  The whole margin is doubled, for the
+    rounding of its own computation.
+
+    Candidates whose score lies farther than ``margin`` from a threshold are
+    decided by the screen; the rest need the exact kernel.
+    """
+    heads = np.asarray(heads, dtype=np.intp).reshape(-1)
+    rels = np.asarray(rels, dtype=np.intp).reshape(-1)
+    n, n_t, n_x, tfd = params.n_entities, params.n_t, params.n_x, params.tfd
+    u, r = params.rel_u[rels, 1:], params.rel_r[rels, 1:]
+    head_x = params.coords[heads, n_t:]
+    if params.swap_transforms:
+        shared = u - r * head_x
+        cross = 2.0 * shared
+        weights, weight_of_query = np.ones((1, n_x)), np.zeros(rels.size, dtype=np.intp)
+    else:
+        shared = head_x + u
+        cross = -2.0 * (r * shared)
+        kinds, weight_of_query = np.unique(rels, return_inverse=True)
+        weights = params.rel_r[kinds, 1:] * params.rel_r[kinds, 1:]
+    shared2 = np.einsum("qi,qi->q", shared, shared)
+    gamma = (n_x + 4) * _UNIT_ROUNDOFF / (1.0 - (n_x + 4) * _UNIT_ROUNDOFF)
+
+    # The pass: cross terms (queries x entities) and weighted squared rows
+    # (weight kinds x entities), block by block.  Whole rows are squared,
+    # time columns included, so that numpy sees one contiguous run instead of
+    # a loop over rows.
+    dx2 = np.empty((rels.size, n))
+    quad = np.empty((weights.shape[0], n))
+    square = np.empty((min(_SCREEN_BLOCK, n), n_t + n_x))
+    for start in range(0, n, _SCREEN_BLOCK):
+        block = params.coords[start : start + _SCREEN_BLOCK]
+        rows = slice(start, start + block.shape[0])
+        np.matmul(cross, block[:, n_t:].T, out=dx2[:, rows])
+        squared = np.multiply(block, block, out=square[: block.shape[0]])
+        np.matmul(weights, squared[:, n_t:].T, out=quad[:, rows])
+    quad_norm = np.sqrt(quad)
+
+    tails, tail_bias = np.arange(n), np.abs(params.node_bias)
+    for q, (head, rel) in enumerate(zip(heads.tolist(), rels.tolist())):
+        query_dx2 = dx2[q]
+        query_dx2 += shared2[q]
+        query_dx2 += quad[weight_of_query[q]]
+        size = quad_norm[weight_of_query[q]] + (math.sqrt(shared2[q]) + math.sqrt(u[q] @ u[q]))
+        dx2_err = 4.0 * gamma * (size * size)
+
+        head_bias, rel_bias = params.node_bias[head], params.rel_c[rel]
+        z1, z2, z3, zw, log_p, phi = _likelihood(
+            tfd, _tail_dt(params, head, rel, tails), query_dx2, head_bias, params.node_bias, rel_bias
+        )
+        z_size = 1.0 + np.abs(z1) + np.abs(z2) + np.abs(z3) + np.abs(zw)
+        log_p_drift = dx2_err / tfd.tau1 + 2.0 * _LIBM_ULPS * _UNIT_ROUNDOFF * z_size
+        # 1 - p_max = |expm1(log p_max)|, which is +0 (an infinite slope, not
+        # -0) where the interval reaches p = 1.
+        with np.errstate(divide="ignore"):
+            slope = 1.0 / np.abs(np.expm1(np.minimum(log_p + log_p_drift, 0.0)))
+        terms = 1.0 + np.abs(phi) + 2.0 * (np.abs(log_p) + tail_bias + (abs(head_bias) + abs(rel_bias)))
+        margin = 2.0 * (slope * log_p_drift + _LIBM_ULPS * _UNIT_ROUNDOFF * terms)
+        yield phi, margin
 
 
 def probability(params: ModelParams, head: int, rel: int, tail: int) -> float:
@@ -440,12 +573,13 @@ def load_checkpoint(path) -> ModelParams:
     geometry = GeometryConfig(Signature(n_t, n_x), c if has_c else None)
     tfd = TfdParams(tau1=tau1, tau2=tau2, u=u, alpha=alpha, alpha_prime=alpha_prime, beta=beta, k_scale=k_scale)
 
-    body = np.frombuffer(blob[head_size:], dtype="<f8")
     shapes = _table_shapes(n, n_r, geometry.signature)
     widths = {name: math.prod(shape[1:]) for name, shape in shapes.items()}
     expected = sum(math.prod(shape) for shape in shapes.values())
-    if body.size != expected:
-        raise ValueError(f"{path}: body holds {body.size} values, expected {expected}")
+    body_bytes = len(blob) - head_size
+    if body_bytes != 8 * expected:
+        raise ValueError(f"{path}: body holds {body_bytes // 8} values, expected {expected}")
+    body = np.frombuffer(blob, dtype="<f8", offset=head_size)  # a view: no copy of the body
     tables, pos = {}, 0
     for name, key in TABLES:
         if key == "entity":

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudoe.cli import RunConfig, main, resolve_config, write_resolved
+from pseudoe.data import load_dataset
 from pseudoe.presets import PRESETS
 from pseudoe.synthetic import tree_clique_graph
 
@@ -261,6 +262,26 @@ class TestSweepAndStats:
         assert main(train) == 1
         assert capsys.readouterr().err == "error: threads must be >= 1, got -1\n"
         assert not out.exists()
+
+    def test_checkpoint_commands_read_the_dataset_once(self, toy_data, trained, tmp_path, monkeypatch):
+        import pseudoe.cli
+
+        calls = []
+
+        def counting_load_dataset(path):
+            calls.append(path)
+            return load_dataset(path)
+
+        monkeypatch.setattr(pseudoe.cli, "load_dataset", counting_load_dataset)
+        ckpt, data = str(trained / "model.ckpt"), str(toy_data)
+        for argv in (
+            ["sweep-beta", "--data", data, "--out", str(tmp_path), "--betas", "0", "--checkpoint", ckpt],
+            ["evaluate", "--checkpoint", ckpt, "--data", data],
+            ["rank", "--checkpoint", ckpt, "--data", data, "--head", "n0", "--relation", "parent_of"],
+        ):
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == [data], argv[0]
 
     def test_sweep_rescore(self, toy_data, tmp_path):
         run_out = tmp_path / "run"

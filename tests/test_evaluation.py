@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import make_random_model
 from pseudoe.data import FilterIndex, NegativesTable
@@ -12,7 +14,9 @@ from pseudoe.evaluation import (
     evaluate_split,
     filtered_rank,
 )
-from pseudoe.model import score_tails
+from pseudoe.evaluation import _NEGATIVE_BLOCK, _QUERY_BATCH
+from pseudoe.model import _screen_tails, score_many, score_tails
+from pseudoe.relmaps import Variant
 
 
 def brute_force_rank(params, triple, filter_set):
@@ -94,6 +98,147 @@ class TestFilteredRank:
         assert filtered_rank(params, triple, large, EvalProtocol()) <= filtered_rank(
             params, triple, small, EvalProtocol()
         )
+
+
+def _nudge(value: float, ulps: int) -> float:
+    """``value`` moved by ``ulps`` units in the last place (down when negative)."""
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, np.inf if ulps > 0 else -np.inf)
+    return value
+
+
+def _screen_model(draw, n_entities):
+    """A random model for the screen: DT, MT or BOTH, swapped or not, on a
+    cylinder or not, beta 0, 0.3 or 1 (at 1 with a likelihood that can round
+    to 1), coordinate norms from 1e-3 to 1e3, and biases from 1e-6 to 1e6
+    times the squared norm, so that the rounding of the expansion dominates
+    the margin at one end and the last bits of the sums at the other.
+    Returns the model and its norm."""
+    variant, n_t = draw(st.sampled_from([(Variant.DT, 1), (Variant.MT, 2), (Variant.BOTH, 2)]))
+    n_x = draw(st.sampled_from([3, 17, 64]))
+    norm = 10.0 ** draw(st.integers(-3, 3))
+    seed = draw(st.integers(0, 2**16))
+    params = make_random_model(
+        n_entities=n_entities,
+        n_relations=3,
+        n_t=n_t,
+        n_x=n_x,
+        variant=variant,
+        cylinder=draw(st.sampled_from([None, 2.5])),
+        seed=seed,
+        sigma=norm / np.sqrt(n_x),
+        swap=draw(st.booleans()),
+        **draw(st.sampled_from([{}, {"beta": 0.0}, {"beta": 1.0}, {"beta": 1.0, "u": 5.0, "tau1": 0.1}])),
+    )
+    rng = np.random.default_rng(seed)
+    bias = norm**2 * 10.0 ** draw(st.integers(-6, 6))
+    params.node_bias[:] = rng.normal(0.0, bias, n_entities)
+    params.rel_c[:] = rng.normal(0.0, bias, params.n_relations)
+    if variant is not Variant.MT:  # MT freezes the space maps at identity
+        params.rel_r[:] = rng.normal(1.0, 0.3, params.rel_r.shape)
+    return params, norm
+
+
+def _translated_head(params, h: int, k: int) -> np.ndarray:
+    """The space coordinates a tail needs for dx = 0 in query (h, k), where
+    the screen's expansion cancels worst."""
+    x_h, u, r = params.coords[h, params.n_t :], params.rel_u[k, 1:], params.rel_r[k, 1:]
+    return r * x_h - u if params.swap_transforms else (x_h + u) / r
+
+
+@st.composite
+def planted_queries(draw):
+    """A small model whose first query's true tail sits near its translated
+    head, with clones of that tail: exact, one space coordinate moved by 1-4
+    ulps, and the bias moved by 1-4 ulps.  Returns the model, three queries
+    and a filter set."""
+    params, norm = _screen_model(draw, 14)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    h, t, exact, moved, biased = (int(e) for e in rng.permutation(params.n_entities)[:5])
+    k = int(rng.integers(params.n_relations))
+    near = rng.normal(0.0, norm * 10.0 ** draw(st.integers(-9, 0)), params.n_x)
+    params.coords[t, params.n_t :] = _translated_head(params, h, k) + near
+    for clone in (exact, moved, biased):
+        params.coords[clone] = params.coords[t]
+        params.node_bias[clone] = params.node_bias[t]
+    ulps = draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+    i = params.n_t + draw(st.integers(0, params.n_x - 1))
+    params.coords[moved, i] = _nudge(params.coords[moved, i], ulps)
+    params.node_bias[biased] = _nudge(params.node_bias[biased], ulps)
+    queries = np.array([[h, k, t], [h, (k + 1) % params.n_relations, t], [exact, k, h]])
+    filter_set = {(h, k, int(c)) for c in rng.integers(0, params.n_entities, draw(st.integers(0, 3)))}
+    return params, queries, filter_set
+
+
+@st.composite
+def near_tails(draw):
+    """A model of 600 entities, half of them placed near the translated head
+    of query (0, 0) at distances from 1e-9 to 1 times the coordinate norm."""
+    n = 600
+    params, norm = _screen_model(draw, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    distance = norm * 10.0 ** rng.uniform(-9.0, 0.0, (n // 2, 1))
+    scatter = distance * rng.normal(0.0, 1.0, (n // 2, params.n_x)) / np.sqrt(params.n_x)
+    params.coords[n // 2 :, params.n_t :] = _translated_head(params, 0, 0) + scatter
+    return params
+
+
+class TestScreen:
+    """The batched screen brackets every exact score, and its full-filtered
+    ranks equal brute force, ties included."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(near_tails())
+    def test_margin_covers_the_exact_score(self, params):
+        everyone = np.arange(params.n_entities)
+        heads, rels = np.array([0, 0, 7]), np.array([0, 1, 0])
+        for (phi, margin), h, k in zip(_screen_tails(params, heads, rels), heads, rels):
+            exact = score_tails(params, h, k, everyone)
+            assert np.all(np.abs(phi - exact) <= margin), np.flatnonzero(np.abs(phi - exact) > margin)
+
+    @settings(deadline=None, max_examples=150)
+    @given(planted_queries())
+    def test_full_filtered_matches_brute_force(self, case):
+        params, queries, filter_set = case
+        report = evaluate_split(params, queries, filter_set, EvalProtocol())
+        for triple, rank in report.per_triple_ranks:
+            assert rank == brute_force_rank(params, triple, filter_set), triple
+
+    def test_likelihood_within_rounding_of_one(self):
+        # A wide margin u / tau1 puts every likelihood within 1e-21 of 1, far
+        # inside the rounding margin: every candidate must go to the kernel.
+        params = make_random_model(n_entities=20, beta=1.0, u=5.0, tau1=0.1, sigma=0.01, seed=3)
+        split = np.array([[0, 0, 1], [2, 1, 3], [4, 2, 5]])
+        for triple, rank in evaluate_split(params, split, set(), EvalProtocol()).per_triple_ranks:
+            assert rank == brute_force_rank(params, triple, set()), triple
+
+    def test_batch_boundaries_and_threads(self):
+        n = 40
+        params = make_random_model(n_entities=n, n_relations=3, n_t=2, n_x=9, seed=21, swap=True, cylinder=2.5)
+        params.coords[n - 1] = params.coords[0]  # ties in every query that ranks entity 0
+        params.node_bias[n - 1] = params.node_bias[0]
+        rng = np.random.default_rng(2)
+        rows = _QUERY_BATCH + 37  # more than one full-filtered batch
+        split = np.column_stack([rng.integers(0, n, rows), rng.integers(0, 3, rows), rng.integers(0, n, rows)])
+        split[::5, 2] = 0
+        index = FilterIndex(split[::3], n_entities=n, n_relations=3)
+        # lists of 101 rows plus the true tail: the stacked rows cross every
+        # `_NEGATIVE_BLOCK` boundary somewhere inside a list
+        table = {(int(h), int(k)): rng.integers(0, n, 101) for h, k, _ in split}
+        assert rows * 102 > 4 * _NEGATIVE_BLOCK
+        fixed = EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=NegativesTable(table=table, length=101))
+        for protocol in (EvalProtocol(), fixed):
+            one = evaluate_split(params, split, index, protocol, threads=1)
+            four = evaluate_split(params, split, index, protocol, threads=4)
+            assert one.per_triple_ranks == four.per_triple_ranks
+            assert any(rank % 1 for _, rank in one.per_triple_ranks)  # ties are counted
+            for triple, rank in one.per_triple_ranks:
+                assert filtered_rank(params, triple, index, protocol) == rank
+        for triple, rank in one.per_triple_ranks:  # fixed negatives, against score_many
+            h, k, t = triple
+            tails = np.append(table[(h, k)], t)
+            scores = score_many(params, np.full(tails.size, h), np.full(tails.size, k), tails)
+            assert rank == 1.0 + np.sum(scores[:-1] > scores[-1]) + 0.5 * np.sum(scores[:-1] == scores[-1])
 
 
 class TestAggregate:

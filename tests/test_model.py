@@ -9,6 +9,7 @@ from conftest import make_random_model
 from pseudoe.geometry import GeometryConfig, Signature
 from pseudoe.likelihood import sigmoid
 from pseudoe.model import (
+    TABLES,
     InitConfig,
     init,
     load_checkpoint,
@@ -297,4 +298,14 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [3, 8])
+    def test_cut_body_names_its_size(self, tmp_path, cut):
+        params = make_random_model(seed=1)
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(params, path)
+        expected = sum(getattr(params, name).size for name, _ in TABLES)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=f"body holds {expected - 1} values, expected {expected}"):
             load_checkpoint(path)
