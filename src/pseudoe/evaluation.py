@@ -12,9 +12,10 @@ entity table screens every entity against every query of a batch with two
 matrix products (`model._screen_tails`), with a margin that bounds the
 distance to the exact score; only the candidates within their margin of the
 true score are rescored with `score_tails`.  In fixed-negatives mode the
-batch's candidate lists are stacked and scored by the kernel in fixed blocks
-of rows.  Either way every comparison is made on the kernel's exact scores,
-so ranks equal brute force, ties included.
+batch's candidate lists, each closed by its true tail, are scored together
+by `model._score_lists`, in the order of their tail ids, so that the entity
+table is read front to back.  Either way every comparison is made on the kernel's
+exact scores, so ranks equal brute force, ties included.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import ModelParams, _check_ids, _forward, _screen_tails, score_tails
+from .model import ModelParams, _check_ids, _forward, _score_lists, _screen_tails, score_tails
 from .data import FilterIndex, NegativesTable
 
 __all__ = [
@@ -86,10 +87,11 @@ class RankReport:
     per_relation: dict[int, RelationStats] = field(default_factory=dict)
 
 
-# Queries ranked per pass of the full-filtered screen over the entity table,
-# and candidate rows scored per `_forward` call in fixed-negatives mode.
+# Queries ranked per call of the full-filtered counter, each call one pass of
+# the screen over the entity table; and candidates per call of the
+# fixed-negatives counter, which scores them together in tail-id order.
 _QUERY_BATCH = 64
-_NEGATIVE_BLOCK = 1024
+_CANDIDATE_BATCH = 1 << 17
 
 
 def _full_filtered_counts(params: ModelParams, queries: np.ndarray, index: FilterIndex):
@@ -121,45 +123,39 @@ def _full_filtered_counts(params: ModelParams, queries: np.ndarray, index: Filte
 
 def _fixed_negative_counts(params: ModelParams, queries: np.ndarray, negatives: NegativesTable):
     """Exact better/equal counts of each query's true tail against its stored
-    negatives: every list and its true tail stacked and scored by `_forward`
-    in `_NEGATIVE_BLOCK`-row blocks, then compared all at once."""
-    rows = []
-    for h, k, t in queries.tolist():
+    negatives: the lists, each closed by its true tail, scored as one array by
+    `_score_lists`, then compared all at once."""
+    lists = []
+    for h, k, _ in queries.tolist():
         entry = negatives.table.get((h, k))
         if entry is None:
             raise ProtocolError(f"no fixed negatives stored for head={h}, relation={k}")
-        rows.append(np.append(entry, t))
-    sizes = np.array([row.size for row in rows])
-    tails = np.concatenate(rows)
-    heads, rels = np.repeat(queries[:, 0], sizes), np.repeat(queries[:, 1], sizes)
-    _check_ids(params, heads, rels, tails)
-    blocks = [slice(s, s + _NEGATIVE_BLOCK) for s in range(0, tails.size, _NEGATIVE_BLOCK)]
-    scores = np.concatenate([_forward(params, heads[b], rels[b], tails[b]).phi for b in blocks])
-    last = np.cumsum(sizes) - 1  # each query's true tail closes its list
-    query_of_row = np.repeat(np.arange(len(queries)), sizes)
-    true_scores = scores[last][query_of_row]
-    negative = np.ones(tails.size, dtype=bool)
-    negative[last] = False
-    better = np.bincount(query_of_row[negative & (scores > true_scores)], minlength=len(queries))
-    equal = np.bincount(query_of_row[negative & (scores == true_scores)], minlength=len(queries))
-    return better, equal
+        lists.append(entry)
+    tails = np.column_stack([np.stack(lists), queries[:, 2]])
+    _check_ids(params, queries[:, 0], queries[:, 1], tails)
+    scores = _score_lists(params, queries[:, 0], queries[:, 1], tails)
+    competitors, true_scores = scores[:, :-1], scores[:, -1:]
+    return np.count_nonzero(competitors > true_scores, axis=1), np.count_nonzero(competitors == true_scores, axis=1)
 
 
 def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol: EvalProtocol, threads: int):
     """Average-tie rank 1 + #better + #equal / 2 of every triple of ``split``.
 
-    The triples are ranked in batches of at most `_QUERY_BATCH`, spread over
-    ``threads`` worker threads; every count is exact, so the ranks do not
-    depend on the batching or the scheduling.
+    The triples are ranked in batches, of at most `_QUERY_BATCH` queries in
+    full-filtered mode and at most `_CANDIDATE_BATCH` candidates in
+    fixed-negatives mode, spread over ``threads`` worker threads; every count
+    is exact, so the ranks do not depend on the batching or the scheduling.
     """
     _check_ids(params, split[:, 0], split[:, 1], split[:, 2])
     if split.shape[0] == 0:
         return np.zeros(0)
     if protocol.mode is EvalMode.FIXED_NEGATIVES:
         count = partial(_fixed_negative_counts, params, negatives=protocol.negatives)
+        batch = max(1, _CANDIDATE_BATCH // (protocol.negatives.length + 1))
     else:
         count = partial(_full_filtered_counts, params, index=index)
-    size = min(_QUERY_BATCH, -(-split.shape[0] // threads))
+        batch = _QUERY_BATCH
+    size = min(batch, -(-split.shape[0] // threads))
     batches = [split[s : s + size] for s in range(0, split.shape[0], size)]
     if threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

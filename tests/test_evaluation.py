@@ -14,8 +14,8 @@ from pseudoe.evaluation import (
     evaluate_split,
     filtered_rank,
 )
-from pseudoe.evaluation import _NEGATIVE_BLOCK, _QUERY_BATCH
-from pseudoe.model import _screen_tails, score_many, score_tails
+from pseudoe.evaluation import _QUERY_BATCH
+from pseudoe.model import _TAIL_BLOCK, _screen_tails, score_many, score_tails
 from pseudoe.relmaps import Variant
 
 
@@ -222,23 +222,28 @@ class TestScreen:
         split = np.column_stack([rng.integers(0, n, rows), rng.integers(0, 3, rows), rng.integers(0, n, rows)])
         split[::5, 2] = 0
         index = FilterIndex(split[::3], n_entities=n, n_relations=3)
-        # lists of 101 rows plus the true tail: the stacked rows cross every
-        # `_NEGATIVE_BLOCK` boundary somewhere inside a list
-        table = {(int(h), int(k)): rng.integers(0, n, 101) for h, k, _ in split}
-        assert rows * 102 > 4 * _NEGATIVE_BLOCK
-        fixed = EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=NegativesTable(table=table, length=101))
-        for protocol in (EvalProtocol(), fixed):
+        # Fixed lists of 101 and of 20 negatives: `_score_lists` walks each
+        # batch's candidates in tail-id order in `_TAIL_BLOCK`-row blocks,
+        # ending with a partial block, and threads=4 splits the split into
+        # batches of 26 queries.
+        tables = {length: {(int(h), int(k)): rng.integers(0, n, length) for h, k, _ in split} for length in (101, 20)}
+        assert rows * 102 % _TAIL_BLOCK and rows * 21 % _TAIL_BLOCK
+        protocols = [EvalProtocol()] + [
+            EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=NegativesTable(table=table, length=length))
+            for length, table in tables.items()
+        ]
+        for protocol in protocols:
             one = evaluate_split(params, split, index, protocol, threads=1)
             four = evaluate_split(params, split, index, protocol, threads=4)
             assert one.per_triple_ranks == four.per_triple_ranks
             assert any(rank % 1 for _, rank in one.per_triple_ranks)  # ties are counted
             for triple, rank in one.per_triple_ranks:
                 assert filtered_rank(params, triple, index, protocol) == rank
-        for triple, rank in one.per_triple_ranks:  # fixed negatives, against score_many
-            h, k, t = triple
-            tails = np.append(table[(h, k)], t)
-            scores = score_many(params, np.full(tails.size, h), np.full(tails.size, k), tails)
-            assert rank == 1.0 + np.sum(scores[:-1] > scores[-1]) + 0.5 * np.sum(scores[:-1] == scores[-1])
+            if protocol.mode is EvalMode.FIXED_NEGATIVES:  # against score_many
+                for (h, k, t), rank in one.per_triple_ranks:
+                    tails = np.append(protocol.negatives.table[(h, k)], t)
+                    scores = score_many(params, np.full(tails.size, h), np.full(tails.size, k), tails)
+                    assert rank == 1.0 + np.sum(scores[:-1] > scores[-1]) + 0.5 * np.sum(scores[:-1] == scores[-1])
 
 
 class TestAggregate:

@@ -19,6 +19,7 @@ from pseudoe.model import (
     score,
     score_many,
     score_tails,
+    _score_lists,
     _TAIL_BLOCK,
 )
 from pseudoe.relmaps import Variant
@@ -145,6 +146,33 @@ class TestScoreTails:
                 np.testing.assert_array_equal(got, want)
             scores = score_tails(params, head, rel, np.arange(n))
             assert scores[clone] == scores[1]
+
+
+class TestScoreLists:
+    """Candidate lists scored per query give exactly the bits of the batched kernel."""
+
+    @pytest.mark.parametrize("variant,n_t", [(Variant.DT, 1), (Variant.MT, 2), (Variant.BOTH, 3)])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("cylinder", [None, 2.5])
+    def test_bit_equal_to_score_many(self, variant, n_t, swap, cylinder):
+        n = 50
+        params = make_random_model(
+            n_entities=n, n_relations=4, n_t=n_t, n_x=7, variant=variant, cylinder=cylinder, seed=9, swap=swap
+        )
+        params.coords[n - 1] = params.coords[1]
+        params.node_bias[n - 1] = params.node_bias[1]
+        rng = np.random.default_rng(5)
+        # candidates filling less than a block, several blocks with and without a remainder, none
+        for n_lists, length in ((3, 7), (11, 7), (5, _TAIL_BLOCK), (3, _TAIL_BLOCK + 9), (4, 0)):
+            heads, rels = rng.integers(0, n, n_lists), rng.integers(0, 4, n_lists)
+            tails = rng.integers(0, n, (n_lists, length))
+            got = _score_lists(params, heads, rels, tails)
+            assert got.shape == (n_lists, length)
+            want = score_many(params, np.repeat(heads, length), np.repeat(rels, length), tails.reshape(-1))
+            np.testing.assert_array_equal(got.reshape(-1), want)
+        tails = np.array([[1, n - 1, 2]])
+        clone = _score_lists(params, [0], [2], tails)[0]
+        assert clone[0] == clone[1]
 
 
 class TestInit:
