@@ -13,8 +13,8 @@ import argparse
 import dataclasses
 import difflib
 import logging
-import os
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,35 +65,29 @@ class RunConfig:
     negatives: str | None = None
     data: str = "."
     out: str = "run"
-    threads: int = 1
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_OPTIONAL = {"circumference": float, "negatives": str}
-_BOOL_FIELDS = {"swap_transforms", "augment_reverse"}
-_INT_FIELDS = {"n_t", "n_x", "seed", "batch_size", "m_negatives", "max_epochs", "eval_every", "patience", "threads"}
-_FLOAT_FIELDS = {"tau1", "tau2", "u", "alpha", "alpha_prime", "beta", "k_scale", "sigma_init", "learning_rate"}
+# Each key's type, read from the annotations above: the parser of its value.
+_TYPES = typing.get_type_hints(RunConfig)
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _parse_value(key: str, raw):
-    if key not in _FIELDS:
+    if key not in _TYPES:
         raise ValueError(f"unknown configuration key {key!r}")
     if not isinstance(raw, str):
         return raw
     raw = raw.strip()
-    if key in _OPTIONAL:
-        return None if raw.lower() == "none" else _OPTIONAL[key](raw)
-    if key in _BOOL_FIELDS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _FLOAT_FIELDS:
-        return float(raw)
-    return raw
+    kind = _TYPES[key]
+    if type(None) in typing.get_args(kind):  # X | None
+        if raw.lower() == "none":
+            return None
+        (kind,) = (arg for arg in typing.get_args(kind) if arg is not type(None))
+    if kind is bool:
+        if raw.lower() not in _BOOL_WORDS:
+            raise ValueError(f"{key}: expected a boolean, got {raw!r}")
+        return _BOOL_WORDS[raw.lower()]
+    return kind(raw)
 
 
 def _read_config_file(path) -> dict:
@@ -121,12 +115,7 @@ def resolve_config(preset: str | None = None, config_file=None, overrides: dict 
         values.update(_read_config_file(config_file))
     for key, raw in (overrides or {}).items():
         values[key] = _parse_value(key, raw)
-    config = RunConfig(**values)
-    # Checked here so that `train` fails before it trains, and never freezes a
-    # thread count that `evaluate` and `sweep-beta` would reject.
-    if config.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {config.threads}")
-    return config
+    return RunConfig(**values)
 
 
 def write_resolved(config: RunConfig, path) -> None:
@@ -231,8 +220,7 @@ def cmd_evaluate(args) -> int:
             mode=EvalMode.FIXED_NEGATIVES, negatives=load_negatives(args.negatives, store)
         )
     split = store.splits[args.split]
-    threads = 1 if args.threads is None else args.threads
-    report = evaluation.evaluate_split(params, split, store.filter_index, protocol, threads=threads)
+    report = evaluation.evaluate_split(params, split, store.filter_index, protocol)
     text = evaluation.format_report(report, store.id_to_relation.get, per_relation=args.per_relation)
     print(text)
     if args.out:
@@ -314,7 +302,6 @@ def cmd_sweep_beta(args) -> int:
         protocol=protocol,
         retrain=retrain,
         repeats=args.repeats,
-        threads=config.threads,
     )
     evaluation.write_sweep_csv(rows, out / "sweep.csv", eval_store.id_to_relation.get)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
@@ -330,7 +317,7 @@ def cmd_stats(args) -> int:
 
 def _collect_overrides(args) -> dict:
     overrides = dict(args.set or [])
-    for key in ("data", "out", "seed", "threads"):
+    for key in ("data", "out", "seed"):
         if getattr(args, key, None) is not None:
             overrides[key] = getattr(args, key)
     return overrides
@@ -349,7 +336,6 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="dataset directory (train.txt/valid.txt/test.txt)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, help="run seed")
-    p.add_argument("--threads", type=int, help="evaluation thread cap (1 = deterministic)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-b", type=float, default=1.0, help="scale node biases before scoring")
     p.add_argument("--per-relation", action="store_true", help="include the per-relation breakdown")
     p.add_argument("--out", help="also write report.txt and report.csv here")
-    p.add_argument("--threads", type=int, help="evaluation thread cap (default: PSEUDOE_THREADS, else 1)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("rank", help="top-K tail predictions for a head and relation")
@@ -394,24 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_from_env() -> int | None:
-    """PSEUDOE_THREADS as an integer, or None when it is unset or empty."""
-    raw = os.environ.get("PSEUDOE_THREADS", "")
-    if not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"PSEUDOE_THREADS must be an integer, got {raw!r}") from None
-
-
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
-        env_threads = _threads_from_env()
-        if env_threads is not None and getattr(args, "threads", 0) is None:
-            args.threads = env_threads
         return args.func(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

@@ -7,11 +7,12 @@ fixed-negatives protocol they are a stored per-(head, relation) candidate
 list.  Ties share their rank: rank = 1 + #{better} + #{equal}/2, so a
 constant scorer earns mid-range ranks rather than rank 1.
 
-Queries are ranked in batches.  In full-filtered mode one pass over the
-entity table screens every entity against every query of a batch with two
-matrix products (`model._screen_tails`), with a margin that bounds the
-distance to the exact score; only the candidates within their margin of the
-true score are rescored with `score_tails`.  In fixed-negatives mode the
+Queries are ranked in batches, one after another on one thread.  In
+full-filtered mode one pass over the entity table screens every entity
+against every query of a batch with two matrix products
+(`model._screen_tails`), with a margin that bounds the distance to the
+exact score; only the candidates within their margin of the true score are
+rescored with `score_tails`.  In fixed-negatives mode the
 batch's candidate lists, each closed by its true tail, are scored together
 by `model._score_lists`, in the order of their tail ids, so that the entity
 table is read front to back.  Either way every comparison is made on the kernel's
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import csv
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -138,30 +138,24 @@ def _fixed_negative_counts(params: ModelParams, queries: np.ndarray, negatives: 
     return np.count_nonzero(competitors > true_scores, axis=1), np.count_nonzero(competitors == true_scores, axis=1)
 
 
-def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol: EvalProtocol, threads: int):
+def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol: EvalProtocol):
     """Average-tie rank 1 + #better + #equal / 2 of every triple of ``split``.
 
-    The triples are ranked in batches, of at most `_QUERY_BATCH` queries in
-    full-filtered mode and at most `_CANDIDATE_BATCH` candidates in
-    fixed-negatives mode, spread over ``threads`` worker threads; every count
-    is exact, so the ranks do not depend on the batching or the scheduling.
+    The triples are ranked in turn in batches, of at most `_QUERY_BATCH`
+    queries in full-filtered mode and at most `_CANDIDATE_BATCH` candidates in
+    fixed-negatives mode; every count is exact, so the ranks do not depend on
+    the batching.
     """
     _check_ids(params, split[:, 0], split[:, 1], split[:, 2])
     if split.shape[0] == 0:
         return np.zeros(0)
     if protocol.mode is EvalMode.FIXED_NEGATIVES:
         count = partial(_fixed_negative_counts, params, negatives=protocol.negatives)
-        batch = max(1, _CANDIDATE_BATCH // (protocol.negatives.length + 1))
+        size = max(1, _CANDIDATE_BATCH // (protocol.negatives.length + 1))
     else:
         count = partial(_full_filtered_counts, params, index=index)
-        batch = _QUERY_BATCH
-    size = min(batch, -(-split.shape[0] // threads))
-    batches = [split[s : s + size] for s in range(0, split.shape[0], size)]
-    if threads > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(count, batches))
-    else:
-        counts = [count(batch) for batch in batches]
+        size = _QUERY_BATCH
+    counts = [count(split[s : s + size]) for s in range(0, split.shape[0], size)]
     better = np.concatenate([b for b, _ in counts])
     equal = np.concatenate([e for _, e in counts])
     return 1.0 + better + 0.5 * equal
@@ -189,7 +183,7 @@ def filtered_rank(params: ModelParams, triple, filter_set, protocol: EvalProtoco
     mode and ignored in fixed-negatives mode.
     """
     split = np.asarray(triple, dtype=np.int64).reshape(1, 3)
-    return float(_ranks(params, split, _filter_index(params, filter_set), protocol, threads=1)[0])
+    return float(_ranks(params, split, _filter_index(params, filter_set), protocol)[0])
 
 
 def aggregate(ranks, ks=(1, 3, 10)) -> RankReport:
@@ -217,13 +211,6 @@ def aggregate(ranks, ks=(1, 3, 10)) -> RankReport:
     return report
 
 
-def _check_counts(**counts: int) -> None:
-    """Raise ValueError for a count argument below 1."""
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def evaluate_split(
     params: ModelParams,
     split: np.ndarray,
@@ -233,14 +220,16 @@ def evaluate_split(
 ) -> RankReport:
     """Rank every triple of a split and aggregate.
 
-    Parallelism (``threads`` > 1) spreads batches of triples over worker
-    threads that share the read-only parameters; ranks are exact and merged
-    in triple order, so the report does not depend on scheduling.
+    Evaluation runs on one thread; BLAS may use several for the screen's
+    matrix products.  ``threads`` must be 1: the keyword stays only because
+    the benchmark in ``perfbench/`` still passes ``threads=1``, and it goes
+    once the benchmark drops it.
     """
-    _check_counts(threads=threads)
+    if threads != 1:
+        raise ValueError(f"evaluation is single-threaded; threads must be 1, got {threads}")
     protocol = protocol or EvalProtocol()
     split = np.asarray(split, dtype=np.int64).reshape(-1, 3)
-    ranks = _ranks(params, split, _filter_index(params, filter_set), protocol, threads)
+    ranks = _ranks(params, split, _filter_index(params, filter_set), protocol)
     pairs = [(tuple(row), rank) for row, rank in zip(split.tolist(), ranks.tolist())]
     return aggregate(pairs, protocol.ks)
 
@@ -253,17 +242,19 @@ def beta_sweep(
     protocol: EvalProtocol | None = None,
     retrain=None,
     repeats: int = 1,
-    threads: int = 1,
 ) -> list[tuple[float, int, float, float]]:
     """Per-relation MRR as the mixing weight beta varies.
 
     By default each beta point rescores the given trained parameters with
     only the mixing weight replaced; passing ``retrain`` (a callable
     ``retrain(beta, repeat_index) -> ModelParams``) trains fresh parameters
-    per point instead.  Rows are (beta, relation, mean MRR, across-repeat
-    standard deviation); the deviation is 0 when repeats == 1.
+    per point instead, ``repeats`` >= 1 times.  Rows are (beta, relation,
+    mean MRR, across-repeat standard deviation); the deviation is 0 when
+    repeats == 1.  Every point is evaluated on one thread, like
+    `evaluate_split`.
     """
-    _check_counts(repeats=repeats, threads=threads)
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     rows: list[tuple[float, int, float, float]] = []
     for beta in betas:
         if not 0.0 <= beta <= 1.0:
@@ -274,7 +265,7 @@ def beta_sweep(
                 p = retrain(beta, rep)
             else:
                 p = replace(params, tfd=replace(params.tfd, beta=float(beta)))
-            report = evaluate_split(p, split, filter_set, protocol, threads=threads)
+            report = evaluate_split(p, split, filter_set, protocol)
             for rel, stats in report.per_relation.items():
                 per_rel[rel].append(stats.mrr)
         for rel, mrrs in sorted(per_rel.items()):

@@ -148,7 +148,8 @@ class ModelParams:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
+            # min and max propagate NaN and +-inf: no table-sized mask
+            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise ValueError(f"{name} contains non-finite values")
         if self.variant is Variant.DT and sig.n_t != 1:
             raise ValueError("DT variant requires n_t == 1")

@@ -492,7 +492,8 @@ def train(
     negatives corrupt tails only.  Validation MRR is computed every
     ``eval_every`` epochs under ``protocol`` (filtered ranking against the
     full vocabulary by default) and the best checkpoint is returned together
-    with the per-epoch log.
+    with the per-epoch log.  An empty validation split is rejected before the
+    first epoch.
     """
     from . import evaluation
     from .data import augmented_store
@@ -501,6 +502,8 @@ def train(
         store = augmented_store(store)
     train_triples = store.splits["train"]
     valid_triples = store.splits["valid"]
+    if valid_triples.shape[0] == 0:
+        raise ValueError("the validation split is empty; training ranks it for model selection")
     if protocol is None:
         protocol = evaluation.EvalProtocol()
 

@@ -3,12 +3,14 @@ import pkgutil
 
 import pseudoe
 
-# Public names the library no longer defines: the reference semantics of the
-# score live in tests/reference.py, and negatives are sampled per batch.
+# Names the library no longer defines: the reference semantics of the score
+# live in tests/reference.py, negatives are sampled per batch, and evaluation
+# runs on one thread.
 REMOVED = {
     "SpacetimePoint", "wrap_time", "squared_interval", "wick_squared_distance", "wick_rotate_metric",
     "ProjectedPoint", "RelationParams", "time_project", "translate_head", "scale_tail", "transform_pair",
     "log_fd", "log_tfd", "log_interpolated", "logit_from_log", "sample_negatives",
+    "_threads_from_env", "_check_counts",
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,20 @@ class TestResolveConfig:
         path = tmp_path / "config.resolved"
         write_resolved(config, path)
         assert resolve_config(None, path) == config
+        # Every key away from its default, parsed from text and replayed; the
+        # optional keys both with a value and none.
+        changed = RunConfig(
+            variant="both", n_t=2, n_x=9, circumference=2.5, swap_transforms=True, tau1=0.25, tau2=0.75,
+            u=0.3, alpha=0.4, alpha_prime=0.9, beta=0.6, k_scale=2.0, sigma_init=0.05, seed=42,
+            optimizer="sm3", learning_rate=0.01, batch_size=64, m_negatives=5, max_epochs=7, eval_every=2,
+            patience=3, augment_reverse=True, protocol="fixed", negatives="negs.txt", data="d", out="o",
+        )
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        assert [n for n in names if getattr(changed, n) == getattr(RunConfig(), n)] == []
+        for config in (changed, dataclasses.replace(changed, circumference=None, negatives=None)):
+            assert resolve_config(None, None, {n: str(getattr(config, n)) for n in names}) == config
+            write_resolved(config, path)
+            assert resolve_config(None, path) == config
 
 
 class TestTrainCommand:
@@ -219,49 +235,36 @@ class TestSweepAndStats:
         out = capsys.readouterr().out
         assert "entities" in out and "train" in out
 
-    def test_bad_threads_variable_is_a_one_line_error(self, toy_data, trained, monkeypatch, capsys):
-        monkeypatch.setenv("PSEUDOE_THREADS", "abc")
+    def test_counts_below_one_are_one_line_errors(self, toy_data, trained, tmp_path, capsys):
         ckpt = str(trained / "model.ckpt")
-        for argv in (["stats", "--data", str(toy_data)], ["evaluate", "--checkpoint", ckpt, "--data", str(toy_data)]):
-            assert main(argv) == 1
-            err = capsys.readouterr().err
-            assert err == "error: PSEUDOE_THREADS must be an integer, got 'abc'\n"
-
-    def test_counts_below_one_are_one_line_errors(self, toy_data, trained, tmp_path, monkeypatch, capsys):
-        # --threads, the threads config key and PSEUDOE_THREADS all reach evaluate_split
-        ckpt = str(trained / "model.ckpt")
-        evaluate = ["evaluate", "--checkpoint", ckpt, "--data", str(toy_data)]
         sweep = ["sweep-beta", "--data", str(toy_data), "--out", str(tmp_path), "--betas", "0", "--checkpoint", ckpt]
-        for argv, message in (
-            (evaluate + ["--threads", "-3"], "threads must be >= 1, got -3"),
-            (sweep + ["--repeats", "0"], "repeats must be >= 1, got 0"),
-            (sweep + ["--set", "threads", "0"], "threads must be >= 1, got 0"),
-        ):
-            assert main(argv) == 1
-            assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(sweep + ["--repeats", "0"]) == 1
+        assert capsys.readouterr().err == "error: repeats must be >= 1, got 0\n"
         assert not (tmp_path / "sweep.csv").exists()
-        monkeypatch.setenv("PSEUDOE_THREADS", "0")
-        assert main(evaluate) == 1
-        assert capsys.readouterr().err == "error: threads must be >= 1, got 0\n"
 
-    def test_train_rejects_thread_counts_below_one(self, toy_data, tmp_path, monkeypatch, capsys):
-        # --threads, the threads config key and PSEUDOE_THREADS are checked
-        # when the config is resolved, before anything is trained or written
-        out = tmp_path / "run"
-        config = tmp_path / "bad.cfg"
-        config.write_text("threads = 0\n", encoding="utf-8")
-        train = ["train", "--data", str(toy_data), "--out", str(out), "--set", "max_epochs", "5"]
-        for argv, message in (
-            (train + ["--threads", "-3"], "threads must be >= 1, got -3"),
-            (train + ["--set", "threads", "0"], "threads must be >= 1, got 0"),
-            (train + ["--config", str(config)], "threads must be >= 1, got 0"),
+    def test_no_thread_setting(self, toy_data, trained, tmp_path, monkeypatch, capsys):
+        # Evaluation runs on one thread: no flag, config key or environment
+        # variable sets a thread count.
+        ckpt, data = str(trained / "model.ckpt"), str(toy_data)
+        older = tmp_path / "older.resolved"
+        older.write_text("seed = 7\nthreads = 1\n", encoding="utf-8")
+        assert main(["train", "--config", str(older), "--data", data, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: unknown configuration key 'threads'\n"
+        for argv in (
+            ["train", "--data", data, "--out", str(tmp_path / "run")],
+            ["evaluate", "--checkpoint", ckpt, "--data", data],
+            ["sweep-beta", "--data", data, "--out", str(tmp_path), "--betas", "0", "--checkpoint", ckpt],
         ):
-            assert main(argv) == 1
-            assert capsys.readouterr().err == f"error: {message}\n"
-        monkeypatch.setenv("PSEUDOE_THREADS", "-1")
-        assert main(train) == 1
-        assert capsys.readouterr().err == "error: threads must be >= 1, got -1\n"
-        assert not out.exists()
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv + ["--threads", "1"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+            if argv[0] != "evaluate":
+                assert main(argv + ["--set", "threads", "1"]) == 1
+                assert capsys.readouterr().err == "error: unknown configuration key 'threads'\n"
+        assert not (tmp_path / "run").exists() and not (tmp_path / "sweep.csv").exists()
+        monkeypatch.setenv("PSEUDOE_THREADS", "abc")
+        assert main(["stats", "--data", data]) == 0
 
     def test_checkpoint_commands_read_the_dataset_once(self, toy_data, trained, tmp_path, monkeypatch):
         import pseudoe.cli

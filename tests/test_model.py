@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -327,6 +328,29 @@ class TestCheckpoint:
         path.write_bytes(blob[:-16])
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_table_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.ckpt"
+        for name, _ in TABLES:
+            params = make_random_model(seed=4)
+            getattr(params, name).flat[-1] = value
+            save_checkpoint(params, path)
+            with pytest.raises(ValueError, match=f"{name} contains non-finite values"):
+                load_checkpoint(path)
+
+    def test_load_peaks_near_twice_the_file(self, tmp_path):
+        # The file's bytes plus the table copies; checking that the tables
+        # are finite adds no table-sized temporary.
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(make_random_model(n_entities=2000, n_x=50, seed=2), path)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.05 * path.stat().st_size
 
     @pytest.mark.parametrize("cut", [3, 8])
     def test_cut_body_names_its_size(self, tmp_path, cut):

@@ -441,6 +441,19 @@ class TestTrainLoop:
         losses = [r.mean_loss for r in log]
         assert losses[-1] < losses[0]
 
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_empty_validation_split_rejected_before_training(self, small_graph, monkeypatch, augment):
+        import pseudoe.training
+
+        store, _, _ = small_graph
+        empty = dataclasses.replace(store, splits={**store.splits, "valid": np.zeros((0, 3), dtype=np.int64)})
+        steps = []
+        monkeypatch.setattr(pseudoe.training, "_loss_and_gradients", lambda *args: steps.append(args))
+        config = TrainConfig(m_negatives=4, max_epochs=2, eval_every=1, augment_reverse=augment)
+        with pytest.raises(ValueError, match="the validation split is empty"):
+            train(empty, config, GeometryConfig(Signature(1, 7)), TfdParams(0.5, 0.5, 0.5, 0.2, 1.0), Variant.DT)
+        assert steps == []
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self, small_graph):
         store, _, _ = small_graph
