@@ -50,7 +50,6 @@ class RunConfig:
     alpha: float = 0.5
     alpha_prime: float = 1.0
     beta: float = 0.0
-    k_scale: float = 1.0
     sigma_init: float = 0.02
     seed: int = 0
     optimizer: str = "adam"
@@ -130,30 +129,17 @@ def _geometry(config: RunConfig) -> GeometryConfig:
     return GeometryConfig(Signature(config.n_t, config.n_x), config.circumference)
 
 
+def _from_config(cls, config: RunConfig):
+    """An instance of dataclass ``cls`` whose every field is the `RunConfig` key of its name."""
+    return cls(**{f.name: getattr(config, f.name) for f in dataclasses.fields(cls)})
+
+
 def _tfd(config: RunConfig) -> TfdParams:
-    return TfdParams(
-        tau1=config.tau1,
-        tau2=config.tau2,
-        u=config.u,
-        alpha=config.alpha,
-        alpha_prime=config.alpha_prime,
-        beta=config.beta,
-        k_scale=config.k_scale,
-    )
+    return _from_config(TfdParams, config)
 
 
 def _train_config(config: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        m_negatives=config.m_negatives,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        optimizer=config.optimizer,
-        max_epochs=config.max_epochs,
-        eval_every=config.eval_every,
-        patience=config.patience,
-        augment_reverse=config.augment_reverse,
-        seed=config.seed,
-    )
+    return _from_config(TrainConfig, config)
 
 
 def _protocol(config: RunConfig, store) -> EvalProtocol:
@@ -186,8 +172,6 @@ def _store_for_params(params, store):
 
 def cmd_train(args) -> int:
     config = resolve_config(args.preset, args.config, _collect_overrides(args))
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     store = load_dataset(config.data)
     params, log = training.train(
         store,
@@ -199,6 +183,8 @@ def cmd_train(args) -> int:
         protocol=_protocol(config, store),
         swap_transforms=config.swap_transforms,
     )
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, out / "model.ckpt")
     training.write_log_csv(log, out / "log.csv")
     write_resolved(config, out / "config.resolved")
@@ -264,8 +250,6 @@ def cmd_rank(args) -> int:
 def cmd_sweep_beta(args) -> int:
     config = resolve_config(args.preset, args.config, _collect_overrides(args))
     betas = [float(b) for b in args.betas.split(",")]
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     store = load_dataset(config.data)
     if args.checkpoint:
         params = load_checkpoint(args.checkpoint)
@@ -303,6 +287,8 @@ def cmd_sweep_beta(args) -> int:
         retrain=retrain,
         repeats=args.repeats,
     )
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
     evaluation.write_sweep_csv(rows, out / "sweep.csv", eval_store.id_to_relation.get)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return 0

@@ -12,11 +12,13 @@ full-filtered mode one pass over the entity table screens every entity
 against every query of a batch with two matrix products
 (`model._screen_tails`), with a margin that bounds the distance to the
 exact score; only the candidates within their margin of the true score are
-rescored with `score_tails`.  In fixed-negatives mode the
-batch's candidate lists, each closed by its true tail, are scored together
-by `model._score_lists`, in the order of their tail ids, so that the entity
-table is read front to back.  Either way every comparison is made on the kernel's
-exact scores, so ranks equal brute force, ties included.
+rescored with `score_tails`.  In fixed-negatives mode the batch's candidate
+lists, each closed by its true tail, are scored together.  Both go through
+the one exact candidate scorer, `model._score_lists` (`score_tails` is one
+list of it), which walks the candidates in the order of their tail ids, so
+that the entity table is read front to back.  Either way every comparison is
+made on the kernel's exact scores, so ranks equal brute force, ties
+included.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The single-factor likelihood is F_(tau,u,alpha)(x) = 1 / (exp((alpha*x - u)/tau) + 1).
 The triple form takes the geometric mean of three factors,
 
-    F = k * (F1 * F2 * F3)^(1/3),
+    F = (F1 * F2 * F3)^(1/3),
     F1 = F_(tau1,u,1)(s^2),  F2 = F_(tau2,0,alpha)(-dt),  F3 = F_(tau2,0,alpha')(dt),
 
 so that F1 concentrates probability inside the lightcone while alpha != alpha'
@@ -12,8 +12,9 @@ beta blends log F with the log of the same F1 factor evaluated on the
 Wick-rotated (Euclidean) squared distance, interpolating between lightcone
 and isotropic likelihood profiles.
 
-With the prefactor k pinned to 1, every likelihood lies strictly inside (0, 1)
-and the logit of it is always defined.  Exponents (alpha*x - u)/tau reach 1e4
+The paper's prefactor k is 1 here, so every likelihood lies strictly inside
+(0, 1) and the logit of it is always defined; any other k would only shift the
+logit, which the bias terms absorb anyway.  Exponents (alpha*x - u)/tau reach 1e4
 at realistic temperatures, so everything is kept in log space via softplus and
 log1p-style forms.  `model._likelihood` implements the formulas above; this
 module holds their parameters and the stable helpers it uses.
@@ -35,9 +36,6 @@ class TfdParams:
     tau1 and tau2 are the temperatures of the distance and time factors,
     u the radius/margin of the distance factor, alpha and alpha_prime the
     slopes of the two time factors, beta the Riemannian mixing weight.
-    k_scale is pinned to 1 so probabilities stay strictly inside (0, 1);
-    any other prefactor would only shift the logit, which the bias terms
-    absorb anyway.
     """
 
     tau1: float
@@ -46,7 +44,6 @@ class TfdParams:
     alpha: float
     alpha_prime: float
     beta: float = 0.0
-    k_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.tau1 > 0 and self.tau2 > 0):
@@ -59,8 +56,6 @@ class TfdParams:
             )
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.k_scale != 1.0:
-            raise ValueError("k_scale is fixed to 1")
 
 
 def softplus(x):

@@ -7,10 +7,13 @@ The score of a triple (i, k, j) is
 where F_beta is the beta-interpolated triple Fermi-Dirac likelihood, f_k the
 head translation, g_k the tail scaling and tau_k the time projection.  The
 internal `_forward` kernel evaluates batches of triples with numpy and caches
-every intermediate the backward pass needs; it is the library's one
-implementation of the score, which `score`, `score_many`, the blocked
-1-vs-all `score_tails` and the list scorer `_score_lists` share.  The tests
-check it against a step-by-step single-triple oracle (`tests/reference.py`).
+every intermediate the backward pass needs; `score` and `score_many` are its
+scores.  Candidate tails have one exact scorer, `_score_lists`: one list of
+tails per (head, relation) query, walked in tail-id order in blocks, with
+`_forward`'s operations and bits; `score_tails` is one such list.  All of
+them, and the certified screen `_screen_tails`, take dt from one time map,
+`_time_map`.  The tests check the kernel against a step-by-step
+single-triple oracle (`tests/reference.py`).
 
 Also here: the one declaration of the six parameter tables and of what each
 variant freezes (`TABLES`, `FROZEN`), parameter initialization, node-bias
@@ -233,11 +236,6 @@ def _sides(params: ModelParams, head, tail):
     return (tail, head, -1) if params.swap_transforms else (head, tail, 1)
 
 
-def _relation_map(p_a, u, r, p_b):
-    """The translated side minus the scaled side: (p_a + u) - r * p_b."""
-    return (p_a + u) - r * p_b
-
-
 def _wrap(dt, c: float | None):
     """dt wrapped onto [-c/2, c/2) on a time cylinder of circumference c."""
     return dt if c is None else dt - c * np.floor(dt / c + 0.5)
@@ -249,13 +247,13 @@ def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
     rels = np.asarray(rels, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
     n_t, n_r = params.n_t, params.n_relations
-    scaled_proj, dt = _time_map(params, heads, rels, tails)
+    scaled_proj, dt = _time_map(params, heads, rels, tails, np.arange(heads.size))
     a, b, _ = _sides(params, heads, tails)
 
-    # The space map (x_a + u) - r * x_b, with x_a + u computed once per
-    # distinct (translated entity, relation) pair: the negatives of a positive
-    # share its translated side in tail-only mode.  Same operations per
-    # element as `_relation_map`, in two row-sized buffers.
+    # The space map (x_a + u) - r * x_b, the translated side minus the scaled
+    # side, with x_a + u computed once per distinct (translated entity,
+    # relation) pair: the negatives of a positive share its translated side in
+    # tail-only mode.  Two row-sized buffers.
     pairs, pair_of_row = np.unique(a * n_r + rels, return_inverse=True)
     translated = params.coords[pairs // n_r, n_t:] + params.rel_u[pairs % n_r, 1:]
     dx = params.coords[b, n_t:]
@@ -284,17 +282,23 @@ def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
     )
 
 
-def _time_map(params: ModelParams, heads, rels, tails):
+def _time_map(params: ModelParams, heads, rels, tails, lists):
     """The scaled side's time projection and the wrapped time displacement dt
-    of triples (heads[b], rels[b], tails[b])."""
+    of triples (heads[lists[j]], rels[lists[j]], tails[j]).
+
+    Each (heads[q], rels[q]) query owns one list of tails; its relation rows
+    and the head's projection are computed once and gathered per tail.  dt is
+    the time map of the translated side minus that of the scaled side,
+    (p_a + u) - r * p_b, with the sign of `_sides`.
+    """
     n_t = params.n_t
-    a, b, sign = _sides(params, heads, tails)
     h = params.rel_h[rels]
-    translated_proj = np.einsum("bi,bi->b", h, params.coords[a, :n_t])
-    scaled_proj = np.einsum("bi,bi->b", h, params.coords[b, :n_t])
-    u_t, r_t = params.rel_u[rels, 0], params.rel_r[rels, 0]
-    dt = sign * _relation_map(translated_proj, u_t, r_t, scaled_proj)
-    return scaled_proj, _wrap(dt, params.geometry.cylinder_circumference)
+    head_proj = np.einsum("bi,bi->b", h, params.coords[heads, :n_t])[lists]
+    tail_proj = np.einsum("bi,bi->b", h[lists], params.coords[tails, :n_t])
+    proj_a, proj_b, sign = _sides(params, head_proj, tail_proj)
+    u_t, r_t = params.rel_u[rels, 0][lists], params.rel_r[rels, 0][lists]
+    dt = sign * ((proj_a + u_t) - r_t * proj_b)
+    return proj_b, _wrap(dt, params.geometry.cylinder_circumference)
 
 
 def _likelihood(tfd: TfdParams, dt, dx2, head_bias, tail_bias, rel_bias):
@@ -308,7 +312,7 @@ def _likelihood(tfd: TfdParams, dt, dx2, head_bias, tail_bias, rel_bias):
     z2 = -tfd.alpha * dt / tfd.tau2
     z3 = tfd.alpha_prime * dt / tfd.tau2
     zw = (s2w - tfd.u) / tfd.tau1
-    log_f = np.log(tfd.k_scale) - (softplus(z1) + softplus(z2) + softplus(z3)) / 3.0
+    log_f = -(softplus(z1) + softplus(z2) + softplus(z3)) / 3.0
     log_fw = -softplus(zw)
     log_p = (1.0 - tfd.beta) * log_f + tfd.beta * log_fw
 
@@ -327,34 +331,26 @@ def score(params: ModelParams, head: int, rel: int, tail: int) -> float:
     return float(score_many(params, [head], [rel], [tail])[0])
 
 
-# Candidate rows gathered per block of `score_tails`.  At WN18RR shape
-# (n_x = 500, 40,943 tails, 2-vCPU host) 64 rows measured fastest of 32 to
-# 4,096: the block and its temporaries stay in cache.  Any size gives the
+# Candidate rows gathered per block of `_score_lists`; each block also
+# gathers the relation rows of its candidates' lists.  On a 2-vCPU host, one
+# Hetionet-shape list over every entity (12,733 tails, n_x = 200) took a
+# median 4.6-4.7 ms at 128 rows against 5.3 ms at 64, and 1,000 lists of 81
+# took 27-28 ms against 31; 256 rows was no faster, and at WN18RR shape
+# (40,943 tails, n_x = 500) all three took 23-25 ms.  Any size gives the
 # same bits.
-_TAIL_BLOCK = 64
+_TAIL_BLOCK = 128
 
 
 def score_tails(params: ModelParams, head: int, rel: int, tails) -> np.ndarray:
     """Scores of (head, rel, t) for every candidate tail id in ``tails``.
 
-    Bit-identical to `score_many` on the same triples: every per-candidate
-    operation is the one `_forward` applies, with the head and relation side
-    computed once and the candidates walked in fixed blocks of rows.
+    One list of `_score_lists`: bit-identical to `score_many` on the same
+    triples, with the head and relation side computed once and the candidates
+    walked in tail-id order.
     """
     tails = np.asarray(tails, dtype=np.intp).reshape(-1)
     _check_ids(params, head, rel, tails)
-    n_t, n = params.n_t, tails.size
-    dt = _tail_dt(params, head, rel, tails)
-
-    head_x, u_x, r_x = params.coords[head, n_t:], params.rel_u[rel, 1:], params.rel_r[rel, 1:]
-    dx2 = np.empty(n)
-    for start in range(0, n, _TAIL_BLOCK):
-        x_a, x_b, _ = _sides(params, head_x, params.coords[tails[start : start + _TAIL_BLOCK], n_t:])
-        dx = _relation_map(x_a, u_x, r_x, x_b)
-        dx2[start : start + _TAIL_BLOCK] = np.einsum("bi,bi->b", dx, dx)
-    return _likelihood(
-        params.tfd, dt, dx2, params.node_bias[head], params.node_bias[tails], params.rel_c[rel]
-    )[-1]
+    return _score_lists(params, [head], [rel], tails[None])[0]
 
 
 def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
@@ -381,7 +377,7 @@ def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     t = tails.reshape(-1)[order]
     q = order // tails.shape[1]  # the list of each candidate
     h, k = heads[q], rels[q]
-    _, dt = _time_map(params, h, k, t)
+    _, dt = _time_map(params, heads, rels, t, q)
 
     head_x = params.coords[heads, n_t:]
     if params.swap_transforms:
@@ -402,18 +398,6 @@ def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     phi = np.empty(t.size)
     phi[order] = _likelihood(params.tfd, dt, dx2, params.node_bias[h], params.node_bias[t], params.rel_c[k])[-1]
     return phi.reshape(tails.shape)
-
-
-def _tail_dt(params: ModelParams, head: int, rel: int, tails: np.ndarray) -> np.ndarray:
-    """The wrapped time displacement of (head, rel, t) for every t in ``tails``,
-    with `_forward`'s operations."""
-    n_t = params.n_t
-    u, r = params.rel_u[rel, 0], params.rel_r[rel, 0]
-    h = params.rel_h[[rel]]
-    head_proj = np.einsum("bi,bi->b", h, params.coords[[head], :n_t])[0]
-    tail_proj = np.einsum("bi,bi->b", np.repeat(h, tails.size, axis=0), params.coords[tails, :n_t])
-    proj_a, proj_b, sign = _sides(params, head_proj, tail_proj)
-    return _wrap(sign * _relation_map(proj_a, u, r, proj_b), params.geometry.cylinder_circumference)
 
 
 # Entity rows per block of the screen's pass over the space columns: the
@@ -445,7 +429,7 @@ def _screen_tails(params: ModelParams, heads, rels):
     cross terms of every query as one matrix product, and the squared rows
     times r * r of each distinct relation (or times 1) as another; no
     (N, n_x) temporary is formed.  dt and the biases are the kernel's own:
-    `_tail_dt` and the same tables.
+    `_time_map`, with every entity as one list, and the same tables.
 
     *The rounding bound.*  With eps = 2^-53 the unit roundoff and gamma_k =
     k eps / (1 - k eps), a dot product of length n computed in any order,
@@ -520,7 +504,8 @@ def _screen_tails(params: ModelParams, heads, rels):
         np.matmul(weights, squared[:, n_t:].T, out=quad[:, rows])
     quad_norm = np.sqrt(quad)
 
-    tails, tail_bias = np.arange(n), np.abs(params.node_bias)
+    # Every entity as one list of tails.
+    tails, one_list, tail_bias = np.arange(n), np.zeros(n, dtype=np.intp), np.abs(params.node_bias)
     for q, (head, rel) in enumerate(zip(heads.tolist(), rels.tolist())):
         query_dx2 = dx2[q]
         query_dx2 += shared2[q]
@@ -529,9 +514,8 @@ def _screen_tails(params: ModelParams, heads, rels):
         dx2_err = 4.0 * gamma * (size * size)
 
         head_bias, rel_bias = params.node_bias[head], params.rel_c[rel]
-        z1, z2, z3, zw, log_p, phi = _likelihood(
-            tfd, _tail_dt(params, head, rel, tails), query_dx2, head_bias, params.node_bias, rel_bias
-        )
+        _, dt = _time_map(params, heads[q : q + 1], rels[q : q + 1], tails, one_list)
+        z1, z2, z3, zw, log_p, phi = _likelihood(tfd, dt, query_dx2, head_bias, params.node_bias, rel_bias)
         z_size = 1.0 + np.abs(z1) + np.abs(z2) + np.abs(z3) + np.abs(zw)
         log_p_drift = dx2_err / tfd.tau1 + 2.0 * _LIBM_ULPS * _UNIT_ROUNDOFF * z_size
         # 1 - p_max = |expm1(log p_max)|, which is +0 (an infinite slope, not
@@ -575,11 +559,12 @@ def scale_node_bias(params: ModelParams, gamma_b: float) -> ModelParams:
 #
 # Little-endian throughout.  Header: magic "PSEUDOE1", then n_t, n_x, N, n_r
 # and the variant tag as uint64 (bit 3 of the tag records swap_transforms),
-# then the likelihood parameters (tau1, tau2, u, alpha, alpha_prime, k, beta)
-# and the cylinder flag/circumference as float64.  Body, float64: the entity
-# tables one after the other (coords row-major, then node biases), then the
-# relation tables as one row-major (n_r, 2(1 + n_x) + n_t + 1) block whose
-# row k is u_vec, r_diag, h_vec and c_bias of relation k.
+# then the likelihood parameters (tau1, tau2, u, alpha, alpha_prime, k, beta;
+# the prefactor k is always 1) and the cylinder flag/circumference as
+# float64.  Body, float64: the entity tables one after the other (coords
+# row-major, then node biases), then the relation tables as one row-major
+# (n_r, 2(1 + n_x) + n_t + 1) block whose row k is u_vec, r_diag, h_vec and
+# c_bias of relation k.
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write the model to ``path``; loading it back is bit-exact."""
@@ -599,7 +584,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         tfd.u,
         tfd.alpha,
         tfd.alpha_prime,
-        tfd.k_scale,
+        1.0,  # k
         tfd.beta,
         0.0 if c is None else 1.0,
         0.0 if c is None else c,
@@ -620,14 +605,16 @@ def load_checkpoint(path) -> ModelParams:
     head_size = struct.calcsize("<8s5Q9d")
     if len(blob) < head_size or blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-    (_, n_t, n_x, n, n_r, tag, tau1, tau2, u, alpha, alpha_prime, k_scale, beta, has_c, c) = struct.unpack(
+    (_, n_t, n_x, n, n_r, tag, tau1, tau2, u, alpha, alpha_prime, k, beta, has_c, c) = struct.unpack(
         "<8s5Q9d", blob[:head_size]
     )
     variant = _VARIANT_FROM_CODE.get(tag & ~_SWAP_BIT)
     if variant is None:
         raise ValueError(f"{path}: unknown variant tag {tag}")
+    if k != 1.0:
+        raise ValueError(f"{path}: likelihood prefactor k = {k:g}, expected 1")
     geometry = GeometryConfig(Signature(n_t, n_x), c if has_c else None)
-    tfd = TfdParams(tau1=tau1, tau2=tau2, u=u, alpha=alpha, alpha_prime=alpha_prime, beta=beta, k_scale=k_scale)
+    tfd = TfdParams(tau1=tau1, tau2=tau2, u=u, alpha=alpha, alpha_prime=alpha_prime, beta=beta)
 
     shapes = _table_shapes(n, n_r, geometry.signature)
     widths = {name: math.prod(shape[1:]) for name, shape in shapes.items()}

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pseudoe.cli import RunConfig, main, resolve_config, write_resolved
+from pseudoe.cli import RunConfig, _tfd, _train_config, main, resolve_config, write_resolved
 from pseudoe.data import load_dataset
 from pseudoe.presets import PRESETS
 from pseudoe.synthetic import tree_clique_graph
@@ -85,8 +85,8 @@ class TestResolveConfig:
         # optional keys both with a value and none.
         changed = RunConfig(
             variant="both", n_t=2, n_x=9, circumference=2.5, swap_transforms=True, tau1=0.25, tau2=0.75,
-            u=0.3, alpha=0.4, alpha_prime=0.9, beta=0.6, k_scale=2.0, sigma_init=0.05, seed=42,
-            optimizer="sm3", learning_rate=0.01, batch_size=64, m_negatives=5, max_epochs=7, eval_every=2,
+            u=0.3, alpha=0.4, alpha_prime=0.9, beta=0.6, sigma_init=0.05, seed=42,
+            optimizer="sm3", learning_rate=0.01, batch_size=64, m_negatives=6, max_epochs=7, eval_every=2,
             patience=3, augment_reverse=True, protocol="fixed", negatives="negs.txt", data="d", out="o",
         )
         names = [f.name for f in dataclasses.fields(RunConfig)]
@@ -95,6 +95,10 @@ class TestResolveConfig:
             assert resolve_config(None, None, {n: str(getattr(config, n)) for n in names}) == config
             write_resolved(config, path)
             assert resolve_config(None, path) == config
+        # The likelihood and training settings carry every value of their keys.
+        for built in (_tfd(changed), _train_config(changed)):
+            for f in dataclasses.fields(built):
+                assert getattr(built, f.name) == getattr(changed, f.name), f.name
 
 
 class TestTrainCommand:
@@ -123,8 +127,14 @@ class TestTrainCommand:
         assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
 
     def test_bad_data_dir_exits_nonzero(self, tmp_path, capsys):
+        # A failed run leaves no output directory behind.
         assert main(["train", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        sweep = ["sweep-beta", "--betas", "0", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "s")]
+        assert main(sweep) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 @pytest.fixture(scope="module")

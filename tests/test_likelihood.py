@@ -46,8 +46,6 @@ class TestParams:
             TfdParams(tau1=1.0, tau2=1.0, u=0.0, alpha=1.5, alpha_prime=0.5)
         with pytest.raises(ValueError):
             TfdParams(tau1=1.0, tau2=1.0, u=0.0, alpha=0.5, alpha_prime=0.5, beta=1.2)
-        with pytest.raises(ValueError):
-            TfdParams(tau1=1.0, tau2=1.0, u=0.0, alpha=0.5, alpha_prime=0.5, k_scale=2.0)
 
 
 class TestLogFd:

@@ -127,7 +127,7 @@ class TestScore:
 class TestScoreTails:
     """The blocked 1-vs-all path gives exactly the bits of the batched kernel."""
 
-    @pytest.mark.parametrize("variant,n_t", [(Variant.DT, 1), (Variant.MT, 2), (Variant.BOTH, 3)])
+    @pytest.mark.parametrize("variant,n_t", [(Variant.DT, 1), (Variant.MT, 2), (Variant.MT, 41), (Variant.BOTH, 3)])
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("cylinder", [None, 2.5])
     def test_bit_equal_to_score_many(self, variant, n_t, swap, cylinder):
@@ -152,7 +152,7 @@ class TestScoreTails:
 class TestScoreLists:
     """Candidate lists scored per query give exactly the bits of the batched kernel."""
 
-    @pytest.mark.parametrize("variant,n_t", [(Variant.DT, 1), (Variant.MT, 2), (Variant.BOTH, 3)])
+    @pytest.mark.parametrize("variant,n_t", [(Variant.DT, 1), (Variant.MT, 2), (Variant.MT, 41), (Variant.BOTH, 3)])
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("cylinder", [None, 2.5])
     def test_bit_equal_to_score_many(self, variant, n_t, swap, cylinder):
@@ -288,7 +288,7 @@ class TestCheckpoint:
         tag = {Variant.MT: 0, Variant.DT: 1, Variant.BOTH: 2}[variant] | (8 if swap else 0)
         expected = struct.pack(
             "<8s5Q9d", b"PSEUDOE1", n_t, 2, 5, 3, tag, tfd.tau1, tfd.tau2, tfd.u, tfd.alpha, tfd.alpha_prime,
-            tfd.k_scale, tfd.beta, 0.0 if cylinder is None else 1.0, 0.0 if cylinder is None else cylinder,
+            1.0, tfd.beta, 0.0 if cylinder is None else 1.0, 0.0 if cylinder is None else cylinder,
         )
         values = [float(v) for row in params.coords for v in row] + [float(v) for v in params.node_bias]
         for k in range(3):
@@ -319,6 +319,19 @@ class TestCheckpoint:
         bad.write_bytes(b"NOTMODEL" + b"\x00" * 200)
         with pytest.raises(ValueError):
             load_checkpoint(bad)
+
+    def test_prefactor_other_than_one_rejected(self, tmp_path):
+        # The header's k slot follows magic, five counts and five likelihood
+        # parameters; the model has no prefactor but 1.
+        path = tmp_path / "k.ckpt"
+        save_checkpoint(make_random_model(seed=1), path)
+        blob = bytearray(path.read_bytes())
+        k_offset = struct.calcsize("<8s5Q5d")
+        assert struct.unpack_from("<d", blob, k_offset) == (1.0,)
+        struct.pack_into("<d", blob, k_offset, 2.0)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="prefactor k = 2, expected 1"):
+            load_checkpoint(path)
 
     def test_truncated_body_rejected(self, tmp_path):
         params = make_random_model(seed=1)
