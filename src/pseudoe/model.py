@@ -238,12 +238,7 @@ def _sides(params: ModelParams, head, tail):
 
 def _wrap(dt, c: float | None):
     """dt wrapped onto [-c/2, c/2) on a time cylinder of circumference c."""
-    if c is None:
-        return dt
-    w = dt - c * np.floor(dt / c + 0.5)
-    # At the seam the rounded quotient can leave w just outside the range
-    # (dt = 3.0, c = 0.4 gives -0.20000000000000018); shifting it by c is exact.
-    return w + c * (w < -0.5 * c) - c * (w >= 0.5 * c)
+    return dt if c is None else dt - c * np.floor(dt / c + 0.5)
 
 
 def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
