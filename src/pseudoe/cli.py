@@ -134,14 +134,6 @@ def _from_config(cls, config: RunConfig):
     return cls(**{f.name: getattr(config, f.name) for f in dataclasses.fields(cls)})
 
 
-def _tfd(config: RunConfig) -> TfdParams:
-    return _from_config(TfdParams, config)
-
-
-def _train_config(config: RunConfig) -> TrainConfig:
-    return _from_config(TrainConfig, config)
-
-
 def _protocol(config: RunConfig, store) -> EvalProtocol:
     if config.protocol == "full":
         return EvalProtocol()
@@ -175,9 +167,9 @@ def cmd_train(args) -> int:
     store = load_dataset(config.data)
     params, log = training.train(
         store,
-        _train_config(config),
+        _from_config(TrainConfig, config),
         _geometry(config),
-        _tfd(config),
+        _from_config(TfdParams, config),
         Variant(config.variant),
         init_cfg=InitConfig(sigma_init=config.sigma_init, seed=config.seed),
         protocol=_protocol(config, store),
@@ -264,8 +256,8 @@ def cmd_sweep_beta(args) -> int:
         params = None
 
         def retrain(beta, rep):
-            cfg = dataclasses.replace(_train_config(config), seed=config.seed + rep)
-            tfd = dataclasses.replace(_tfd(config), beta=float(beta))
+            cfg = dataclasses.replace(_from_config(TrainConfig, config), seed=config.seed + rep)
+            tfd = dataclasses.replace(_from_config(TfdParams, config), beta=float(beta))
             trained, _ = training.train(
                 store,
                 cfg,

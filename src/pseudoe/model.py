@@ -247,7 +247,7 @@ def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
     rels = np.asarray(rels, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
     n_t, n_r = params.n_t, params.n_relations
-    scaled_proj, dt = _time_map(params, heads, rels, tails, np.arange(heads.size))
+    scaled_proj, dt = _time_map(params, heads, rels, tails, slice(None))
     a, b, _ = _sides(params, heads, tails)
 
     # The space map (x_a + u) - r * x_b, the translated side minus the scaled
@@ -287,9 +287,12 @@ def _time_map(params: ModelParams, heads, rels, tails, lists):
     of triples (heads[lists[j]], rels[lists[j]], tails[j]).
 
     Each (heads[q], rels[q]) query owns one list of tails; its relation rows
-    and the head's projection are computed once and gathered per tail.  dt is
-    the time map of the translated side minus that of the scaled side,
-    (p_a + u) - r * p_b, with the sign of `_sides`.
+    and the head's projection are computed once and gathered per tail.
+    `lists` is an index array, or ``slice(None)`` when tails[j] belongs to
+    query j, as in `_forward`: the same bits without copying the rows (the
+    copies cost 1-2% of a training-sized `_forward`).  dt is the time map of
+    the translated side minus that of the scaled side, (p_a + u) - r * p_b,
+    with the sign of `_sides`.
     """
     n_t = params.n_t
     h = params.rel_h[rels]

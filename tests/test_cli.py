@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pseudoe.cli import RunConfig, _tfd, _train_config, main, resolve_config, write_resolved
+from pseudoe.cli import RunConfig, _from_config, main, resolve_config, write_resolved
 from pseudoe.data import load_dataset
+from pseudoe.likelihood import TfdParams
 from pseudoe.presets import PRESETS
 from pseudoe.synthetic import tree_clique_graph
+from pseudoe.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +98,7 @@ class TestResolveConfig:
             write_resolved(config, path)
             assert resolve_config(None, path) == config
         # The likelihood and training settings carry every value of their keys.
-        for built in (_tfd(changed), _train_config(changed)):
+        for built in (_from_config(TfdParams, changed), _from_config(TrainConfig, changed)):
             for f in dataclasses.fields(built):
                 assert getattr(built, f.name) == getattr(changed, f.name), f.name
 
