@@ -11,9 +11,11 @@ every intermediate the backward pass needs; `score` and `score_many` are its
 scores.  Candidate tails have one exact scorer, `_score_lists`: one list of
 tails per (head, relation) query, walked in tail-id order in blocks, with
 `_forward`'s operations and bits; `score_tails` is one such list.  All of
-them, and the certified screen `_screen_tails`, take dt from one time map,
-`_time_map`.  The tests check the kernel against a step-by-step
-single-triple oracle (`tests/reference.py`).
+them, and the certified screen `_screen_tails`, share one time map
+(`_time_map`, dt), one space map (`_head_side` and `_space_map`, dx; the
+screen expands it) and one likelihood (`_likelihood`), and only `_sides`
+reads which side each relation map acts on.  The tests check the kernel
+against a step-by-step single-triple oracle (`tests/reference.py`).
 
 Also here: the one declaration of the six parameter tables and of what each
 variant freezes (`TABLES`, `FROZEN`), parameter initialization, node-bias
@@ -246,20 +248,13 @@ def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
     heads = np.asarray(heads, dtype=np.intp)
     rels = np.asarray(rels, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
-    n_t, n_r = params.n_t, params.n_relations
+    n_r = params.n_relations
     scaled_proj, dt = _time_map(params, heads, rels, tails, slice(None))
-    a, b, _ = _sides(params, heads, tails)
-
-    # The space map (x_a + u) - r * x_b, the translated side minus the scaled
-    # side, with x_a + u computed once per distinct (translated entity,
-    # relation) pair: the negatives of a positive share its translated side in
-    # tail-only mode.  Two row-sized buffers.
-    pairs, pair_of_row = np.unique(a * n_r + rels, return_inverse=True)
-    translated = params.coords[pairs // n_r, n_t:] + params.rel_u[pairs % n_r, 1:]
-    dx = params.coords[b, n_t:]
-    scratch = params.rel_r[rels, 1:]
-    dx *= scratch
-    np.subtract(np.take(translated, pair_of_row, axis=0, out=scratch, mode="clip"), dx, out=dx)
+    # The head side once per distinct (head, relation) pair: the negatives of
+    # a positive share it in tail-only mode.
+    pairs, pair_of_row = np.unique(heads * n_r + rels, return_inverse=True)
+    pair_rels = pairs % n_r
+    dx = _space_map(params, _head_side(params, pairs // n_r, pair_rels), pair_rels, tails, pair_of_row)
 
     dx2 = np.einsum("bi,bi->b", dx, dx)
     z1, z2, z3, zw, log_p, phi = _likelihood(
@@ -302,6 +297,28 @@ def _time_map(params: ModelParams, heads, rels, tails, lists):
     u_t, r_t = params.rel_u[rels, 0][lists], params.rel_r[rels, 0][lists]
     dt = sign * ((proj_a + u_t) - r_t * proj_b)
     return proj_b, _wrap(dt, params.geometry.cylinder_circumference)
+
+
+def _head_side(params: ModelParams, heads, rels):
+    """The head's side of the space map: x_h + u, or x_h * r when swapped."""
+    (op, table), _, _ = _sides(params, (np.add, params.rel_u), (np.multiply, params.rel_r))
+    return op(params.coords[heads, params.n_t :], table[rels, 1:])
+
+
+def _space_map(params: ModelParams, head_side, rels, tails, lists):
+    """The space displacement dx of tails[j] against query lists[j], whose
+    head side is head_side[lists[j]] and relation rels[lists[j]]: the
+    translated side minus the scaled side, (x_a + u) - r * x_b, by `_sides`.
+
+    Two row-sized buffers: the tail rows, mapped in place, and the relation
+    rows, overwritten by the gathered head sides.
+    """
+    _, (op, table), _ = _sides(params, (np.add, params.rel_u), (np.multiply, params.rel_r))
+    tail_side = params.coords[tails, params.n_t :]
+    scratch = table[rels[lists], 1:]
+    op(tail_side, scratch, out=tail_side)
+    translated, scaled, _ = _sides(params, np.take(head_side, lists, axis=0, out=scratch, mode="clip"), tail_side)
+    return np.subtract(translated, scaled, out=tail_side)
 
 
 def _likelihood(tfd: TfdParams, dt, dx2, head_bias, tail_bias, rel_bias):
@@ -361,11 +378,10 @@ def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     ids: one candidate list per query.
 
     Bit-identical to `score_many` on the same triples: each candidate gets
-    `_forward`'s operations, with the head's side of the space map, x_h + u
-    (or r * x_h when swapped), computed once per list.  The candidates are
-    scored in the order of their tail ids, in `_TAIL_BLOCK`-row blocks, so
-    that the entity table is read front to back and only the small per-list
-    table is read at random.  At Hetionet shape (1,000 lists of 81 over
+    `_forward`'s operations, with `_head_side` computed once per list.  The
+    candidates are scored in the order of their tail ids, in
+    `_TAIL_BLOCK`-row blocks, so that the entity table is read front to back
+    and only the small per-list table is read at random.  At Hetionet shape (1,000 lists of 81 over
     12,733 entities, 2-vCPU host) candidates taken in list order gathered
     table rows at random from the shared last-level cache, and the time of a
     split followed the load other processes put on that cache: it was slower
@@ -375,28 +391,16 @@ def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     heads = np.asarray(heads, dtype=np.intp)
     rels = np.asarray(rels, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
-    n_t = params.n_t
     order = np.argsort(tails, axis=None)
     t = tails.reshape(-1)[order]
     q = order // tails.shape[1]  # the list of each candidate
     h, k = heads[q], rels[q]
     _, dt = _time_map(params, heads, rels, t, q)
-
-    head_x = params.coords[heads, n_t:]
-    if params.swap_transforms:
-        head_side = head_x * params.rel_r[rels, 1:]
-    else:
-        head_side = head_x + params.rel_u[rels, 1:]
+    head_side = _head_side(params, heads, rels)
     dx2 = np.empty(t.size)
     for start in range(0, t.size, _TAIL_BLOCK):
         block = slice(start, start + _TAIL_BLOCK)
-        dx = params.coords[t[block], n_t:]
-        if params.swap_transforms:  # (x_t + u) - r * x_h
-            dx += params.rel_u[k[block], 1:]
-            np.subtract(dx, head_side[q[block]], out=dx)
-        else:  # (x_h + u) - r * x_t
-            dx *= params.rel_r[k[block], 1:]
-            np.subtract(head_side[q[block]], dx, out=dx)
+        dx = _space_map(params, head_side, rels, t[block], q[block])
         dx2[block] = np.einsum("bi,bi->b", dx, dx)
     phi = np.empty(t.size)
     phi[order] = _likelihood(params.tfd, dt, dx2, params.node_bias[h], params.node_bias[t], params.rel_c[k])[-1]
@@ -419,19 +423,19 @@ def _screen_tails(params: ModelParams, heads, rels):
     its tail and a margin: yields ``(phi, margin)`` arrays over all entities
     such that the exact score (`score_tails`) lies within ``margin`` of ``phi``.
 
-    *The expansion.*  Write the kernel's space displacement as dx = p + q,
-    where one vector is shared by the whole query and the other belongs to the
-    candidate c:
-
-    - by default p = fl(x_h + u), which the kernel computes bit for bit, and
-      q = -r * x_c, so |dx|^2 = |p|^2 - 2 (r * p) . x_c + (r * r) . (x_c * x_c);
-    - swapped, p = x_c and q = u - fl(r * x_h), so |dx|^2 = (x_c * x_c) . 1 +
-      2 q . x_c + |q|^2.
+    *The expansion.*  Let H be the query's head side, fl(x_h + u) or, when
+    swapped, fl(x_h * r), which the kernel computes bit for bit
+    (`_head_side`), and (u_c, s) the candidate c's own map: (0, r) by default,
+    where the kernel forms H - r * x_c, and (u, 1) when swapped, where it
+    forms (x_c + u) - H.  Up to sign both are dx = p - q with p = fl(H) - u_c
+    shared by the query and q = s * x_c, so |dx|^2 = |p|^2 - 2 (s * p) . x_c
+    + (s * s) . (x_c * x_c).  `_sides` gives (u_c, s) and the key of the
+    weight rows s * s: the relation by default, one row of ones when swapped.
 
     One pass over the entity table in `_SCREEN_BLOCK`-row blocks computes the
     cross terms of every query as one matrix product, and the squared rows
-    times r * r of each distinct relation (or times 1) as another; no
-    (N, n_x) temporary is formed.  dt and the biases are the kernel's own:
+    times each distinct weight row as another; no (N, n_x) temporary is
+    formed.  dt and the biases are the kernel's own:
     `_time_map`, with every entity as one list, and the same tables.
 
     *The rounding bound.*  With eps = 2^-53 the unit roundoff and gamma_k =
@@ -479,16 +483,12 @@ def _screen_tails(params: ModelParams, heads, rels):
     rels = np.asarray(rels, dtype=np.intp).reshape(-1)
     n, n_t, n_x, tfd = params.n_entities, params.n_t, params.n_x, params.tfd
     u, r = params.rel_u[rels, 1:], params.rel_r[rels, 1:]
-    head_x = params.coords[heads, n_t:]
-    if params.swap_transforms:
-        shared = u - r * head_x
-        cross = 2.0 * shared
-        weights, weight_of_query = np.ones((1, n_x)), np.zeros(rels.size, dtype=np.intp)
-    else:
-        shared = head_x + u
-        cross = -2.0 * (r * shared)
-        kinds, weight_of_query = np.unique(rels, return_inverse=True)
-        weights = params.rel_r[kinds, 1:] * params.rel_r[kinds, 1:]
+    # The candidate's own translation and scale, and the key of its weight row.
+    _, (u_c, s, key), _ = _sides(params, (u, np.ones_like(r), np.zeros_like(rels)), (0.0, r, rels))
+    shared = _head_side(params, heads, rels) - u_c
+    cross = -2.0 * (s * shared)
+    _, first, weight_of_query = np.unique(key, return_index=True, return_inverse=True)
+    weights = s[first] * s[first]
     shared2 = np.einsum("qi,qi->q", shared, shared)
     gamma = (n_x + 4) * _UNIT_ROUNDOFF / (1.0 - (n_x + 4) * _UNIT_ROUNDOFF)
 

@@ -75,6 +75,19 @@ class TestScore:
                 pipeline_score(params, int(h), k, int(t)), rel=1e-12, abs=1e-12
             )
 
+    @pytest.mark.parametrize("variant,n_t", [(Variant.DT, 1), (Variant.MT, 2), (Variant.BOTH, 3)])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_batch_composition_keeps_bits(self, variant, n_t, swap):
+        # The kernel shares work between the rows of a batch; no row's score
+        # may depend on which other rows share it.
+        params = make_random_model(n_entities=80, n_relations=4, n_t=n_t, n_x=7, variant=variant, seed=12, swap=swap)
+        rng = np.random.default_rng(6)
+        tail_only = np.column_stack([np.full(60, 3), np.full(60, 1), rng.integers(0, 80, 60)])
+        head_corruption = np.column_stack([np.append(rng.integers(0, 80, 19), 3), np.full(20, 2), np.full(20, 5)])
+        heads, rels, tails = np.concatenate([tail_only, head_corruption]).T
+        alone = [score_many(params, [h], [k], [t])[0] for h, k, t in zip(heads, rels, tails)]
+        np.testing.assert_array_equal(score_many(params, heads, rels, tails), alone)
+
     def test_bias_shift_moves_score_exactly(self):
         params = make_random_model(seed=3)
         base = score(params, 1, 0, 2)
