@@ -239,8 +239,19 @@ def _sides(params: ModelParams, head, tail):
 
 
 def _wrap(dt, c: float | None):
-    """dt wrapped onto [-c/2, c/2) on a time cylinder of circumference c."""
-    return dt if c is None else dt - c * np.floor(dt / c + 0.5)
+    """dt wrapped onto [-c/2, c/2) on a time cylinder of circumference c.
+
+    The quotient dt / c is rounded, so at the seam dt - c * floor(dt / c +
+    0.5) can land just outside the interval.  Only such values are shifted
+    by c, in place: there c/2 <= |w| <= 2c, so the shift is exact (Sterbenz),
+    and every in-range value keeps its bits, -0.0 included.
+    """
+    if c is None:
+        return dt
+    w = np.asarray(dt - c * np.floor(dt / c + 0.5))
+    np.add(w, c, out=w, where=w < -c / 2)
+    np.subtract(w, c, out=w, where=w >= c / 2)
+    return w
 
 
 def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:

@@ -51,8 +51,13 @@ def relation_maps(head, tail, h, u, r, variant, swap=False):
 
 
 def wrap_time(dt, c):
-    """dt on a time circle of circumference c: its representative in [-c/2, c/2)."""
-    return dt - c * np.floor(dt / c + 0.5)
+    """dt on a time circle of circumference c: its representative in [-c/2, c/2).
+
+    The rounded quotient can leave dt - c * floor(dt / c + 0.5) just outside
+    the interval at the seam; such a value is moved back by one turn.
+    """
+    w = dt - c * np.floor(dt / c + 0.5)
+    return w + c if w < -c / 2 else w - c if w >= c / 2 else w
 
 
 def squared_interval(dt, dx):

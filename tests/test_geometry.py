@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from pseudoe.geometry import GeometryConfig, Signature
 from pseudoe.model import _wrap
@@ -44,10 +44,17 @@ class TestWrapTime:
         assert _wrap(4.0, 8.0) == -4.0
 
     @given(t=st.floats(-50, 50), c=st.floats(0.1, 20), k=st.integers(-3, 3))
+    @example(t=3.0, c=0.4, k=2)
+    @example(t=-0.5, c=1 / 3, k=-2)
     def test_periodicity(self, t, c, k):
-        assert _wrap(t + k * c, c) == pytest.approx(_wrap(t, c), abs=1e-9 * c)
+        # t + k * c is itself rounded, so at the seam the two wraps can sit
+        # at opposite ends of [-c/2, c/2): compare them as points of the circle.
+        d = abs(_wrap(t + k * c, c) - _wrap(t, c))
+        assert min(d, c - d) <= 1e-9 * c
 
     @given(t=st.floats(-1e5, 1e5), c=st.floats(0.1, 100))
+    @example(t=3.0, c=0.4)  # the rounded quotient used to give -0.20000000000000018
+    @example(t=-0.5, c=1 / 3)
     def test_range(self, t, c):
         w = _wrap(t, c)
         assert -c / 2 <= w < c / 2
