@@ -134,6 +134,18 @@ def _from_config(cls, config: RunConfig):
     return cls(**{f.name: getattr(config, f.name) for f in dataclasses.fields(cls)})
 
 
+def _run_settings(config: RunConfig):
+    """The training, likelihood, geometry and init settings and the variant of
+    ``config``; building them checks every key before any data loads."""
+    return (
+        _from_config(TrainConfig, config),
+        _from_config(TfdParams, config),
+        _geometry(config),
+        InitConfig(sigma_init=config.sigma_init, seed=config.seed),
+        Variant(config.variant),
+    )
+
+
 def _protocol(config: RunConfig, store) -> EvalProtocol:
     if config.protocol == "full":
         return EvalProtocol()
@@ -164,14 +176,15 @@ def _store_for_params(params, store):
 
 def cmd_train(args) -> int:
     config = resolve_config(args.preset, args.config, _collect_overrides(args))
+    train_cfg, tfd, geometry, init_cfg, variant = _run_settings(config)
     store = load_dataset(config.data)
     params, log = training.train(
         store,
-        _from_config(TrainConfig, config),
-        _geometry(config),
-        _from_config(TfdParams, config),
-        Variant(config.variant),
-        init_cfg=InitConfig(sigma_init=config.sigma_init, seed=config.seed),
+        train_cfg,
+        geometry,
+        tfd,
+        variant,
+        init_cfg=init_cfg,
         protocol=_protocol(config, store),
         swap_transforms=config.swap_transforms,
     )
@@ -241,6 +254,7 @@ def cmd_rank(args) -> int:
 
 def cmd_sweep_beta(args) -> int:
     config = resolve_config(args.preset, args.config, _collect_overrides(args))
+    train_cfg, tfd, geometry, init_cfg, variant = _run_settings(config)
     betas = [float(b) for b in args.betas.split(",")]
     store = load_dataset(config.data)
     if args.checkpoint:
@@ -256,15 +270,14 @@ def cmd_sweep_beta(args) -> int:
         params = None
 
         def retrain(beta, rep):
-            cfg = dataclasses.replace(_from_config(TrainConfig, config), seed=config.seed + rep)
-            tfd = dataclasses.replace(_from_config(TfdParams, config), beta=float(beta))
+            seed = config.seed + rep
             trained, _ = training.train(
                 store,
-                cfg,
-                _geometry(config),
-                tfd,
-                Variant(config.variant),
-                init_cfg=InitConfig(sigma_init=config.sigma_init, seed=config.seed + rep),
+                dataclasses.replace(train_cfg, seed=seed),
+                geometry,
+                dataclasses.replace(tfd, beta=float(beta)),
+                variant,
+                init_cfg=dataclasses.replace(init_cfg, seed=seed),
                 protocol=protocol,
                 swap_transforms=config.swap_transforms,
             )

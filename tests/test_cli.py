@@ -254,6 +254,23 @@ class TestSweepAndStats:
         assert capsys.readouterr().err == "error: repeats must be >= 1, got 0\n"
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_checkpoint_sweep_checks_every_key(self, toy_data, trained, tmp_path, capsys):
+        # Rescoring a checkpoint trains nothing, but a setting no run accepts
+        # is still a one-line error, raised before anything is written.
+        ckpt, out = str(trained / "model.ckpt"), tmp_path / "s"
+        sweep = ["sweep-beta", "--data", str(toy_data), "--out", str(out), "--betas", "0", "--checkpoint", ckpt]
+        for bad in (
+            ["--set", "m_negatives", "5", "--set", "optimizer", "nonsense"],
+            ["--set", "optimizer", "nonsense"],
+            ["--set", "tau1", "-1"],
+            ["--set", "variant", "xt"],
+            ["--set", "sigma_init", "0"],
+        ):
+            assert main(sweep + bad) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_no_thread_setting(self, toy_data, trained, tmp_path, monkeypatch, capsys):
         # Evaluation runs on one thread: no flag, config key or environment
         # variable sets a thread count.
