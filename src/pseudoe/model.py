@@ -446,8 +446,8 @@ def _screen_tails(params: ModelParams, heads, rels):
     One pass over the entity table in `_SCREEN_BLOCK`-row blocks computes the
     cross terms of every query as one matrix product, and the squared rows
     times each distinct weight row as another; no (N, n_x) temporary is
-    formed.  dt and the biases are the kernel's own:
-    `_time_map`, with every entity as one list, and the same tables.
+    formed.  dt and the biases are the kernel's own: `_time_map`, with every
+    entity as one list, and the same tables.
 
     *The rounding bound.*  With eps = 2^-53 the unit roundoff and gamma_k =
     k eps / (1 - k eps), a dot product of length n computed in any order,
