@@ -259,15 +259,12 @@ def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
     heads = np.asarray(heads, dtype=np.intp)
     rels = np.asarray(rels, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
-    n_r = params.n_relations
     scaled_proj, dt = _time_map(params, heads, rels, tails, slice(None))
     # The head side once per distinct (head, relation) pair: the negatives of
     # a positive share it in tail-only mode.
-    pairs, pair_of_row = np.unique(heads * n_r + rels, return_inverse=True)
-    pair_rels = pairs % n_r
-    dx = _space_map(params, _head_side(params, pairs // n_r, pair_rels), pair_rels, tails, pair_of_row)
-
-    dx2 = np.einsum("bi,bi->b", dx, dx)
+    pairs, pair_of_row = np.unique(heads * params.n_relations + rels, return_inverse=True)
+    pair_heads, pair_rels = np.divmod(pairs, params.n_relations)
+    dx, dx2 = _space_map(params, _head_side(params, pair_heads, pair_rels), pair_rels, tails, pair_of_row)
     z1, z2, z3, zw, log_p, phi = _likelihood(
         params.tfd, dt, dx2, params.node_bias[heads], params.node_bias[tails], params.rel_c[rels]
     )
@@ -317,9 +314,10 @@ def _head_side(params: ModelParams, heads, rels):
 
 
 def _space_map(params: ModelParams, head_side, rels, tails, lists):
-    """The space displacement dx of tails[j] against query lists[j], whose
-    head side is head_side[lists[j]] and relation rels[lists[j]]: the
-    translated side minus the scaled side, (x_a + u) - r * x_b, by `_sides`.
+    """dx and |dx|^2 of tails[j] against query lists[j], whose head side is
+    head_side[lists[j]] and relation rels[lists[j]]: dx is the space map of
+    the translated side minus that of the scaled side, (x_a + u) - r * x_b,
+    by `_sides`.
 
     Two row-sized buffers: the tail rows, mapped in place, and the relation
     rows, overwritten by the gathered head sides.
@@ -329,7 +327,8 @@ def _space_map(params: ModelParams, head_side, rels, tails, lists):
     scratch = table[rels[lists], 1:]
     op(tail_side, scratch, out=tail_side)
     translated, scaled, _ = _sides(params, np.take(head_side, lists, axis=0, out=scratch, mode="clip"), tail_side)
-    return np.subtract(translated, scaled, out=tail_side)
+    dx = np.subtract(translated, scaled, out=tail_side)
+    return dx, np.einsum("bi,bi->b", dx, dx)
 
 
 def _likelihood(tfd: TfdParams, dt, dx2, head_bias, tail_bias, rel_bias):
@@ -411,8 +410,9 @@ def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     dx2 = np.empty(t.size)
     for start in range(0, t.size, _TAIL_BLOCK):
         block = slice(start, start + _TAIL_BLOCK)
-        dx = _space_map(params, head_side, rels, t[block], q[block])
-        dx2[block] = np.einsum("bi,bi->b", dx, dx)
+        # dx is not kept: with three blocks live, glibc gave its heap top back
+        # and faulted it in again for every block (2x slower at WN18RR shape).
+        dx2[block] = _space_map(params, head_side, rels, t[block], q[block])[1]
     phi = np.empty(t.size)
     phi[order] = _likelihood(params.tfd, dt, dx2, params.node_bias[h], params.node_bias[t], params.rel_c[k])[-1]
     return phi.reshape(tails.shape)
@@ -494,7 +494,6 @@ def _screen_tails(params: ModelParams, heads, rels):
     rels = np.asarray(rels, dtype=np.intp).reshape(-1)
     n, n_t, n_x, tfd = params.n_entities, params.n_t, params.n_x, params.tfd
     u, r = params.rel_u[rels, 1:], params.rel_r[rels, 1:]
-    # The candidate's own translation and scale, and the key of its weight row.
     _, (u_c, s, key), _ = _sides(params, (u, np.ones_like(r), np.zeros_like(rels)), (0.0, r, rels))
     shared = _head_side(params, heads, rels) - u_c
     cross = -2.0 * (s * shared)
