@@ -125,10 +125,6 @@ def write_resolved(config: RunConfig, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _geometry(config: RunConfig) -> GeometryConfig:
-    return GeometryConfig(Signature(config.n_t, config.n_x), config.circumference)
-
-
 def _from_config(cls, config: RunConfig):
     """An instance of dataclass ``cls`` whose every field is the `RunConfig` key of its name."""
     return cls(**{f.name: getattr(config, f.name) for f in dataclasses.fields(cls)})
@@ -140,7 +136,7 @@ def _run_settings(config: RunConfig):
     return (
         _from_config(TrainConfig, config),
         _from_config(TfdParams, config),
-        _geometry(config),
+        GeometryConfig(Signature(config.n_t, config.n_x), config.circumference),
         InitConfig(sigma_init=config.sigma_init, seed=config.seed),
         Variant(config.variant),
     )
