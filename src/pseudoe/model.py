@@ -391,12 +391,12 @@ def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     `_forward`'s operations, with `_head_side` computed once per list.  The
     candidates are scored in the order of their tail ids, in
     `_TAIL_BLOCK`-row blocks, so that the entity table is read front to back
-    and only the small per-list table is read at random.  At Hetionet shape (1,000 lists of 81 over
-    12,733 entities, 2-vCPU host) candidates taken in list order gathered
-    table rows at random from the shared last-level cache, and the time of a
-    split followed the load other processes put on that cache: it was slower
-    and its spread from one stretch of seconds to the next about twice as
-    wide.
+    and only the small per-list table is read at random.  At Hetionet
+    shape (1,000 lists of 81 over 12,733 entities, 2-vCPU host) candidates
+    taken in list order gathered table rows at random from the shared
+    last-level cache, and the time of a split followed the load other
+    processes put on that cache: it was slower and its spread from one
+    stretch of seconds to the next about twice as wide.
     """
     heads = np.asarray(heads, dtype=np.intp)
     rels = np.asarray(rels, dtype=np.intp)
