@@ -53,7 +53,7 @@ class TestWrapTime:
         assert min(d, c - d) <= 1e-9 * c
 
     @given(t=st.floats(-1e5, 1e5), c=st.floats(0.1, 100))
-    @example(t=3.0, c=0.4)  # the rounded quotient used to give -0.20000000000000018
+    @example(t=3.0, c=0.4)  # the rounded quotient alone gives -0.20000000000000018
     @example(t=-0.5, c=1 / 3)
     def test_range(self, t, c):
         w = _wrap(t, c)
