@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +35,8 @@ from enum import Enum
 import numpy as np
 
 from .likelihood import sigmoid, softplus
-from .model import FROZEN, TABLES, ModelParams, _check_ids, _forward, _sides, init as model_init, InitConfig
+from .model import FROZEN, TABLES, _TAIL_BLOCK, InitConfig, ModelParams, _check_ids, _forward, _sides
+from .model import init as model_init
 from .relmaps import Variant
 
 __all__ = [
@@ -211,11 +213,12 @@ def gradients(params: ModelParams, batch: np.ndarray, negatives: np.ndarray) -> 
 
 
 class _Segments:
-    """Rows grouped by key, summed per key exactly as ``np.add.at`` sums them.
+    """Rows grouped by key, added into a zeroed table as ``np.add.at`` adds them.
 
-    ``np.add.at(np.zeros(size), keys, values)`` adds each row to its key's
-    total in row order, starting from 0.0.  `sum` keeps that order per key, so
-    every total, signed zeros included, has the same bits:
+    ``np.add.at(out, keys, values)`` adds each row to its key's row of
+    ``out`` in row order.  `sum` keeps that order per key, so that on a table
+    that holds 0.0 at every key each total, signed zeros included, has the
+    same bits:
 
     - 1-D values and single columns go through ``np.bincount``, which adds in
       row order (``np.add.reduce`` would sum a single column pairwise);
@@ -225,8 +228,7 @@ class _Segments:
       key's r-th row, so no round repeats a key.  The split minimizes the
       number of numpy calls, reduces plus rounds.
 
-    ``keys`` lists the distinct keys, most repeated first, in the order of
-    the sums.
+    ``keys`` lists the distinct keys, most repeated first.
     """
 
     def __init__(self, keys):
@@ -252,24 +254,46 @@ class _Segments:
         # Keys still adding in round r: those with more than r rows.
         self._round_sizes = counts.size - np.cumsum(np.bincount(counts))[:-1]
 
-    def sum(self, values: np.ndarray) -> np.ndarray:
-        n_keys = self.keys.size
-        if values.ndim == 1 or values.shape[1] == 1:
-            sums = np.bincount(self._group, weights=values.reshape(-1), minlength=n_keys)
-            return sums.reshape((n_keys,) + values.shape[1:])
-        sums = np.empty((n_keys,) + values.shape[1:])
-        for key, rows in enumerate(self._reduced):
-            np.add.reduce(values[rows], axis=0, initial=0.0, out=sums[key])
-        # Round 0 adds each key's first row to 0.0: that row, taken in place,
-        # plus 0.0, which turns -0.0 into 0.0 as np.add.at does.
-        rounds = sums[len(self._reduced) :]
-        done = len(rounds)
-        np.take(values, self._round_rows[:done], axis=0, out=rounds, mode="clip")
-        rounds += 0.0
-        for size in self._round_sizes[1:]:
-            rounds[:size] += values[self._round_rows[done : done + size]]
+    def sum(self, take, out: np.ndarray) -> None:
+        """Add every row into ``out[key]``, where ``out`` holds 0.0 at every key.
+
+        ``take(rows, buffer)`` writes the values of the given rows into
+        ``buffer`` and returns it.  Wide rows are read `_TAIL_BLOCK` at a
+        time, so a caller can form them on the fly, and reads of ``out`` are
+        limited to keys already written.
+        """
+        n_rows, shape = self._group.size, out.shape[1:]
+        if math.prod(shape) == 1:
+            values = take(np.arange(n_rows), np.empty((n_rows, *shape))).reshape(-1)
+            out[self.keys] = np.bincount(self._group, weights=values, minlength=self.keys.size).reshape(-1, *shape)
+            return
+        buffer = np.empty((1 + _TAIL_BLOCK, *shape))
+        for key, rows in zip(self.keys.tolist(), self._reduced):
+            # Each block is reduced after the total so far, which starts at 0.0.
+            buffer[0] = 0.0
+            for start in range(0, rows.size, _TAIL_BLOCK):
+                block = rows[start : start + _TAIL_BLOCK]
+                take(block, buffer[1 : 1 + block.size])
+                np.add.reduce(buffer[: 1 + block.size], axis=0, out=out[key])
+                buffer[0] = out[key]
+        keys, rows = self.keys[len(self._reduced) :], self._round_rows
+        done = 0
+        for r, size in enumerate(self._round_sizes.tolist()):
+            for start in range(0, size, _TAIL_BLOCK):
+                block = slice(start, min(start + _TAIL_BLOCK, size))
+                values = take(rows[done + block.start : done + block.stop], buffer[: block.stop - block.start])
+                if r:
+                    out[keys[block]] += values
+                else:
+                    # Round 0 adds each key's first row to 0.0, which turns
+                    # -0.0 into 0.0 as np.add.at does, without reading out.
+                    out[keys[block]] = values + 0.0
             done += size
-        return sums
+
+
+def _take(values: np.ndarray):
+    """The gather of ``values``' rows that `_Segments.sum` reads."""
+    return lambda rows, buffer: np.take(values, rows, axis=0, out=buffer, mode="clip")
 
 
 def _loss_and_gradients(
@@ -306,10 +330,10 @@ def _loss_and_gradients(
     # Through the relation maps into coordinates and relation tables.  Both
     # act as (p_a + u) - r * p_b on the translated side a and the scaled side
     # b, in time on h . t and in space on x; time enters dt with its sign.
-    # time_grads[s] and space_grads[s] hold the coordinate gradients of the
-    # heads (s = 0) or the tails (s = 1) per row, so that the sums add every
-    # head row before any tail row, in row order, whichever side is
-    # translated.
+    # Entity rows [0, n) are the heads and [n, 2n) the tails, so that the
+    # sums add every head row before any tail row, in row order, whichever
+    # side is translated: time_grads[s] holds the time-coordinate gradients
+    # of side s per row, and `space_grads` forms the space rows on the fly.
     a, b, sign = _sides(params, heads, tails)
     side_a, side_b, _ = _sides(params, 0, 1)
     d_time = sign * ddt
@@ -318,35 +342,45 @@ def _loss_and_gradients(
     time_grads = np.empty((2, n, n_t))
     np.multiply(d_time[:, None], h, out=time_grads[side_a])
     np.multiply((-d_time * r_t)[:, None], h, out=time_grads[side_b])
-    space_grads = np.empty((2, n, params.n_x))
-    ddx = np.multiply(((ds2 + ds2w) * 2.0)[:, None], cache.dx, out=space_grads[side_a])
-    # -ddx * r as ddx * (-r), the same bits, negating the small table instead
-    np.multiply(ddx, np.negative(params.rel_r[:, 1:])[rels], out=space_grads[side_b])
+    # ddx takes the place of the cache's dx, which is not read again.
+    ddx = np.multiply(((ds2 + ds2w) * 2.0)[:, None], cache.dx, out=cache.dx)
+    # The space rows' factors: -r on the scaled side, where -ddx * r is
+    # formed as ddx * (-r), the same bits, and 1.0 on the translated side,
+    # where ddx * 1.0 is ddx.
+    factors = np.vstack([np.negative(params.rel_r[:, 1:]), np.ones(params.n_x)])
+    factor_of_row = np.full((2, n), params.n_relations)
+    factor_of_row[side_b] = rels
+    factor_of_row = factor_of_row.reshape(-1)
 
-    # Each table is summed per row key in np.add.at's order, then written into
-    # a tape of lazily zeroed pages once.
+    def space_grads(rows, buffer):
+        return np.multiply(ddx[rows % n], factors[factor_of_row[rows]], out=buffer)
+
+    def rel_r_grads(rows, buffer):
+        # -ddx * x_b, formed in place as -(x_b * ddx): the same bits
+        np.multiply(params.coords[b[rows], n_t:], ddx[rows], out=buffer)
+        return np.negative(buffer, out=buffer)
+
+    # Each table is summed per row key in np.add.at's order, straight into a
+    # tape of lazily zeroed pages.
     tape = GradientTape.zeros_like(params)
     entities = _Segments(np.concatenate([heads, tails]))
     relations = _Segments(rels)
     ent_keys, rel_keys = entities.keys, relations.keys
-    tape.node_bias[ent_keys] = entities.sum(np.concatenate([dphi, dphi]))
-    tape.coords[ent_keys, :n_t] = entities.sum(time_grads.reshape(2 * n, n_t))
-    tape.coords[ent_keys, n_t:] = entities.sum(space_grads.reshape(2 * n, -1))
-    tape.rel_c[rel_keys] = relations.sum(dphi)
+    entities.sum(_take(np.concatenate([dphi, dphi])), tape.node_bias)
+    entities.sum(_take(time_grads.reshape(2 * n, n_t)), tape.coords[:, :n_t])
+    entities.sum(space_grads, tape.coords[:, n_t:])
+    relations.sum(_take(dphi), tape.rel_c)
     # Tables the variant freezes receive no gradient.
     frozen = FROZEN[params.variant]
     if "rel_u" not in frozen:
-        tape.rel_u[rel_keys, 0] = relations.sum(d_time)
-        tape.rel_u[rel_keys, 1:] = relations.sum(ddx)
+        relations.sum(_take(d_time), tape.rel_u[:, 0])
+        relations.sum(_take(ddx), tape.rel_u[:, 1:])
     if "rel_r" not in frozen:
-        tape.rel_r[rel_keys, 0] = relations.sum(-d_time * cache.scaled_proj)
-        # -ddx * x_b, formed in place as -(x_b * ddx): the same bits
-        x_b = params.coords[b, n_t:]
-        x_b *= ddx
-        tape.rel_r[rel_keys, 1:] = relations.sum(np.negative(x_b, out=x_b))
+        relations.sum(_take(-d_time * cache.scaled_proj), tape.rel_r[:, 0])
+        relations.sum(rel_r_grads, tape.rel_r[:, 1:])
     if "rel_h" not in frozen:
         t_a, t_b = params.coords[a, :n_t], params.coords[b, :n_t]
-        tape.rel_h[rel_keys] = relations.sum(d_time[:, None] * t_a - (d_time * r_t)[:, None] * t_b)
+        relations.sum(_take(d_time[:, None] * t_a - (d_time * r_t)[:, None] * t_b), tape.rel_h)
 
     tape.touched_entities = np.sort(ent_keys)
     tape.touched_relations = np.sort(rel_keys)
@@ -363,8 +397,10 @@ class SgdOptimizer:
         self.lr = learning_rate
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
-        for name, rows in _update_plan(params, tape):
-            getattr(params, name)[rows] -= self.lr * getattr(tape, name)[rows]
+        for name, rows in _update_blocks(params, tape):
+            step = getattr(tape, name)[rows]
+            step *= self.lr
+            getattr(params, name)[rows] -= step
 
 
 class AdamOptimizer:
@@ -382,19 +418,31 @@ class AdamOptimizer:
         self.t = {n: np.zeros(getattr(params, n).shape[0], dtype=np.int64) for n in names}
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
-        for name, rows in _update_plan(params, tape):
-            if rows.size == 0:
-                continue
+        for name, rows in _update_blocks(params, tape):
             g = getattr(tape, name)[rows]
             self.t[name][rows] += 1
             t = self.t[name][rows].astype(np.float64)
-            m = self.m[name][rows] = self.beta1 * self.m[name][rows] + (1 - self.beta1) * g
-            v = self.v[name][rows] = self.beta2 * self.v[name][rows] + (1 - self.beta2) * g * g
-            c1 = 1.0 - self.beta1**t
-            c2 = 1.0 - self.beta2**t
+            c1, c2 = 1.0 - self.beta1**t, 1.0 - self.beta2**t
             if g.ndim == 2:
                 c1, c2 = c1[:, None], c2[:, None]
-            getattr(params, name)[rows] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2)
+            # * g * g, each product rounded in that order
+            m, v = self.m[name][rows], self.v[name][rows]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            self.m[name][rows] = m
+            v *= self.beta2
+            g_term = (1 - self.beta2) * g
+            g_term *= g
+            v += g_term
+            self.v[name][rows] = v
+            # lr * (m / c1) / (sqrt(v / c2) + eps)
+            step = np.divide(m, c1, out=m)
+            step *= self.lr
+            denominator = np.sqrt(np.divide(v, c2, out=v), out=v)
+            denominator += self.eps
+            step /= denominator
+            getattr(params, name)[rows] -= step
 
 
 class Sm3Optimizer:
@@ -412,30 +460,37 @@ class Sm3Optimizer:
         self.acc = {n: np.zeros_like(getattr(params, n)) for n, _ in params.trained_tables if n != "coords"}
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
-        rows = tape.touched_entities
-        if rows.size:
-            g = tape.coords[rows]
-            nu = np.minimum(self.coord_row[rows, None], self.coord_col[None, :]) + g * g
+        # Every coordinate row's nu reads the column accumulators of the step
+        # before; the new ones are the maxima over the step's rows.
+        coord_col = self.coord_col.copy()
+        for name, rows in _update_blocks(params, tape):
+            g = getattr(tape, name)[rows]
+            if name == "coords":
+                nu = np.minimum(self.coord_row[rows, None], self.coord_col[None, :])
+            else:
+                nu = self.acc[name][rows]
+            nu += g * g
+            # g / sqrt(nu) where nu > 0, else 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
-                upd = np.where(nu > 0.0, g / np.sqrt(nu), 0.0)
-            params.coords[rows] -= self.lr * upd
-            self.coord_row[rows] = nu.max(axis=1)
-            self.coord_col = np.maximum(self.coord_col, nu.max(axis=0))
-        for name, idx in _update_plan(params, tape):
-            if name == "coords" or idx.size == 0:
-                continue
-            g = getattr(tape, name)[idx]
-            nu = self.acc[name][idx] + g * g
-            with np.errstate(divide="ignore", invalid="ignore"):
-                upd = np.where(nu > 0.0, g / np.sqrt(nu), 0.0)
-            getattr(params, name)[idx] -= self.lr * upd
-            self.acc[name][idx] = nu
+                step = g / np.sqrt(nu)
+            step[~(nu > 0.0)] = 0.0
+            step *= self.lr
+            getattr(params, name)[rows] -= step
+            if name == "coords":
+                self.coord_row[rows] = nu.max(axis=1)
+                np.maximum(coord_col, nu.max(axis=0), out=coord_col)
+            else:
+                self.acc[name][rows] = nu
+        self.coord_col = coord_col
 
 
-def _update_plan(params: ModelParams, tape: GradientTape):
-    """(table name, rows to update) for each table the variant trains."""
+def _update_blocks(params: ModelParams, tape: GradientTape):
+    """(table name, rows to update) for each table the variant trains: its
+    touched rows, `_TAIL_BLOCK` at a time."""
     rows = {"entity": tape.touched_entities, "relation": tape.touched_relations}
-    return [(name, rows[key]) for name, key in params.trained_tables]
+    for name, key in params.trained_tables:
+        for start in range(0, rows[key].size, _TAIL_BLOCK):
+            yield name, rows[key][start : start + _TAIL_BLOCK]
 
 
 _OPTIMIZERS = {OptimizerKind.SGD: SgdOptimizer, OptimizerKind.ADAM: AdamOptimizer, OptimizerKind.SM3: Sm3Optimizer}
