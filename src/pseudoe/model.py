@@ -264,11 +264,8 @@ def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
     # a positive share it in tail-only mode.
     pairs, pair_of_row = np.unique(heads * params.n_relations + rels, return_inverse=True)
     pair_heads, pair_rels = np.divmod(pairs, params.n_relations)
-    head_side = _head_side(params, pair_heads, pair_rels)
-    dx, dx2 = np.empty((tails.size, params.n_x)), np.empty(tails.size)
-    for start in range(0, tails.size, _TAIL_BLOCK):
-        block = slice(start, start + _TAIL_BLOCK)
-        dx2[block] = _space_map(params, head_side, pair_rels, tails[block], pair_of_row[block], dx[block])
+    dx = np.empty((tails.size, params.n_x))
+    dx2 = _space_map(params, _head_side(params, pair_heads, pair_rels), pair_rels, tails, pair_of_row, dx)
     z1, z2, z3, zw, log_p, phi = _likelihood(
         params.tfd, dt, dx2, params.node_bias[heads], params.node_bias[tails], params.rel_c[rels]
     )
@@ -317,22 +314,32 @@ def _head_side(params: ModelParams, heads, rels):
     return op(params.coords[heads, params.n_t :], table[rels, 1:])
 
 
-def _space_map(params: ModelParams, head_side, rels, tails, lists, dx):
+def _space_map(params: ModelParams, head_side, rels, tails, lists, dx=None):
     """|dx|^2 of tails[j] against query lists[j], whose head side is
-    head_side[lists[j]] and relation rels[lists[j]], with dx written into the
-    (len(tails), n_x) buffer ``dx``: the space map of the translated side
-    minus that of the scaled side, (x_a + u) - r * x_b, by `_sides`.
+    head_side[lists[j]] and relation rels[lists[j]]: dx is the space map of
+    the translated side minus that of the scaled side, (x_a + u) - r * x_b,
+    by `_sides`.  It is written into ``dx``, (len(tails), n_x), when given.
 
-    Two more buffers of dx's size: the tail rows, and the relation rows,
-    overwritten by the gathered head sides.  Callers pass at most
-    `_TAIL_BLOCK` rows, so all three stay in cache.
+    The rows are mapped in `_TAIL_BLOCK`-row blocks, which stay in cache.
+    Each block gathers its tail rows into a fresh array, where dx is formed
+    unless ``dx`` is given, and its relation rows, then its head sides, into
+    one scratch block allocated once per call.
     """
     _, (op, table), _ = _sides(params, (np.add, params.rel_u), (np.multiply, params.rel_r))
-    scratch = table[rels[lists], 1:]
-    op(params.coords[tails, params.n_t :], scratch, out=dx)
-    translated, scaled, _ = _sides(params, np.take(head_side, lists, axis=0, out=scratch, mode="clip"), dx)
-    np.subtract(translated, scaled, out=dx)
-    return np.einsum("bi,bi->b", dx, dx)
+    n_t, relation_rows = params.n_t, np.ascontiguousarray(table[:, 1:])
+    scratch = np.empty((min(_TAIL_BLOCK, tails.size), params.n_x))
+    dx2 = np.empty(tails.size)
+    for start in range(0, tails.size, _TAIL_BLOCK):
+        block = slice(start, start + _TAIL_BLOCK)
+        tail_side = params.coords[tails[block], n_t:]
+        out = tail_side if dx is None else dx[block]
+        lists_ = lists[block]
+        rows = scratch[: lists_.size]
+        op(tail_side, np.take(relation_rows, rels[lists_], axis=0, out=rows, mode="clip"), out=out)
+        translated, scaled, _ = _sides(params, np.take(head_side, lists_, axis=0, out=rows, mode="clip"), out)
+        np.subtract(translated, scaled, out=out)
+        np.einsum("bi,bi->b", out, out, out=dx2[block])
+    return dx2
 
 
 def _likelihood(tfd: TfdParams, dt, dx2, head_bias, tail_bias, rel_bias):
@@ -410,12 +417,7 @@ def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     q = order // tails.shape[1]  # the list of each candidate
     h, k = heads[q], rels[q]
     _, dt = _time_map(params, heads, rels, t, q)
-    head_side = _head_side(params, heads, rels)
-    dx2 = np.empty(t.size)
-    dx = np.empty((min(_TAIL_BLOCK, t.size), params.n_x))  # one block's dx, reused
-    for start in range(0, t.size, _TAIL_BLOCK):
-        block = slice(start, start + _TAIL_BLOCK)
-        dx2[block] = _space_map(params, head_side, rels, t[block], q[block], dx[: t[block].size])
+    dx2 = _space_map(params, _head_side(params, heads, rels), rels, t, q)
     phi = np.empty(t.size)
     phi[order] = _likelihood(params.tfd, dt, dx2, params.node_bias[h], params.node_bias[t], params.rel_c[k])[-1]
     return phi.reshape(tails.shape)

@@ -223,10 +223,12 @@ class _Segments:
     - 1-D values and single columns go through ``np.bincount``, which adds in
       row order (``np.add.reduce`` would sum a single column pairwise);
     - for wider values, each of the most repeated keys (relations, a hub
-      entity) is one sequential ``np.add.reduce(axis=0)`` over its rows, and
-      the other keys are summed in occurrence rounds: round r adds each
+      entity) is a sequential ``np.add.reduce(axis=0)`` over its rows, one
+      `_TAIL_BLOCK`-row block after the other, and the other keys are summed
+      `_TAIL_BLOCK` keys at a time in occurrence rounds: round r adds each
       key's r-th row, so no round repeats a key.  The split minimizes the
-      number of numpy calls, reduces plus rounds.
+      number of blocks, those the reduces read plus the rounds of the first
+      key block, which has the most.
 
     ``keys`` lists the distinct keys, most repeated first.
     """
@@ -245,50 +247,57 @@ class _Segments:
 
         # Keys [0, n_reduced) are reduced one by one; the rest, which hold at
         # most counts[n_reduced] rows each, take that many rounds.
-        n_reduced = int(np.argmin(np.arange(counts.size + 1) + np.r_[counts, 0]))
+        blocks = np.r_[0, np.cumsum(-(-counts // _TAIL_BLOCK))]
+        n_reduced = int(np.argmin(blocks + np.r_[counts, 0]))
         self._reduced = [order[s : s + c] for s, c in zip(starts[:n_reduced], counts[:n_reduced])]
         starts, counts = starts[n_reduced:], counts[n_reduced:]
         first = np.repeat(np.cumsum(counts) - counts, counts)
         rank = np.arange(first.size) - first
         self._round_rows = order[(np.repeat(starts, counts) + rank)[np.argsort(rank, kind="stable")]]
-        # Keys still adding in round r: those with more than r rows.
-        self._round_sizes = counts.size - np.cumsum(np.bincount(counts))[:-1]
+        # Keys still adding in round r: those with more than r rows, the first
+        # ones of the key order.  Round r's rows start at _round_starts[r].
+        sizes = counts.size - np.cumsum(np.bincount(counts))[:-1]
+        self._rounds = list(zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()))
 
     def sum(self, take, out: np.ndarray) -> None:
         """Add every row into ``out[key]``, where ``out`` holds 0.0 at every key.
 
         ``take(rows, buffer)`` writes the values of the given rows into
         ``buffer`` and returns it.  Wide rows are read `_TAIL_BLOCK` at a
-        time, so a caller can form them on the fly, and reads of ``out`` are
-        limited to keys already written.
+        time, so a caller can form them on the fly, and ``out`` is written
+        once per key and never read.
         """
         n_rows, shape = self._group.size, out.shape[1:]
         if math.prod(shape) == 1:
             values = take(np.arange(n_rows), np.empty((n_rows, *shape))).reshape(-1)
             out[self.keys] = np.bincount(self._group, weights=values, minlength=self.keys.size).reshape(-1, *shape)
             return
-        buffer = np.empty((1 + _TAIL_BLOCK, *shape))
+        buffer, totals = np.empty((1 + _TAIL_BLOCK, *shape)), np.empty((_TAIL_BLOCK, *shape))
         for key, rows in zip(self.keys.tolist(), self._reduced):
             # Each block is reduced after the total so far, which starts at 0.0.
             buffer[0] = 0.0
             for start in range(0, rows.size, _TAIL_BLOCK):
                 block = rows[start : start + _TAIL_BLOCK]
                 take(block, buffer[1 : 1 + block.size])
-                np.add.reduce(buffer[: 1 + block.size], axis=0, out=out[key])
-                buffer[0] = out[key]
-        keys, rows = self.keys[len(self._reduced) :], self._round_rows
-        done = 0
-        for r, size in enumerate(self._round_sizes.tolist()):
-            for start in range(0, size, _TAIL_BLOCK):
-                block = slice(start, min(start + _TAIL_BLOCK, size))
-                values = take(rows[done + block.start : done + block.stop], buffer[: block.stop - block.start])
+                np.add.reduce(buffer[: 1 + block.size], axis=0, out=totals[0])
+                buffer[0] = totals[0]
+            out[key] = totals[0]
+        keys = self.keys[len(self._reduced) :]
+        for low in range(0, keys.size, _TAIL_BLOCK):
+            block = keys[low : low + _TAIL_BLOCK]
+            total = totals[: block.size]
+            for r, (start, size) in enumerate(self._rounds):
+                if size <= low:
+                    break
+                rows = self._round_rows[start + low : start + min(size, low + _TAIL_BLOCK)]
                 if r:
-                    out[keys[block]] += values
+                    total[: rows.size] += take(rows, buffer[: rows.size])
                 else:
                     # Round 0 adds each key's first row to 0.0, which turns
-                    # -0.0 into 0.0 as np.add.at does, without reading out.
-                    out[keys[block]] = values + 0.0
-            done += size
+                    # -0.0 into 0.0 as np.add.at does.
+                    take(rows, total)
+                    total += 0.0
+            out[block] = total
 
 
 def _take(values: np.ndarray):
