@@ -27,7 +27,7 @@ from .geometry import GeometryConfig, Signature
 from .likelihood import TfdParams, sigmoid
 from .model import InitConfig, load_checkpoint, save_checkpoint, scale_node_bias, score_tails
 from .presets import PRESETS
-from .relmaps import Variant
+from .relmaps import Variant, check_time_dimensions
 from .training import TrainConfig
 
 __all__ = ["RunConfig", "resolve_config", "main"]
@@ -133,12 +133,14 @@ def _from_config(cls, config: RunConfig):
 def _run_settings(config: RunConfig):
     """The training, likelihood, geometry and init settings and the variant of
     ``config``; building them checks every key before any data loads."""
+    variant = Variant(config.variant)
+    check_time_dimensions(variant, config.n_t)
     return (
         _from_config(TrainConfig, config),
         _from_config(TfdParams, config),
         GeometryConfig(Signature(config.n_t, config.n_x), config.circumference),
         InitConfig(sigma_init=config.sigma_init, seed=config.seed),
-        Variant(config.variant),
+        variant,
     )
 
 

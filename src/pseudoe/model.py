@@ -33,7 +33,7 @@ import numpy as np
 
 from .geometry import GeometryConfig, Signature
 from .likelihood import TfdParams, log1mexp, sigmoid, softplus
-from .relmaps import Variant, warn_if_time_not_shared
+from .relmaps import Variant, check_time_dimensions, warn_if_time_not_shared
 
 __all__ = [
     "TABLES",
@@ -156,8 +156,7 @@ class ModelParams:
             # min and max propagate NaN and +-inf: no table-sized mask
             if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise ValueError(f"{name} contains non-finite values")
-        if self.variant is Variant.DT and sig.n_t != 1:
-            raise ValueError("DT variant requires n_t == 1")
+        check_time_dimensions(self.variant, sig.n_t)
         for name, value in FROZEN[self.variant].items():
             if not np.all(getattr(self, name) == value):
                 raise ValueError(f"{self.variant.name} variant requires {name} frozen at {value:g}")

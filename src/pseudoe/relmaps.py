@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from enum import Enum
 
-__all__ = ["Variant", "warn_if_time_not_shared"]
+__all__ = ["Variant", "check_time_dimensions", "warn_if_time_not_shared"]
 
 
 class Variant(str, Enum):
@@ -31,6 +31,13 @@ class Variant(str, Enum):
     MT = "mt"
     DT = "dt"
     BOTH = "both"
+
+
+def check_time_dimensions(variant: Variant, n_t: int) -> None:
+    """Raise ValueError unless ``variant`` runs on n_t time coordinates: DT
+    projects no time, so it needs n_t == 1."""
+    if variant is Variant.DT and n_t != 1:
+        raise ValueError(f"DT variant requires n_t == 1, got n_t = {n_t}")
 
 
 def warn_if_time_not_shared(n_t: int, n_relations: int) -> None:

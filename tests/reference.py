@@ -1,9 +1,12 @@
-"""Test oracle: the score of one triple, composed step by step from the paper's formulas.
+"""Test oracles: the score of one triple, composed step by step from the
+paper's formulas, and each optimizer's step as one whole-array formula.
 
 The library computes scores in one batched kernel (`pseudoe.model`).  These
 plain numpy functions restate each step for a single triple, so the tests
 can check the kernel against a composition that shares none of its code.
-Their inputs come from tests, so they validate nothing.
+The library's optimizers update the touched rows block by block; the step
+functions at the end update all of them at once.  Their inputs come from
+tests, so they validate nothing.
 
 A point is a pair (t, x): its time coordinates (n_t values, or one number
 once projected) and its space coordinates.
@@ -112,3 +115,57 @@ def pipeline_score(params, h, k, t):
     log_f_wick = log_fd(wick_squared_distance(dt, dx), tfd.tau1, tfd.u)
     logit = logit_from_log(log_interpolated(log_f, log_f_wick, tfd.beta))
     return logit + params.node_bias[h] + params.node_bias[t] + params.rel_c[k]
+
+
+def _update_plan(params, tape):
+    """(table name, touched rows) for each table the variant trains."""
+    rows = {"entity": tape.touched_entities, "relation": tape.touched_relations}
+    return [(name, rows[key]) for name, key in params.trained_tables]
+
+
+def sgd_step(opt, params, tape):
+    """param -= lr * grad on every touched row at once."""
+    for name, rows in _update_plan(params, tape):
+        getattr(params, name)[rows] -= opt.lr * getattr(tape, name)[rows]
+
+
+def adam_step(opt, params, tape):
+    """Adam's bias-corrected step on every touched row at once, with the
+    moments and per-row step counts of ``opt``."""
+    for name, rows in _update_plan(params, tape):
+        if rows.size == 0:
+            continue
+        g = getattr(tape, name)[rows]
+        opt.t[name][rows] += 1
+        t = opt.t[name][rows].astype(np.float64)
+        m = opt.m[name][rows] = opt.beta1 * opt.m[name][rows] + (1 - opt.beta1) * g
+        v = opt.v[name][rows] = opt.beta2 * opt.v[name][rows] + (1 - opt.beta2) * g * g
+        c1 = 1.0 - opt.beta1**t
+        c2 = 1.0 - opt.beta2**t
+        if g.ndim == 2:
+            c1, c2 = c1[:, None], c2[:, None]
+        getattr(params, name)[rows] -= opt.lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+
+
+def sm3_step(opt, params, tape):
+    """SM3's step on every touched row at once, with the row and column
+    cover sets of the coordinate table and the per-coordinate accumulators
+    of ``opt``."""
+    rows = tape.touched_entities
+    if rows.size:
+        g = tape.coords[rows]
+        nu = np.minimum(opt.coord_row[rows, None], opt.coord_col[None, :]) + g * g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upd = np.where(nu > 0.0, g / np.sqrt(nu), 0.0)
+        params.coords[rows] -= opt.lr * upd
+        opt.coord_row[rows] = nu.max(axis=1)
+        opt.coord_col = np.maximum(opt.coord_col, nu.max(axis=0))
+    for name, idx in _update_plan(params, tape):
+        if name == "coords" or idx.size == 0:
+            continue
+        g = getattr(tape, name)[idx]
+        nu = opt.acc[name][idx] + g * g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upd = np.where(nu > 0.0, g / np.sqrt(nu), 0.0)
+        getattr(params, name)[idx] -= opt.lr * upd
+        opt.acc[name][idx] = nu

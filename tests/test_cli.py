@@ -271,6 +271,18 @@ class TestSweepAndStats:
             assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    def test_dt_time_rule_checked_before_data_loads(self, toy_data, trained, tmp_path, capsys):
+        # DT projects no time, so n_t must be 1: the rescoring sweep rejects
+        # n_t = 2 although it trains nothing, and train rejects it before it
+        # looks for the dataset.
+        dt_two_times = ["--set", "variant", "dt", "--set", "n_t", "2"]
+        sweep = ["sweep-beta", "--data", str(toy_data), "--out", str(tmp_path / "s"), "--betas", "0"]
+        train = ["train", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "t")]
+        for argv in (sweep + ["--checkpoint", str(trained / "model.ckpt")], train):
+            assert main(argv + dt_two_times) == 1
+            assert capsys.readouterr().err == "error: DT variant requires n_t == 1, got n_t = 2\n"
+        assert not (tmp_path / "s").exists() and not (tmp_path / "t").exists()
+
     def test_no_thread_setting(self, toy_data, trained, tmp_path, monkeypatch, capsys):
         # Evaluation runs on one thread: no flag, config key or environment
         # variable sets a thread count.

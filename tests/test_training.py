@@ -9,7 +9,7 @@ from hypothesis import given
 from conftest import make_random_model
 from pseudoe.geometry import GeometryConfig, Signature
 from pseudoe.likelihood import TfdParams, sigmoid
-from pseudoe.model import _TAIL_BLOCK, InitConfig, score
+from pseudoe.model import _TAIL_BLOCK, TABLES, InitConfig, score
 from pseudoe.relmaps import Variant
 from pseudoe.synthetic import tree_clique_graph
 from pseudoe.training import (
@@ -33,6 +33,7 @@ from pseudoe.training import (
 )
 
 from gradcheck import max_gradient_mismatch
+from reference import adam_step, sgd_step, sm3_step
 
 
 def random_batch(params, rng, b=3, m=4):
@@ -366,6 +367,46 @@ class TestOptimizers:
             changed = not np.array_equal(getattr(params, name), getattr(before, name))
             assert changed is (name not in frozen), name
         params.validate()
+
+    @pytest.mark.parametrize("kind", [OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.SM3])
+    @pytest.mark.parametrize("variant,n_t", [(Variant.DT, 1), (Variant.MT, 2), (Variant.BOTH, 2)])
+    def test_blocked_steps_keep_every_bit(self, kind, variant, n_t):
+        # The optimizers update touched rows `_TAIL_BLOCK` at a time; five
+        # steps touch one row, a block less one, a block, a block and one,
+        # and two blocks and three, and must match the whole-array formulas.
+        block, size = _TAIL_BLOCK, 2 * _TAIL_BLOCK + 8
+        params = make_random_model(n_entities=size, n_relations=size, n_t=n_t, variant=variant, seed=7)
+        expected = params.copy()
+        opt, oracle = make_optimizer(kind, params, 0.05), make_optimizer(kind, expected, 0.05)
+        oracle_step = {OptimizerKind.SGD: sgd_step, OptimizerKind.ADAM: adam_step, OptimizerKind.SM3: sm3_step}[kind]
+        rng = np.random.default_rng(8)
+        fresh = size - 1  # untouched until the last step, which gives it a zero gradient
+        for count in (1, block - 1, block, block + 1, 2 * block + 3):
+            tape = GradientTape.zeros_like(params)
+            touched = {key: np.sort(rng.choice(fresh, count, replace=False)) for key in ("entity", "relation")}
+            if count > block + 1:
+                touched = {key: np.append(rows[1:], fresh) for key, rows in touched.items()}
+            tape.touched_entities, tape.touched_relations = touched["entity"], touched["relation"]
+            for name, key in params.trained_tables:
+                grad = getattr(tape, name)
+                shape = (count, *grad.shape[1:])
+                grad[touched[key]] = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+                grad[fresh] = 0.0
+            before = params.copy()
+            opt.step(params, tape)
+            oracle_step(oracle, expected, tape)
+            for name, _ in TABLES:
+                np.testing.assert_array_equal(getattr(params, name), getattr(expected, name), err_msg=name)
+                # a zero gradient on zero accumulators moves nothing
+                np.testing.assert_array_equal(getattr(params, name)[fresh], getattr(before, name)[fresh])
+            for attr, state in vars(opt).items():
+                reference = vars(oracle)[attr]
+                for part in state if isinstance(state, dict) else [None]:
+                    np.testing.assert_array_equal(
+                        state if part is None else state[part],
+                        reference if part is None else reference[part],
+                        err_msg=f"{attr} {part}",
+                    )
 
     def test_optimizer_given_by_value(self):
         params = make_random_model(seed=6)
