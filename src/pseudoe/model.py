@@ -253,6 +253,18 @@ def _wrap(dt, c: float | None):
     return w
 
 
+# Rows per block of every (rows x n_x) loop: `_space_map`, and through it
+# `_forward` and `_score_lists`, and in `training` the sums of `_Segments`
+# and the row updates of the three optimizers.  On a 2-vCPU host, one
+# Hetionet-shape list over every entity (12,733 tails, n_x = 200) took a
+# median 4.6-4.7 ms at 128 rows against 5.3 ms at 64, and 1,000 lists of 81
+# took 27-28 ms against 31; 256 rows was no faster, and at WN18RR shape
+# (40,943 tails, n_x = 500) all three took 23-25 ms.  An SM3 step over
+# 6,100 WN18RR-shape rows took 12.2-13.4 ms at 64 to 512 rows.  Any size
+# gives the same bits.
+_TAIL_BLOCK = 128
+
+
 def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
     """Vectorized score of triples (heads[b], rels[b], tails[b])."""
     heads = np.asarray(heads, dtype=np.intp)
@@ -322,7 +334,10 @@ def _space_map(params: ModelParams, head_side, rels, tails, lists, dx=None):
     The rows are mapped in `_TAIL_BLOCK`-row blocks, which stay in cache.
     Each block gathers its tail rows into a fresh array, where dx is formed
     unless ``dx`` is given, and its relation rows, then its head sides, into
-    one scratch block allocated once per call.
+    one scratch block allocated once per call: ``np.take`` gathers into it
+    from a contiguous copy of the relation tables' space columns, so that
+    every operand stays contiguous (numpy's loops over strided rows took
+    about 2.5x as long).
     """
     _, (op, table), _ = _sides(params, (np.add, params.rel_u), (np.multiply, params.rel_r))
     n_t, relation_rows = params.n_t, np.ascontiguousarray(table[:, 1:])
@@ -330,12 +345,11 @@ def _space_map(params: ModelParams, head_side, rels, tails, lists, dx=None):
     dx2 = np.empty(tails.size)
     for start in range(0, tails.size, _TAIL_BLOCK):
         block = slice(start, start + _TAIL_BLOCK)
-        tail_side = params.coords[tails[block], n_t:]
+        queries = lists[block]
+        tail_side, rows = params.coords[tails[block], n_t:], scratch[: queries.size]
         out = tail_side if dx is None else dx[block]
-        lists_ = lists[block]
-        rows = scratch[: lists_.size]
-        op(tail_side, np.take(relation_rows, rels[lists_], axis=0, out=rows, mode="clip"), out=out)
-        translated, scaled, _ = _sides(params, np.take(head_side, lists_, axis=0, out=rows, mode="clip"), out)
+        op(tail_side, np.take(relation_rows, rels[queries], axis=0, out=rows, mode="clip"), out=out)
+        translated, scaled, _ = _sides(params, np.take(head_side, queries, axis=0, out=rows, mode="clip"), out)
         np.subtract(translated, scaled, out=out)
         np.einsum("bi,bi->b", out, out, out=dx2[block])
     return dx2
@@ -369,16 +383,6 @@ def score_many(params: ModelParams, heads, rels, tails) -> np.ndarray:
 def score(params: ModelParams, head: int, rel: int, tail: int) -> float:
     """Score of a single triple."""
     return float(score_many(params, [head], [rel], [tail])[0])
-
-
-# Candidate rows gathered per block of `_score_lists`; each block also
-# gathers the relation rows of its candidates' lists.  On a 2-vCPU host, one
-# Hetionet-shape list over every entity (12,733 tails, n_x = 200) took a
-# median 4.6-4.7 ms at 128 rows against 5.3 ms at 64, and 1,000 lists of 81
-# took 27-28 ms against 31; 256 rows was no faster, and at WN18RR shape
-# (40,943 tails, n_x = 500) all three took 23-25 ms.  Any size gives the
-# same bits.
-_TAIL_BLOCK = 128
 
 
 def score_tails(params: ModelParams, head: int, rel: int, tails) -> np.ndarray:

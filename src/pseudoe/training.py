@@ -21,6 +21,13 @@ state for, and step, only the tables the variant trains (`model.FROZEN`).  The
 loop shuffles each epoch from the run seed, evaluates filtered MRR on the
 validation split every few epochs and early-stops on it, returning the best
 checkpoint seen.
+
+A step streams its (rows x n_x) work in `model._TAIL_BLOCK`-row blocks,
+which stay in cache: `_forward`'s space map, the sums of `_Segments`, which
+read the space rows of the backward through a gather that forms them per
+block, and each optimizer's update of the touched rows.  The space
+displacement of the forward pass, which the backward turns into its
+gradient in place, is the only array of the batch's size.
 """
 
 from __future__ import annotations
@@ -254,8 +261,8 @@ class _Segments:
         first = np.repeat(np.cumsum(counts) - counts, counts)
         rank = np.arange(first.size) - first
         self._round_rows = order[(np.repeat(starts, counts) + rank)[np.argsort(rank, kind="stable")]]
-        # Keys still adding in round r: those with more than r rows, the first
-        # ones of the key order.  Round r's rows start at _round_starts[r].
+        # (first row in _round_rows, size) of each round r: the keys still
+        # adding are those with more than r rows, the first ones of the order.
         sizes = counts.size - np.cumsum(np.bincount(counts))[:-1]
         self._rounds = list(zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()))
 
@@ -362,7 +369,9 @@ def _loss_and_gradients(
     factor_of_row = factor_of_row.reshape(-1)
 
     def space_grads(rows, buffer):
-        return np.multiply(ddx[rows % n], factors[factor_of_row[rows]], out=buffer)
+        np.take(ddx, rows % n, axis=0, out=buffer, mode="clip")
+        buffer *= factors[factor_of_row[rows]]
+        return buffer
 
     def rel_r_grads(rows, buffer):
         # -ddx * x_b, formed in place as -(x_b * ddx): the same bits
