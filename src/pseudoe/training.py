@@ -27,7 +27,7 @@ which stay in cache: `_forward`'s space map, the sums of `_Segments`, which
 read the space rows of the backward through a gather that forms them per
 block, and each optimizer's update of the touched rows.  The space
 displacement of the forward pass, which the backward turns into its
-gradient in place, is the only array of the batch's size.
+gradient in place, is the only (rows x n_x) array.
 """
 
 from __future__ import annotations
