@@ -5,7 +5,7 @@ A refactor of the scoring kernel, its backward pass or the optimizers should
 keep every bit.  This script hashes what they compute on 48 configurations:
 DT, MT at n_t = 3 and n_t = 41, and BOTH, each with and without swapped
 transforms, with and without a time cylinder, and trained with SGD, Adam and
-SM3.  Per configuration it hashes seven outputs:
+SM3.  Per configuration it hashes eight outputs:
 
 - ``score_many`` on a batch of random triples;
 - ``score_tails`` over every entity and over a shuffled subset;
@@ -13,10 +13,15 @@ SM3.  Per configuration it hashes seven outputs:
 - the phi and margin arrays of ``_screen_tails``;
 - the gradients of 30 training steps (tail-only and head-and-tail negatives
   in turn), every table and the touched rows;
+- ``nll_loss`` of each step's batch;
 - the parameters after those 30 optimizer steps;
 - the per-triple ranks of a split in full-filtered and fixed-negatives mode.
 
-Every model holds a clone of entity 1, so exact ties occur.  Run it on two
+Every third step holds 128 positives instead of 32, 1,408 rows with their
+negatives: it touches nearly all 300 entity rows, more than two full blocks
+of the optimizers' and the backward's `_TAIL_BLOCK` = 128 rows, and each
+relation holds 198 to 407 rows, two to four blocks of the relation sums.  Every
+model holds a clone of entity 1, so exact ties occur.  Run it on two
 commits and compare the output:
 
     PYTHONPATH=src python scripts/kernel_hashes.py > after.json
@@ -35,7 +40,7 @@ from pseudoe.evaluation import EvalMode, EvalProtocol, evaluate_split
 from pseudoe.geometry import GeometryConfig, Signature
 from pseudoe.likelihood import TfdParams
 from pseudoe.model import TABLES, InitConfig, _score_lists, _screen_tails, init, score_many, score_tails
-from pseudoe.training import NegativeMode, gradients, make_optimizer, sample_negatives_batch
+from pseudoe.training import NegativeMode, gradients, make_optimizer, nll_loss, sample_negatives_batch
 
 N_ENTITIES, N_RELATIONS, N_X = 300, 5, 16
 CLONE = N_ENTITIES - 1
@@ -103,15 +108,20 @@ def _ranks(params, rng) -> str:
 
 def _training(params, optimizer: str, rng) -> dict:
     opt = make_optimizer(optimizer, params, 0.05)
-    tapes = []
+    tapes, losses = [], []
     for step in range(30):
-        batch = _triples(rng, 32)
+        batch = _triples(rng, 128 if step % 3 == 2 else 32)
         mode = NegativeMode.TAIL_ONLY if step % 2 == 0 else NegativeMode.BOTH
         negatives = sample_negatives_batch(batch, 10, mode, rng, N_ENTITIES)
+        losses.append(nll_loss(params, batch, negatives))
         tape = gradients(params, batch, negatives)
         tapes += [getattr(tape, name) for name, _ in TABLES] + [tape.touched_entities, tape.touched_relations]
         opt.step(params, tape)
-    return {"gradients": _digest(*tapes), "parameters": _digest(*(getattr(params, name) for name, _ in TABLES))}
+    return {
+        "gradients": _digest(*tapes),
+        "losses": _digest(np.asarray(losses)),
+        "parameters": _digest(*(getattr(params, name) for name, _ in TABLES)),
+    }
 
 
 def main():

@@ -144,29 +144,31 @@ def _run_settings(config: RunConfig):
     )
 
 
-def _protocol(config: RunConfig, store) -> EvalProtocol:
-    if config.protocol == "full":
+def _protocol(kind: str, negatives: str | None, store, augmented: bool) -> EvalProtocol:
+    """The evaluation protocol ``kind`` over ``store``, which holds reversed
+    triples when ``augmented``: the rules of every command."""
+    if kind == "full":
         return EvalProtocol()
-    if config.protocol != "fixed":
-        raise ValueError(f"unknown protocol {config.protocol!r} (expected 'full' or 'fixed')")
-    if config.augment_reverse:
+    if kind != "fixed":
+        raise ValueError(f"unknown protocol {kind!r} (expected 'full' or 'fixed')")
+    if augmented:
         raise ValueError("fixed-negatives protocol does not combine with augment_reverse")
-    if config.negatives is None:
+    if negatives is None:
         raise ValueError("fixed-negatives protocol requires a negatives file")
-    table = load_negatives(config.negatives, store)
-    return EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=table)
+    return EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=load_negatives(negatives, store))
 
 
 def _store_for_params(params, store):
-    """The loaded dataset, augmented when the checkpoint was trained augmented."""
+    """The loaded dataset, augmented when the checkpoint was trained augmented,
+    and whether it is."""
     if params.n_entities != store.n_entities:
         raise ValueError(
             f"checkpoint has {params.n_entities} entities but the dataset has {store.n_entities}"
         )
     if params.n_relations == store.n_relations:
-        return store
+        return store, False
     if params.n_relations == 2 * store.n_relations:
-        return augmented_store(store)
+        return augmented_store(store), True
     raise ValueError(
         f"checkpoint has {params.n_relations} relations but the dataset has {store.n_relations}"
     )
@@ -183,7 +185,7 @@ def cmd_train(args) -> int:
         tfd,
         variant,
         init_cfg=init_cfg,
-        protocol=_protocol(config, store),
+        protocol=_protocol(config.protocol, config.negatives, store, config.augment_reverse),
         swap_transforms=config.swap_transforms,
     )
     out = Path(config.out)
@@ -198,16 +200,10 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    store = _store_for_params(params, load_dataset(args.data))
+    store, augmented = _store_for_params(params, load_dataset(args.data))
+    protocol = _protocol(args.protocol, args.negatives, store, augmented)
     if args.gamma_b != 1.0:
         params = scale_node_bias(params, args.gamma_b)
-    protocol = EvalProtocol()
-    if args.protocol == "fixed":
-        if args.negatives is None:
-            raise ValueError("--protocol fixed requires --negatives")
-        protocol = EvalProtocol(
-            mode=EvalMode.FIXED_NEGATIVES, negatives=load_negatives(args.negatives, store)
-        )
     split = store.splits[args.split]
     report = evaluation.evaluate_split(params, split, store.filter_index, protocol)
     text = evaluation.format_report(report, store.id_to_relation.get, per_relation=args.per_relation)
@@ -232,7 +228,7 @@ def cmd_rank(args) -> int:
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
     params = load_checkpoint(args.checkpoint)
-    store = _store_for_params(params, load_dataset(args.data))
+    store, _ = _store_for_params(params, load_dataset(args.data))
     if args.gamma_b != 1.0:
         params = scale_node_bias(params, args.gamma_b)
     head = _resolve_name(args.head, store.entity_to_id, "entity")
@@ -257,13 +253,13 @@ def cmd_sweep_beta(args) -> int:
     store = load_dataset(config.data)
     if args.checkpoint:
         params = load_checkpoint(args.checkpoint)
-        eval_store = _store_for_params(params, store)
-        protocol = _protocol(config, eval_store)
+        eval_store, augmented = _store_for_params(params, store)
+        protocol = _protocol(config.protocol, config.negatives, eval_store, augmented)
         split = eval_store.splits["valid"]
         retrain = None
     else:
         eval_store = augmented_store(store) if config.augment_reverse else store
-        protocol = _protocol(config, eval_store)
+        protocol = _protocol(config.protocol, config.negatives, eval_store, config.augment_reverse)
         split = eval_store.splits["valid"]
         params = None
 

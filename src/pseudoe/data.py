@@ -151,12 +151,12 @@ class NegativesTable:
     length: int
 
 
-def load_triples(path) -> list[tuple[str, str, str]]:
-    """Read head<TAB>relation<TAB>tail lines; empty lines are skipped."""
+def _read_rows(path):
+    """(line number, three columns) of each line of a tab-separated file;
+    empty lines are skipped."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
-    triples = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -165,8 +165,12 @@ def load_triples(path) -> list[tuple[str, str, str]]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}")
-            triples.append((parts[0], parts[1], parts[2]))
-    return triples
+            yield lineno, parts
+
+
+def load_triples(path) -> list[tuple[str, str, str]]:
+    """Read head<TAB>relation<TAB>tail lines; empty lines are skipped."""
+    return [tuple(parts) for _, parts in _read_rows(path)]
 
 
 def build_store(train, valid, test) -> TripleStore:
@@ -230,39 +234,29 @@ def load_negatives(path, store: TripleStore) -> NegativesTable:
     passes through as given.
     """
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
     table: dict[tuple[int, int], np.ndarray] = {}
     first_line: dict[tuple[int, int], int] = {}
     length: int | None = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}")
-            head, rel, negs = parts
-            try:
-                h = store.entity_to_id[head]
-                k = store.relation_to_id[rel]
-                ids = [store.entity_to_id[n] for n in negs.split(",")]
-            except KeyError as e:
-                raise ParseError(f"{path}:{lineno}: unresolvable name {e.args[0]!r}") from None
-            if length is None:
-                length = len(ids)
-            elif len(ids) != length:
-                raise ParseError(
-                    f"{path}:{lineno}: ragged negative list ({len(ids)} entries, expected {length})"
-                )
-            if (h, k) in first_line:
-                raise ParseError(
-                    f"{path}:{lineno}: second negative list for head {head!r}, relation {rel!r} "
-                    f"(first on line {first_line[(h, k)]})"
-                )
-            first_line[(h, k)] = lineno
-            table[(h, k)] = np.asarray(ids, dtype=np.int64)
+    for lineno, (head, rel, negs) in _read_rows(path):
+        try:
+            h = store.entity_to_id[head]
+            k = store.relation_to_id[rel]
+            ids = [store.entity_to_id[n] for n in negs.split(",")]
+        except KeyError as e:
+            raise ParseError(f"{path}:{lineno}: unresolvable name {e.args[0]!r}") from None
+        if length is None:
+            length = len(ids)
+        elif len(ids) != length:
+            raise ParseError(
+                f"{path}:{lineno}: ragged negative list ({len(ids)} entries, expected {length})"
+            )
+        if (h, k) in first_line:
+            raise ParseError(
+                f"{path}:{lineno}: second negative list for head {head!r}, relation {rel!r} "
+                f"(first on line {first_line[(h, k)]})"
+            )
+        first_line[(h, k)] = lineno
+        table[(h, k)] = np.asarray(ids, dtype=np.int64)
     index = store.filter_index
     codes = [index.encode(h, k, ids) for (h, k), ids in table.items()]
     true_hits = int(np.isin(np.concatenate(codes), index.codes).sum()) if codes else 0

@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import ModelParams, _check_ids, _forward, _score_lists, _screen_tails, score_tails
+from .model import ModelParams, _check_ids, _score_lists, _screen_tails, score_tails
 from .data import FilterIndex, NegativesTable
 
 __all__ = [
@@ -102,9 +102,10 @@ def _full_filtered_counts(params: ModelParams, queries: np.ndarray, index: Filte
 
     `_screen_tails` decides every candidate whose approximate score lies
     farther from the true score than its margin; the rest, typically a
-    handful, are rescored with `score_tails`, the kernel's exact bits.
+    handful, are rescored with `score_tails`, the kernel's exact bits, and
+    compared with true scores from the same scorer.
     """
-    true_scores = _forward(params, *queries.T).phi
+    true_scores = _score_lists(params, queries[:, 0], queries[:, 1], queries[:, 2:])[:, 0]
     better = np.zeros(len(queries), dtype=np.int64)
     equal = np.zeros(len(queries), dtype=np.int64)
     keep = np.empty(params.n_entities, dtype=bool)

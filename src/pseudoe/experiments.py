@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import GeometryConfig, Signature
 from .likelihood import TfdParams
-from .model import InitConfig, ModelParams, _forward, scale_node_bias, score_many, score_tails
+from .model import InitConfig, ModelParams, scale_node_bias, score_many, score_tails
 from .relmaps import Variant
 from .synthetic import chain_graph, degree_skewed_graph, tree_clique_graph
 from .training import OptimizerKind, TrainConfig, train
@@ -116,11 +116,10 @@ def run_bias_degree(seed: int = 3):
         init_cfg=InitConfig(0.1, seed),
     )
     test = store.splits["test"]
-    cache = _forward(params, test[:, 0], test[:, 1], test[:, 2])
     bias_component = (
         params.node_bias[test[:, 0]] + params.node_bias[test[:, 2]] + params.rel_c[test[:, 1]]
     )
-    tfd_component = cache.phi - bias_component
+    tfd_component = score_many(params, test[:, 0], test[:, 1], test[:, 2]) - bias_component
     edge_degree = degrees[test[:, 0]] + degrees[test[:, 2]]
     return {
         "r_bias": float(np.corrcoef(edge_degree, bias_component)[0, 1]),

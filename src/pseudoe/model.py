@@ -5,17 +5,18 @@ The score of a triple (i, k, j) is
     phi = logit(F_beta[(f_k . tau_k)(p_i), (g_k . tau_k)(p_j)]) + b_i + b_j + c_k,
 
 where F_beta is the beta-interpolated triple Fermi-Dirac likelihood, f_k the
-head translation, g_k the tail scaling and tau_k the time projection.  The
-internal `_forward` kernel evaluates batches of triples with numpy and caches
-every intermediate the backward pass needs; `score` and `score_many` are its
-scores.  Candidate tails have one exact scorer, `_score_lists`: one list of
-tails per (head, relation) query, walked in tail-id order in blocks, with
-`_forward`'s operations and bits; `score_tails` is one such list.  All of
-them, and the certified screen `_screen_tails`, share one time map
-(`_time_map`, dt), one space map (`_head_side` and `_space_map`, dx; the
-screen expands it) and one likelihood (`_likelihood`), and only `_sides`
-reads which side each relation map acts on.  The tests check the kernel
-against a step-by-step single-triple oracle (`tests/reference.py`).
+head translation, g_k the tail scaling and tau_k the time projection.  Every
+exact score has one body, `_score_rows`: the time map (`_time_map`, dt), the
+space map (`_head_side` and `_space_map`, dx), the three biases and the
+likelihood (`_likelihood`), over lists of tails that each belong to one
+(head, relation) query.  Two drivers call it: `_forward` per triple, with
+the head side once per distinct (head, relation) pair (`score_many`,
+`score`, and the loss and backward pass in `training`), and `_score_lists`
+per candidate list, walked in tail-id order in blocks (`score_tails` is one
+such list).  The certified screen `_screen_tails` shares the time map and
+the likelihood and expands the space map; only `_sides` reads which side
+each relation map acts on.  The tests check the kernel against a
+step-by-step single-triple oracle (`tests/reference.py`).
 
 Also here: the one declaration of the six parameter tables and of what each
 variant freezes (`TABLES`, `FROZEN`), parameter initialization, node-bias
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -206,24 +206,6 @@ def init(
     return params
 
 
-class ForwardCache(NamedTuple):
-    """Intermediates of a batched forward pass, consumed by the backward pass."""
-
-    heads: np.ndarray
-    rels: np.ndarray
-    tails: np.ndarray
-    scaled_proj: np.ndarray  # h_k . t of the scaled side (the tail unless swapped), per row
-    dt: np.ndarray  # wrapped time displacement
-    dx: np.ndarray  # space map of the translated side minus the scaled side, (B, n_x)
-    sig1: np.ndarray  # sigmoid of the F1 exponent
-    sig2: np.ndarray
-    sig3: np.ndarray
-    sigw: np.ndarray  # sigmoid of the Wick-factor exponent
-    log_p: np.ndarray  # interpolated log-likelihood, < 0
-    dphi_dlogp: np.ndarray  # 1 / (1 - p)
-    phi: np.ndarray  # full score
-
-
 def _sides(params: ModelParams, head, tail):
     """The translated (f_k) side, the scaled (g_k) side and the sign of dt.
 
@@ -254,7 +236,7 @@ def _wrap(dt, c: float | None):
 
 
 # Rows per block of every (rows x n_x) loop: `_space_map`, and through it
-# `_forward` and `_score_lists`, and in `training` the sums of `_Segments`
+# every exact score (`_score_rows`), and in `training` the sums of `_Segments`
 # and the row updates of the three optimizers.  On a 2-vCPU host, one
 # Hetionet-shape list over every entity (12,733 tails, n_x = 200) took a
 # median 4.6-4.7 ms at 128 rows against 5.3 ms at 64, and 1,000 lists of 81
@@ -265,36 +247,29 @@ def _wrap(dt, c: float | None):
 _TAIL_BLOCK = 128
 
 
-def _forward(params: ModelParams, heads, rels, tails) -> ForwardCache:
-    """Vectorized score of triples (heads[b], rels[b], tails[b])."""
+def _forward(params: ModelParams, heads, rels, tails, dx=None):
+    """`_score_rows` of triples (heads[b], rels[b], tails[b]), with the head
+    side computed once per distinct (head, relation) pair: the negatives of a
+    positive share it in tail-only mode.  dx is written into ``dx`` when
+    given, as `_space_map` does."""
     heads = np.asarray(heads, dtype=np.intp)
     rels = np.asarray(rels, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
-    scaled_proj, dt = _time_map(params, heads, rels, tails, slice(None))
-    # The head side once per distinct (head, relation) pair: the negatives of
-    # a positive share it in tail-only mode.
     pairs, pair_of_row = np.unique(heads * params.n_relations + rels, return_inverse=True)
     pair_heads, pair_rels = np.divmod(pairs, params.n_relations)
-    dx = np.empty((tails.size, params.n_x))
-    dx2 = _space_map(params, _head_side(params, pair_heads, pair_rels), pair_rels, tails, pair_of_row, dx)
-    z1, z2, z3, zw, log_p, phi = _likelihood(
-        params.tfd, dt, dx2, params.node_bias[heads], params.node_bias[tails], params.rel_c[rels]
-    )
-    return ForwardCache(
-        heads=heads,
-        rels=rels,
-        tails=tails,
-        scaled_proj=scaled_proj,
-        dt=dt,
-        dx=dx,
-        sig1=sigmoid(z1),
-        sig2=sigmoid(z2),
-        sig3=sigmoid(z3),
-        sigw=sigmoid(zw),
-        log_p=log_p,
-        dphi_dlogp=1.0 / (-np.expm1(log_p)),
-        phi=phi,
-    )
+    return _score_rows(params, pair_heads, pair_rels, tails, pair_of_row, dx)
+
+
+def _score_rows(params: ModelParams, heads, rels, tails, lists, dx=None):
+    """The one body of an exact score, of triples (heads[lists[j]],
+    rels[lists[j]], tails[j]): each (heads[q], rels[q]) query owns a list of
+    tails.  Returns `_time_map`'s scaled-side projection and dt, then
+    `_likelihood`'s z1, z2, z3, zw, log p and phi; dx is written into ``dx``
+    when given, as `_space_map` does."""
+    scaled_proj, dt = _time_map(params, heads, rels, tails, lists)
+    dx2 = _space_map(params, _head_side(params, heads, rels), rels, tails, lists, dx)
+    head_bias, rel_bias = params.node_bias[heads][lists], params.rel_c[rels][lists]
+    return (scaled_proj, dt, *_likelihood(params.tfd, dt, dx2, head_bias, params.node_bias[tails], rel_bias))
 
 
 def _time_map(params: ModelParams, heads, rels, tails, lists):
@@ -302,12 +277,9 @@ def _time_map(params: ModelParams, heads, rels, tails, lists):
     of triples (heads[lists[j]], rels[lists[j]], tails[j]).
 
     Each (heads[q], rels[q]) query owns one list of tails; its relation rows
-    and the head's projection are computed once and gathered per tail.
-    `lists` is an index array, or ``slice(None)`` when tails[j] belongs to
-    query j, as in `_forward`: the same bits without copying the rows (the
-    copies cost 1-2% of a training-sized `_forward`).  dt is the time map of
-    the translated side minus that of the scaled side, (p_a + u) - r * p_b,
-    with the sign of `_sides`.
+    and the head's projection are computed once and gathered per tail.  dt
+    is the time map of the translated side minus that of the scaled side,
+    (p_a + u) - r * p_b, with the sign of `_sides`.
     """
     n_t = params.n_t
     h = params.rel_h[rels]
@@ -377,7 +349,7 @@ def _likelihood(tfd: TfdParams, dt, dx2, head_bias, tail_bias, rel_bias):
 def score_many(params: ModelParams, heads, rels, tails) -> np.ndarray:
     """Scores for parallel arrays of head, relation and tail ids."""
     _check_ids(params, heads, rels, tails)
-    return _forward(params, heads, rels, tails).phi
+    return _forward(params, heads, rels, tails)[-1]
 
 
 def score(params: ModelParams, head: int, rel: int, tail: int) -> float:
@@ -401,8 +373,8 @@ def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     """Scores of (heads[q], rels[q], tails[q, j]) for a (Q, L) array of tail
     ids: one candidate list per query.
 
-    Bit-identical to `score_many` on the same triples: each candidate gets
-    `_forward`'s operations, with `_head_side` computed once per list.  The
+    Bit-identical to `score_many` on the same triples: both are
+    `_score_rows`, here with `_head_side` computed once per list.  The
     candidates are scored in the order of their tail ids, in
     `_TAIL_BLOCK`-row blocks, so that the entity table is read front to back
     and only the small per-list table is read at random.  At Hetionet
@@ -416,13 +388,9 @@ def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     rels = np.asarray(rels, dtype=np.intp)
     tails = np.asarray(tails, dtype=np.intp)
     order = np.argsort(tails, axis=None)
-    t = tails.reshape(-1)[order]
-    q = order // tails.shape[1]  # the list of each candidate
-    h, k = heads[q], rels[q]
-    _, dt = _time_map(params, heads, rels, t, q)
-    dx2 = _space_map(params, _head_side(params, heads, rels), rels, t, q)
-    phi = np.empty(t.size)
-    phi[order] = _likelihood(params.tfd, dt, dx2, params.node_bias[h], params.node_bias[t], params.rel_c[k])[-1]
+    phi = np.empty(tails.size)
+    # order // L is the list of each candidate
+    phi[order] = _score_rows(params, heads, rels, tails.reshape(-1)[order], order // tails.shape[1])[-1]
     return phi.reshape(tails.shape)
 
 

@@ -22,12 +22,17 @@ loop shuffles each epoch from the run seed, evaluates filtered MRR on the
 validation split every few epochs and early-stops on it, returning the best
 checkpoint seen.
 
-A step streams its (rows x n_x) work in `model._TAIL_BLOCK`-row blocks,
-which stay in cache: `_forward`'s space map, the sums of `_Segments`, which
-read the space rows of the backward through a gather that forms them per
-block, and each optimizer's update of the touched rows.  The space
-displacement of the forward pass, which the backward turns into its
-gradient in place, is the only (rows x n_x) array.
+A step scores its positives and negatives with one `model._forward` call, the
+same one `nll_loss` makes, and takes its loss from `nll_from_scores` as
+`nll_loss` does, so the two agree bit for bit.  The backward pass forms what
+it reads from the exponents and log-likelihood that `_forward` returns (the
+four sigmoids and 1 / (1 - p)), and it allocates the space displacement dx,
+which `_forward` fills and the backward turns into its gradient in place:
+the only (rows x n_x) array of a step.  Everything else of that width
+streams in `model._TAIL_BLOCK`-row blocks, which stay in cache: the forward
+space map, the sums of `_Segments`, which read the space rows of the
+backward through a gather that forms them per block, and each optimizer's
+update of the touched rows.
 """
 
 from __future__ import annotations
@@ -198,15 +203,11 @@ def _check_triple_ids(params: ModelParams, *triples) -> None:
 
 def nll_loss(params: ModelParams, batch: np.ndarray, negatives: np.ndarray) -> float:
     """Batch negative log-likelihood; ``negatives`` has shape (B, m, 3)."""
-    batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
-    negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)
     _check_triple_ids(params, batch, negatives)
-    pos = _forward(params, batch[:, 0], batch[:, 1], batch[:, 2]).phi
-    if negatives.size:
-        neg = _forward(params, negatives[:, 0], negatives[:, 1], negatives[:, 2]).phi
-    else:
-        neg = np.empty(0)
-    return nll_from_scores(pos, neg)
+    batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
+    heads, rels, tails = np.concatenate([batch, np.asarray(negatives, dtype=np.int64).reshape(-1, 3)]).T
+    phi = _forward(params, heads, rels, tails)[-1]
+    return nll_from_scores(phi[: batch.shape[0]], phi[batch.shape[0] :])
 
 
 def gradients(params: ModelParams, batch: np.ndarray, negatives: np.ndarray) -> GradientTape:
@@ -316,31 +317,29 @@ def _loss_and_gradients(
     params: ModelParams, batch: np.ndarray, negatives: np.ndarray
 ) -> tuple[float, GradientTape]:
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
-    negatives = np.asarray(negatives, dtype=np.int64).reshape(-1, 3)
-    triples = np.concatenate([batch, negatives], axis=0)
-    labels = np.zeros(triples.shape[0])
-    labels[: batch.shape[0]] = 1.0
-
-    cache = _forward(params, triples[:, 0], triples[:, 1], triples[:, 2])
-    if not np.all(np.isfinite(cache.phi)):
-        bad = int(np.flatnonzero(~np.isfinite(cache.phi))[0])
+    triples = np.concatenate([batch, np.asarray(negatives, dtype=np.int64).reshape(-1, 3)])
+    heads, rels, tails = triples.T
+    n_pos, n_t, n = batch.shape[0], params.n_t, heads.size
+    # The forward pass writes dx here; the backward turns it into ddx in place.
+    dx = np.empty((n, params.n_x))
+    scaled_proj, dt, z1, z2, z3, zw, log_p, phi = _forward(params, heads, rels, tails, dx)
+    if not np.all(np.isfinite(phi)):
+        bad = int(np.flatnonzero(~np.isfinite(phi))[0])
         raise DivergenceError(f"non-finite score for triple {tuple(int(v) for v in triples[bad])}")
-    # softplus(-phi) for positives, softplus(phi) for negatives
-    loss = float(np.sum(softplus((1.0 - 2.0 * labels) * cache.phi)))
-    dphi = sigmoid(cache.phi) - labels
-
-    heads, rels, tails = cache.heads, cache.rels, cache.tails
-    tfd = params.tfd
-    n_t, n = params.n_t, heads.size
+    loss = nll_from_scores(phi[:n_pos], phi[n_pos:])
+    # d loss / d phi = sigmoid(phi) - label
+    dphi = sigmoid(phi)
+    dphi[:n_pos] -= 1.0
 
     # Through the logit and the beta-mix into the three FD factors.
-    dlogp = dphi * cache.dphi_dlogp
+    tfd = params.tfd
+    dlogp = dphi * (1.0 / (-np.expm1(log_p)))  # d phi / d log p = 1 / (1 - p)
     w_tfd = (1.0 - tfd.beta) / 3.0
-    ds2 = dlogp * w_tfd * (-cache.sig1 / tfd.tau1)
-    ds2w = dlogp * tfd.beta * (-cache.sigw / tfd.tau1)
+    ds2 = dlogp * w_tfd * (-sigmoid(z1) / tfd.tau1)
+    ds2w = dlogp * tfd.beta * (-sigmoid(zw) / tfd.tau1)
     ddt = (
-        dlogp * w_tfd * (tfd.alpha * cache.sig2 - tfd.alpha_prime * cache.sig3) / tfd.tau2
-        + (ds2w - ds2) * 2.0 * cache.dt
+        dlogp * w_tfd * (tfd.alpha * sigmoid(z2) - tfd.alpha_prime * sigmoid(z3)) / tfd.tau2
+        + (ds2w - ds2) * 2.0 * dt
     )
 
     # Through the relation maps into coordinates and relation tables.  Both
@@ -358,8 +357,7 @@ def _loss_and_gradients(
     time_grads = np.empty((2, n, n_t))
     np.multiply(d_time[:, None], h, out=time_grads[side_a])
     np.multiply((-d_time * r_t)[:, None], h, out=time_grads[side_b])
-    # ddx takes the place of the cache's dx, which is not read again.
-    ddx = np.multiply(((ds2 + ds2w) * 2.0)[:, None], cache.dx, out=cache.dx)
+    ddx = np.multiply(((ds2 + ds2w) * 2.0)[:, None], dx, out=dx)
     # The space rows' factors: -r on the scaled side, where -ddx * r is
     # formed as ddx * (-r), the same bits, and 1.0 on the translated side,
     # where ddx * 1.0 is ddx.
@@ -394,7 +392,7 @@ def _loss_and_gradients(
         relations.sum(_take(d_time), tape.rel_u[:, 0])
         relations.sum(_take(ddx), tape.rel_u[:, 1:])
     if "rel_r" not in frozen:
-        relations.sum(_take(-d_time * cache.scaled_proj), tape.rel_r[:, 0])
+        relations.sum(_take(-d_time * scaled_proj), tape.rel_r[:, 0])
         relations.sum(rel_r_grads, tape.rel_r[:, 1:])
     if "rel_h" not in frozen:
         t_a, t_b = params.coords[a, :n_t], params.coords[b, :n_t]
@@ -428,8 +426,10 @@ class AdamOptimizer:
     rows that enter training late.
     """
 
-    def __init__(self, params: ModelParams, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: ModelParams, learning_rate: float):
+        self.lr = learning_rate
         names = [name for name, _ in params.trained_tables]
         self.m = {n: np.zeros_like(getattr(params, n)) for n in names}
         self.v = {n: np.zeros_like(getattr(params, n)) for n in names}

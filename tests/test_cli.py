@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pseudoe.cli import RunConfig, _from_config, main, resolve_config, write_resolved
-from pseudoe.data import load_dataset
+from pseudoe.data import load_dataset, load_negatives
+from pseudoe.evaluation import EvalMode, EvalProtocol, evaluate_split, format_report
 from pseudoe.likelihood import TfdParams
+from pseudoe.model import load_checkpoint
 from pseudoe.presets import PRESETS
 from pseudoe.synthetic import tree_clique_graph
 from pseudoe.training import TrainConfig
@@ -144,6 +146,59 @@ def trained(toy_data, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
     assert run_training(toy_data, out) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def negatives_file(toy_data, tmp_path_factory):
+    """Fixed negatives for every (head, relation) query of the toy test split."""
+    store = load_dataset(toy_data)
+    names = sorted(store.entity_to_id)
+    lines = {
+        f"{store.id_to_entity[h]}\t{store.id_to_relation[k]}\t" + ",".join(names[(h + k) % 4 :: 4])
+        for h, k, _ in store.splits["test"].tolist()
+    }
+    path = tmp_path_factory.mktemp("negs") / "negs.txt"
+    path.write_text("\n".join(sorted(lines)) + "\n", encoding="utf-8")
+    return path
+
+
+class TestFixedProtocol:
+    def test_evaluate_ranks_against_the_stored_negatives(self, toy_data, trained, negatives_file, capsys):
+        ckpt = trained / "model.ckpt"
+        argv = ["evaluate", "--checkpoint", str(ckpt), "--data", str(toy_data), "--protocol", "fixed"]
+        assert main(argv + ["--negatives", str(negatives_file)]) == 0
+        store = load_dataset(toy_data)
+        protocol = EvalProtocol(EvalMode.FIXED_NEGATIVES, negatives=load_negatives(negatives_file, store))
+        report = evaluate_split(load_checkpoint(ckpt), store.splits["test"], store.filter_index, protocol)
+        assert capsys.readouterr().out == format_report(report) + "\n"
+
+    def test_evaluate_without_negatives_is_a_one_line_error(self, toy_data, trained, capsys):
+        argv = ["evaluate", "--checkpoint", str(trained / "model.ckpt"), "--data", str(toy_data), "--protocol", "fixed"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: fixed-negatives protocol requires a negatives file\n"
+
+    def test_augmented_checkpoint_refused_before_ranking(
+        self, toy_data, negatives_file, tmp_path, monkeypatch, capsys
+    ):
+        # Fixed negatives name (head, relation) pairs of the plain dataset, so
+        # every command refuses them for a model trained on reversed triples,
+        # as train does, before it ranks anything.
+        import pseudoe.evaluation
+
+        assert run_training(toy_data, tmp_path / "aug", extra=["--set", "augment_reverse", "true"]) == 0
+        ranked = []
+        monkeypatch.setattr(pseudoe.evaluation, "_ranks", lambda *args: ranked.append(args))
+        ckpt, data, negs = str(tmp_path / "aug" / "model.ckpt"), str(toy_data), str(negatives_file)
+        fixed = ["--set", "protocol", "fixed", "--set", "negatives", negs]
+        for argv in (
+            ["evaluate", "--checkpoint", ckpt, "--data", data, "--protocol", "fixed", "--negatives", negs],
+            ["sweep-beta", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "s"), "--betas", "0", *fixed],
+            ["train", "--data", data, "--out", str(tmp_path / "t"), "--set", "augment_reverse", "true", *fixed],
+        ):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: fixed-negatives protocol does not combine with augment_reverse\n"
+        assert ranked == []
+        assert not (tmp_path / "s").exists() and not (tmp_path / "t").exists()
 
 
 class TestEvaluateCommand:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given
 from conftest import make_random_model
 from pseudoe.geometry import GeometryConfig, Signature
 from pseudoe.likelihood import TfdParams, sigmoid
-from pseudoe.model import _TAIL_BLOCK, TABLES, InitConfig, score
+from pseudoe.model import _TAIL_BLOCK, TABLES, InitConfig, score, score_many
 from pseudoe.relmaps import Variant
 from pseudoe.synthetic import tree_clique_graph
 from pseudoe.training import (
@@ -21,6 +22,7 @@ from pseudoe.training import (
     SgdOptimizer,
     Sm3Optimizer,
     TrainConfig,
+    _loss_and_gradients,
     _Segments,
     _take,
     augment_reverse,
@@ -130,6 +132,38 @@ class TestLoss:
         for batch, negs in (([[0, 0, -1]], none), ([[6, 0, 1]], none), ([[0, 0, 1]], [[[0, 3, 1]]])):
             with pytest.raises(IndexError, match="id out of range"):
                 nll_loss(params, np.array(batch), np.array(negs))
+
+
+    @pytest.mark.parametrize("mode", list(NegativeMode))
+    @pytest.mark.parametrize("variant, n_t", [(Variant.DT, 1), (Variant.MT, 3), (Variant.BOTH, 2)])
+    def test_training_step_loss_is_nll_loss(self, variant, n_t, mode):
+        # One loss definition: the training step's loss has nll_loss's bits,
+        # not just its value to roundoff.
+        rng = np.random.default_rng(21)
+        params = make_random_model(n_entities=60, n_relations=4, n_t=n_t, n_x=5, variant=variant, seed=6)
+        for _ in range(10):
+            batch, _ = random_batch(params, rng, b=32)
+            negs = sample_negatives_batch(batch, 10, mode, rng, params.n_entities)
+            assert nll_loss(params, batch, negs) == _loss_and_gradients(params, batch, negs)[0]
+
+    def test_scores_and_loss_hold_no_row_by_space_array(self):
+        # 32 (head, relation) pairs x 128 tails at n_x = 256: the space map
+        # streams its rows in blocks, so neither score_many nor nll_loss holds
+        # an array of a row per triple and a column per space dimension.
+        rng = np.random.default_rng(3)
+        params = make_random_model(n_entities=600, n_relations=4, n_x=256, seed=2)
+        batch, _ = random_batch(params, rng, b=32)
+        negs = sample_negatives_batch(batch, 128, NegativeMode.TAIL_ONLY, rng, params.n_entities)
+        triples = negs.reshape(-1, 3)
+        row_array_bytes = (batch.shape[0] + triples.shape[0]) * params.n_x * 8
+        for call in (lambda: score_many(params, *triples.T), lambda: nll_loss(params, batch, negs)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < row_array_bytes
 
 
 class TestGradients:
