@@ -144,9 +144,11 @@ def _run_settings(config: RunConfig):
     )
 
 
-def _protocol(kind: str, negatives: str | None, store, augmented: bool) -> EvalProtocol:
+def _protocol(kind: str, negatives: str | None, store, augmented: bool, split: str) -> EvalProtocol:
     """The evaluation protocol ``kind`` over ``store``, which holds reversed
-    triples when ``augmented``: the rules of every command."""
+    triples when ``augmented``, for ranking its split ``split``: the rules of
+    every command.  Fixed negatives must cover every (head, relation) pair of
+    that split, checked here, before any work."""
     if kind == "full":
         return EvalProtocol()
     if kind != "fixed":
@@ -155,23 +157,39 @@ def _protocol(kind: str, negatives: str | None, store, augmented: bool) -> EvalP
         raise ValueError("fixed-negatives protocol does not combine with augment_reverse")
     if negatives is None:
         raise ValueError("fixed-negatives protocol requires a negatives file")
-    return EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=load_negatives(negatives, store))
+    table = load_negatives(negatives, store)
+    pairs = np.unique(store.splits[split][:, :2], axis=0).tolist()
+    missing = [(h, k) for h, k in pairs if (h, k) not in table.table]
+    if missing:
+        named = [f"({store.id_to_entity[h]}, {store.id_to_relation[k]})" for h, k in missing[:5]]
+        more = ", ..." if len(missing) > 5 else ""
+        raise ValueError(
+            f"{negatives} has no negatives for {len(missing)} of the {split} split's "
+            f"{len(pairs)} (head, relation) pairs: {', '.join(named)}{more}"
+        )
+    return EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=table)
 
 
-def _store_for_params(params, store):
-    """The loaded dataset, augmented when the checkpoint was trained augmented,
-    and whether it is."""
+def _load_model(checkpoint, data, gamma_b: float = 1.0):
+    """The checkpoint's model with its node biases scaled by ``gamma_b``, the
+    dataset it scores, augmented when the model has twice the dataset's
+    relations, and whether it is."""
+    params = load_checkpoint(checkpoint)
+    store = load_dataset(data)
     if params.n_entities != store.n_entities:
         raise ValueError(
             f"checkpoint has {params.n_entities} entities but the dataset has {store.n_entities}"
         )
-    if params.n_relations == store.n_relations:
-        return store, False
-    if params.n_relations == 2 * store.n_relations:
-        return augmented_store(store), True
-    raise ValueError(
-        f"checkpoint has {params.n_relations} relations but the dataset has {store.n_relations}"
-    )
+    augmented = params.n_relations == 2 * store.n_relations
+    if augmented:
+        store = augmented_store(store)
+    elif params.n_relations != store.n_relations:
+        raise ValueError(
+            f"checkpoint has {params.n_relations} relations but the dataset has {store.n_relations}"
+        )
+    if gamma_b != 1.0:
+        params = scale_node_bias(params, gamma_b)
+    return params, store, augmented
 
 
 def cmd_train(args) -> int:
@@ -185,7 +203,7 @@ def cmd_train(args) -> int:
         tfd,
         variant,
         init_cfg=init_cfg,
-        protocol=_protocol(config.protocol, config.negatives, store, config.augment_reverse),
+        protocol=_protocol(config.protocol, config.negatives, store, config.augment_reverse, "valid"),
         swap_transforms=config.swap_transforms,
     )
     out = Path(config.out)
@@ -199,13 +217,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    params = load_checkpoint(args.checkpoint)
-    store, augmented = _store_for_params(params, load_dataset(args.data))
-    protocol = _protocol(args.protocol, args.negatives, store, augmented)
-    if args.gamma_b != 1.0:
-        params = scale_node_bias(params, args.gamma_b)
-    split = store.splits[args.split]
-    report = evaluation.evaluate_split(params, split, store.filter_index, protocol)
+    params, store, augmented = _load_model(args.checkpoint, args.data, args.gamma_b)
+    protocol = _protocol(args.protocol, args.negatives, store, augmented, args.split)
+    report = evaluation.evaluate_split(params, store.splits[args.split], store.filter_index, protocol)
     text = evaluation.format_report(report, store.id_to_relation.get, per_relation=args.per_relation)
     print(text)
     if args.out:
@@ -227,10 +241,7 @@ def _resolve_name(name: str, vocab: dict, what: str) -> int:
 def cmd_rank(args) -> int:
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
-    params = load_checkpoint(args.checkpoint)
-    store, _ = _store_for_params(params, load_dataset(args.data))
-    if args.gamma_b != 1.0:
-        params = scale_node_bias(params, args.gamma_b)
+    params, store, _ = _load_model(args.checkpoint, args.data, args.gamma_b)
     head = _resolve_name(args.head, store.entity_to_id, "entity")
     rel = _resolve_name(args.relation, store.relation_to_id, "relation")
     scores = score_tails(params, head, rel, np.arange(params.n_entities))
@@ -249,46 +260,43 @@ def cmd_rank(args) -> int:
 def cmd_sweep_beta(args) -> int:
     config = resolve_config(args.preset, args.config, _collect_overrides(args))
     train_cfg, tfd, geometry, init_cfg, variant = _run_settings(config)
-    betas = [float(b) for b in args.betas.split(",")]
-    store = load_dataset(config.data)
+    if args.repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {args.repeats}")
     if args.checkpoint:
-        params = load_checkpoint(args.checkpoint)
-        eval_store, augmented = _store_for_params(params, store)
-        protocol = _protocol(config.protocol, config.negatives, eval_store, augmented)
-        split = eval_store.splits["valid"]
-        retrain = None
+        if args.repeats > 1:
+            raise ValueError("--repeats applies only to retraining; a checkpoint is rescored once per beta")
+        params, store, augmented = _load_model(args.checkpoint, config.data)
+        tfd = params.tfd  # the model's own likelihood settings; only beta changes
     else:
-        eval_store = augmented_store(store) if config.augment_reverse else store
-        protocol = _protocol(config.protocol, config.negatives, eval_store, config.augment_reverse)
-        split = eval_store.splits["valid"]
-        params = None
+        data = load_dataset(config.data)
+        augmented = config.augment_reverse
+        store = augmented_store(data) if augmented else data
+    tfds = [dataclasses.replace(tfd, beta=float(b)) for b in args.betas.split(",")]
+    protocol = _protocol(config.protocol, config.negatives, store, augmented, "valid")
 
-        def retrain(beta, rep):
-            seed = config.seed + rep
+    def models(tfd):
+        """The checkpoint rescored under ``tfd``, or ``--repeats`` models trained under it."""
+        if args.checkpoint:
+            yield dataclasses.replace(params, tfd=tfd)
+            return
+        for seed in range(config.seed, config.seed + args.repeats):
             trained, _ = training.train(
-                store,
+                data,
                 dataclasses.replace(train_cfg, seed=seed),
                 geometry,
-                dataclasses.replace(tfd, beta=float(beta)),
+                tfd,
                 variant,
                 init_cfg=dataclasses.replace(init_cfg, seed=seed),
                 protocol=protocol,
                 swap_transforms=config.swap_transforms,
             )
-            return trained
+            yield trained
 
-    rows = evaluation.beta_sweep(
-        params,
-        split,
-        eval_store.filter_index,
-        betas,
-        protocol=protocol,
-        retrain=retrain,
-        repeats=args.repeats,
-    )
+    points = ((t.beta, models(t)) for t in tfds)
+    rows = evaluation.beta_sweep(points, store.splits["valid"], store.filter_index, protocol)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    evaluation.write_sweep_csv(rows, out / "sweep.csv", eval_store.id_to_relation.get)
+    evaluation.write_sweep_csv(rows, out / "sweep.csv", store.id_to_relation.get)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return 0
 
@@ -355,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_arguments(p)
     p.add_argument("--betas", required=True, help="comma-separated values in [0, 1]")
     p.add_argument("--checkpoint", help="rescore this model instead of retraining per point")
-    p.add_argument("--repeats", type=int, default=1, help="independent seeds per beta point")
+    p.add_argument("--repeats", type=int, default=1, help="models trained per beta point (retraining only)")
     p.set_defaults(func=cmd_sweep_beta)
 
     p = sub.add_parser("stats", help="dataset counts")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
@@ -59,12 +59,15 @@ class ProtocolError(ValueError):
     """Evaluation asked for data the protocol does not carry."""
 
 
+# The hits@k cutoffs of every report.
+HITS_AT = (1, 3, 10)
+
+
 @dataclass(frozen=True)
 class EvalProtocol:
-    """How candidates are chosen and which hits@k cutoffs are reported."""
+    """How candidates are chosen: every entity, or a stored list per query."""
 
     mode: EvalMode = EvalMode.FULL_FILTERED
-    ks: tuple[int, ...] = (1, 3, 10)
     negatives: NegativesTable | None = None
 
     def __post_init__(self) -> None:
@@ -189,8 +192,8 @@ def filtered_rank(params: ModelParams, triple, filter_set, protocol: EvalProtoco
     return float(_ranks(params, split, _filter_index(params, filter_set), protocol)[0])
 
 
-def aggregate(ranks, ks=(1, 3, 10)) -> RankReport:
-    """MRR, hits@k and per-relation breakdown from (triple, rank) pairs."""
+def aggregate(ranks) -> RankReport:
+    """MRR, hits@k at `HITS_AT` and per-relation breakdown from (triple, rank) pairs."""
     ranks = list(ranks)
     if not ranks:
         raise ValueError("cannot aggregate an empty rank list")
@@ -199,7 +202,7 @@ def aggregate(ranks, ks=(1, 3, 10)) -> RankReport:
     report = RankReport(
         per_triple_ranks=ranks,
         mrr=float(recip.mean()),
-        hits_at={k: float(np.mean(values <= k)) for k in ks},
+        hits_at={k: float(np.mean(values <= k)) for k in HITS_AT},
     )
     by_rel: dict[int, list[float]] = defaultdict(list)
     for (h, k, t), r in ranks:
@@ -208,7 +211,7 @@ def aggregate(ranks, ks=(1, 3, 10)) -> RankReport:
         arr = np.asarray(rel_ranks)
         report.per_relation[k] = RelationStats(
             mrr=float(np.mean(1.0 / arr)),
-            hits={c: float(np.mean(arr <= c)) for c in ks},
+            hits={c: float(np.mean(arr <= c)) for c in HITS_AT},
             count=arr.size,
         )
     return report
@@ -234,42 +237,25 @@ def evaluate_split(
     split = np.asarray(split, dtype=np.int64).reshape(-1, 3)
     ranks = _ranks(params, split, _filter_index(params, filter_set), protocol)
     pairs = [(tuple(row), rank) for row, rank in zip(split.tolist(), ranks.tolist())]
-    return aggregate(pairs, protocol.ks)
+    return aggregate(pairs)
 
 
 def beta_sweep(
-    params: ModelParams,
-    split: np.ndarray,
-    filter_set,
-    betas,
-    protocol: EvalProtocol | None = None,
-    retrain=None,
-    repeats: int = 1,
+    points, split: np.ndarray, filter_set, protocol: EvalProtocol | None = None
 ) -> list[tuple[float, int, float, float]]:
     """Per-relation MRR as the mixing weight beta varies.
 
-    By default each beta point rescores the given trained parameters with
-    only the mixing weight replaced; passing ``retrain`` (a callable
-    ``retrain(beta, repeat_index) -> ModelParams``) trains fresh parameters
-    per point instead, ``repeats`` >= 1 times.  Rows are (beta, relation,
-    mean MRR, across-repeat standard deviation); the deviation is 0 when
-    repeats == 1.  Every point is evaluated on one thread, like
-    `evaluate_split`.
+    ``points`` yields ``(beta, models)`` pairs: the models scored at that
+    point, one rescored checkpoint or several retrained ones.  Each model is
+    ranked with `evaluate_split`.  A point's rows are (beta, relation, mean
+    MRR over its models, their sample standard deviation, 0 for one model),
+    and the points' rows come in the order given, a repeated beta included.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
     rows: list[tuple[float, int, float, float]] = []
-    for beta in betas:
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    for beta, models in points:
         per_rel: dict[int, list[float]] = defaultdict(list)
-        for rep in range(repeats):
-            if retrain is not None:
-                p = retrain(beta, rep)
-            else:
-                p = replace(params, tfd=replace(params.tfd, beta=float(beta)))
-            report = evaluate_split(p, split, filter_set, protocol)
-            for rel, stats in report.per_relation.items():
+        for params in models:
+            for rel, stats in evaluate_split(params, split, filter_set, protocol).per_relation.items():
                 per_rel[rel].append(stats.mrr)
         for rel, mrrs in sorted(per_rel.items()):
             arr = np.asarray(mrrs)

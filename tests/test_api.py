@@ -5,13 +5,14 @@ import pseudoe
 
 # Names the library no longer defines: the reference semantics of the score
 # live in tests/reference.py, negatives are sampled per batch, evaluation
-# runs on one thread, dt has one time map, and the backward pass forms its
-# own inputs from the one score body.
+# runs on one thread, dt has one time map, the backward pass forms its
+# own inputs from the one score body, and the checkpoint commands share one
+# loader.
 REMOVED = {
     "SpacetimePoint", "wrap_time", "squared_interval", "wick_squared_distance", "wick_rotate_metric",
     "ProjectedPoint", "RelationParams", "time_project", "translate_head", "scale_tail", "transform_pair",
     "log_fd", "log_tfd", "log_interpolated", "logit_from_log", "sample_negatives",
-    "_threads_from_env", "_check_counts", "_tail_dt", "_relation_map", "ForwardCache",
+    "_threads_from_env", "_check_counts", "_tail_dt", "_relation_map", "ForwardCache", "_store_for_params",
 }
 
 

@@ -200,6 +200,32 @@ class TestFixedProtocol:
         assert ranked == []
         assert not (tmp_path / "s").exists() and not (tmp_path / "t").exists()
 
+    def test_missing_pairs_named_before_any_work(self, toy_data, trained, negatives_file, tmp_path, monkeypatch, capsys):
+        # A negatives file without the split's (n0, parent_of) pair is refused
+        # when the protocol is built, naming the pair, before evaluate ranks
+        # or train takes a step.
+        import pseudoe.evaluation
+        import pseudoe.training
+
+        calls = []
+        monkeypatch.setattr(pseudoe.evaluation, "_ranks", lambda *args: calls.append("rank"))
+        monkeypatch.setattr(pseudoe.training, "_loss_and_gradients", lambda *args: calls.append("step"))
+        negs = tmp_path / "negs.txt"
+        lines = negatives_file.read_text(encoding="utf-8").splitlines()
+        negs.write_text("".join(f"{line}\n" for line in lines if not line.startswith("n0\tparent_of\t")), encoding="utf-8")
+        ckpt, data = str(trained / "model.ckpt"), str(toy_data)
+        fixed = ["--set", "protocol", "fixed", "--set", "negatives", str(negs)]
+        for argv, split in (
+            (["evaluate", "--checkpoint", ckpt, "--data", data, "--protocol", "fixed", "--negatives", str(negs)], "test"),
+            (["train", "--data", data, "--out", str(tmp_path / "t"), *fixed], "valid"),
+        ):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: {negs} has no negatives for 1 of the {split} split's 7 (head, relation) pairs: (n0, parent_of)\n"
+            )
+        assert calls == []
+        assert not (tmp_path / "t").exists()
+
 
 class TestEvaluateCommand:
     def test_report_files(self, toy_data, trained, tmp_path, capsys):
@@ -308,6 +334,33 @@ class TestSweepAndStats:
         assert main(sweep + ["--repeats", "0"]) == 1
         assert capsys.readouterr().err == "error: repeats must be >= 1, got 0\n"
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_beta_out_of_range_refused_before_training(self, toy_data, tmp_path, monkeypatch, capsys):
+        # Every point's beta is checked before the first point trains.
+        import pseudoe.training
+
+        trained = []
+        monkeypatch.setattr(pseudoe.training, "train", lambda *args, **kwargs: trained.append(args))
+        sweep = ["sweep-beta", "--data", str(toy_data), "--out", str(tmp_path / "s"), "--betas", "0,1.5"]
+        assert main(sweep) == 1
+        assert capsys.readouterr().err == "error: beta must lie in [0, 1], got 1.5\n"
+        assert trained == []
+        assert not (tmp_path / "s").exists()
+
+    def test_checkpoint_sweep_refuses_repeats(self, toy_data, trained, tmp_path, monkeypatch, capsys):
+        # A checkpoint rescored twice gives the same rows twice: more than one
+        # repeat applies only to retraining, and is refused before any ranking.
+        import pseudoe.evaluation
+
+        ranked = []
+        monkeypatch.setattr(pseudoe.evaluation, "_ranks", lambda *args: ranked.append(args))
+        ckpt, out = str(trained / "model.ckpt"), tmp_path / "s"
+        sweep = ["sweep-beta", "--data", str(toy_data), "--out", str(out), "--betas", "0,1", "--checkpoint", ckpt]
+        assert main(sweep + ["--repeats", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --repeats applies only to retraining; a checkpoint is rescored once per beta\n"
+        assert ranked == []
+        assert not out.exists()
 
     def test_checkpoint_sweep_checks_every_key(self, toy_data, trained, tmp_path, capsys):
         # Rescoring a checkpoint trains nothing, but a setting no run accepts

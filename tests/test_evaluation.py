@@ -345,24 +345,29 @@ class TestOverfitModelRanking:
 
 
 class TestBetaSweep:
+    """A point's rows are the per-relation mean and sample sd of the MRRs of
+    the models it is given; points keep their order, repeats included."""
+
+    split = np.column_stack([np.arange(12) % 6, np.arange(12) % 3, (5 * np.arange(12) + 1) % 6])
+
     def test_single_beta_matches_plain_evaluation(self):
         params = make_random_model(seed=6, beta=0.0)
-        rng = np.random.default_rng(1)
-        split = np.column_stack([rng.integers(0, 6, 12), rng.integers(0, 3, 12), rng.integers(0, 6, 12)])
-        report = evaluate_split(params, split, set(), EvalProtocol())
-        rows = beta_sweep(params, split, set(), [0.0])
-        assert {(rel, mrr) for _, rel, mrr, _ in rows} == {
-            (rel, stats.mrr) for rel, stats in report.per_relation.items()
-        }
-        assert all(sd == 0.0 for _, _, _, sd in rows)
+        report = evaluate_split(params, self.split, set(), EvalProtocol())
+        rows = beta_sweep([(0.0, [params])], self.split, set())
+        assert rows == [(0.0, rel, stats.mrr, 0.0) for rel, stats in report.per_relation.items()]
 
-    def test_rejects_beta_outside_unit_interval(self):
-        params = make_random_model(seed=6)
-        with pytest.raises(ValueError):
-            beta_sweep(params, np.array([[0, 0, 1]]), set(), [1.5])
+    def test_several_models_give_mean_and_sample_sd(self):
+        models = [make_random_model(seed=seed, beta=0.5) for seed in (1, 2, 3)]
+        reports = [evaluate_split(p, self.split, set()) for p in models]
+        rows = beta_sweep(iter([(0.5, iter(models))]), self.split, set())
+        assert [rel for _, rel, _, _ in rows] == [0, 1, 2]
+        for beta, rel, mean, sd in rows:
+            mrrs = np.asarray([r.per_relation[rel].mrr for r in reports])
+            assert (beta, mean, sd) == (0.5, float(mrrs.mean()), float(mrrs.std(ddof=1)))
+            assert sd > 0.0
 
-    def test_counts_below_one_rejected(self):
-        params = make_random_model(seed=6)
-        split = np.array([[0, 0, 1]])
-        with pytest.raises(ValueError, match="repeats must be >= 1, got 0"):
-            beta_sweep(params, split, set(), [0.0], repeats=0)
+    def test_repeated_beta_keeps_two_row_groups(self):
+        a, b = make_random_model(seed=4, beta=0.0), make_random_model(seed=5, beta=0.0)
+        rows = beta_sweep([(0.0, [a]), (0.0, [b])], self.split, set())
+        assert rows == beta_sweep([(0.0, [a])], self.split, set()) + beta_sweep([(0.0, [b])], self.split, set())
+        assert len(rows) == 6 and rows[:3] != rows[3:]
