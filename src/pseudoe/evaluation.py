@@ -250,13 +250,17 @@ def beta_sweep(
     ranked with `evaluate_split`.  A point's rows are (beta, relation, mean
     MRR over its models, their sample standard deviation, 0 for one model),
     and the points' rows come in the order given, a repeated beta included.
+    A point with no models raises ValueError rather than give no rows.
     """
     rows: list[tuple[float, int, float, float]] = []
     for beta, models in points:
         per_rel: dict[int, list[float]] = defaultdict(list)
-        for params in models:
+        count = 0
+        for count, params in enumerate(models, 1):
             for rel, stats in evaluate_split(params, split, filter_set, protocol).per_relation.items():
                 per_rel[rel].append(stats.mrr)
+        if count < 1:
+            raise ValueError(f"beta {beta}: models must be >= 1, got {count}")
         for rel, mrrs in sorted(per_rel.items()):
             arr = np.asarray(mrrs)
             sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0

@@ -371,3 +371,8 @@ class TestBetaSweep:
         rows = beta_sweep([(0.0, [a]), (0.0, [b])], self.split, set())
         assert rows == beta_sweep([(0.0, [a])], self.split, set()) + beta_sweep([(0.0, [b])], self.split, set())
         assert len(rows) == 6 and rows[:3] != rows[3:]
+
+    def test_counts_below_one_rejected(self):
+        params = make_random_model(seed=6)
+        with pytest.raises(ValueError, match="beta 0.5: models must be >= 1, got 0"):
+            beta_sweep([(0.0, [params]), (0.5, iter([]))], self.split, set())
