@@ -5,7 +5,7 @@ A refactor of the scoring kernel, its backward pass or the optimizers should
 keep every bit.  This script hashes what they compute on 48 configurations:
 DT, MT at n_t = 3 and n_t = 41, and BOTH, each with and without swapped
 transforms, with and without a time cylinder, and trained with SGD, Adam and
-SM3.  Per configuration it hashes eight outputs:
+SM3.  Per configuration it hashes nine outputs:
 
 - ``score_many`` on a batch of random triples;
 - ``score_tails`` over every entity and over a shuffled subset;
@@ -14,24 +14,32 @@ SM3.  Per configuration it hashes eight outputs:
 - the gradients of 30 training steps (tail-only and head-and-tail negatives
   in turn), every table and the touched rows;
 - ``nll_loss`` of each step's batch;
-- the parameters after those 30 optimizer steps;
+- the parameters after those 30 optimizer steps, and the bytes
+  ``save_checkpoint`` writes for them;
 - the per-triple ranks of a split in full-filtered and fixed-negatives mode.
 
 Every third step holds 128 positives instead of 32, 1,408 rows with their
 negatives: it touches nearly all 300 entity rows, more than two full blocks
 of the optimizers' and the backward's `_TAIL_BLOCK` = 128 rows, and each
 relation holds 198 to 407 rows, two to four blocks of the relation sums.  Every
-model holds a clone of entity 1, so exact ties occur.  Run it on two
-commits and compare the output:
+model holds a clone of entity 1, so exact ties occur.
 
-    PYTHONPATH=src python scripts/kernel_hashes.py > after.json
-    diff before.json after.json
+The hashes sit under ``"hashes"``, next to the ``"environment"`` they were
+computed in: numpy's version and enabled CPU features, the BLAS library and
+the platform.  ``tests/data/kernel_hashes.json`` holds this output, and a
+test recomputes it wherever the environment matches.  A change that moves
+bits on purpose regenerates that file:
+
+    PYTHONPATH=src python scripts/kernel_hashes.py > tests/data/kernel_hashes.json
 """
 
 import hashlib
 import itertools
 import json
+import platform
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +47,7 @@ from pseudoe.data import FilterIndex, NegativesTable
 from pseudoe.evaluation import EvalMode, EvalProtocol, evaluate_split
 from pseudoe.geometry import GeometryConfig, Signature
 from pseudoe.likelihood import TfdParams
-from pseudoe.model import TABLES, InitConfig, _score_lists, _screen_tails, init, score_many, score_tails
+from pseudoe.model import TABLES, InitConfig, _score_lists, _screen_tails, init, save_checkpoint, score_many, score_tails
 from pseudoe.training import NegativeMode, gradients, make_optimizer, nll_loss, sample_negatives_batch
 
 N_ENTITIES, N_RELATIONS, N_X = 300, 5, 16
@@ -117,15 +125,33 @@ def _training(params, optimizer: str, rng) -> dict:
         tape = gradients(params, batch, negatives)
         tapes += [getattr(tape, name) for name, _ in TABLES] + [tape.touched_entities, tape.touched_relations]
         opt.step(params, tape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(params, path)
+        checkpoint = hashlib.sha256(path.read_bytes()).hexdigest()
     return {
         "gradients": _digest(*tapes),
         "losses": _digest(np.asarray(losses)),
         "parameters": _digest(*(getattr(params, name) for name, _ in TABLES)),
+        "checkpoint": checkpoint,
     }
 
 
-def main():
-    hashes = {}
+def environment() -> dict:
+    """What the hashes may depend on besides the code."""
+    config = np.show_config(mode="dicts")
+    simd, blas = config["SIMD Extensions"], config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "cpu_features": " ".join(simd["baseline"] + simd["found"]),
+        "blas": f"{blas['name']} {blas['version']}",
+        "platform": f"{platform.system()} {platform.machine()} {' '.join(platform.libc_ver())}",
+    }
+
+
+def hashes() -> dict:
+    """The nine hashes of every configuration, by configuration name."""
+    rows = {}
     for (variant, n_t), swap, cylinder, optimizer in itertools.product(
         VARIANTS, (False, True), (None, 2.5), OPTIMIZERS
     ):
@@ -135,8 +161,12 @@ def main():
         row = _scores(params, rng)
         row["ranks"] = _ranks(params, rng)
         row.update(_training(params, optimizer, rng))
-        hashes[name] = row
-    print(json.dumps(hashes, indent=1, sort_keys=True))
+        rows[name] = row
+    return rows
+
+
+def main():
+    print(json.dumps({"environment": environment(), "hashes": hashes()}, indent=1, sort_keys=True))
 
 
 if __name__ == "__main__":

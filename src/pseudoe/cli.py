@@ -147,9 +147,11 @@ def _run_settings(config: RunConfig):
 def _protocol(kind: str, negatives: str | None, store, augmented: bool, split: str) -> EvalProtocol:
     """The evaluation protocol ``kind`` over ``store``, which holds reversed
     triples when ``augmented``, for ranking its split ``split``: the rules of
-    every command.  Fixed negatives must cover every (head, relation) pair of
-    that split, checked here, before any work."""
+    every command.  A negatives file belongs to the fixed protocol and must
+    cover every (head, relation) pair of that split, checked before any work."""
     if kind == "full":
+        if negatives is not None:
+            raise ValueError(f"negatives file {negatives} given, but protocol 'full' ranks every entity")
         return EvalProtocol()
     if kind != "fixed":
         raise ValueError(f"unknown protocol {kind!r} (expected 'full' or 'fixed')")

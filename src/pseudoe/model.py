@@ -26,6 +26,7 @@ scaling for degree debiasing and the binary checkpoint format.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -546,85 +547,70 @@ def scale_node_bias(params: ModelParams, gamma_b: float) -> ModelParams:
 
 # --- checkpoint format -----------------------------------------------------
 #
-# Little-endian throughout.  Header: magic "PSEUDOE1", then n_t, n_x, N, n_r
-# and the variant tag as uint64 (bit 3 of the tag records swap_transforms),
-# then the likelihood parameters (tau1, tau2, u, alpha, alpha_prime, k, beta;
-# the prefactor k is always 1) and the cylinder flag/circumference as
-# float64.  Body, float64: the entity tables one after the other (coords
-# row-major, then node biases), then the relation tables as one row-major
-# (n_r, 2(1 + n_x) + n_t + 1) block whose row k is u_vec, r_diag, h_vec and
-# c_bias of relation k.
+# Little-endian throughout.  Header (`_HEADER`): magic "PSEUDOE1", then n_t,
+# n_x, N, n_r and the variant tag as uint64 (bit 3 of the tag records
+# swap_transforms), then the likelihood parameters (tau1, tau2, u, alpha,
+# alpha_prime, k, beta; the prefactor k is always 1) and the cylinder
+# flag/circumference as float64.  Body, float64: the entity tables one after
+# the other (coords row-major, then node biases), then one record per
+# relation (`_relation_record`): the 2(1 + n_x) + n_t + 1 values u_vec,
+# r_diag, h_vec and c_bias of relation k.
+
+_HEADER = struct.Struct("<8s5Q9d")
+
+
+def _relation_record(shapes: dict[str, tuple[int, ...]]) -> np.dtype:
+    """One relation's row of the checkpoint body: a field per relation table."""
+    return np.dtype([(name, "<f8", shapes[name][1:]) for name, key in TABLES if key == "relation"])
+
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write the model to ``path``; loading it back is bit-exact."""
     tfd, geo = params.tfd, params.geometry
     tag = _VARIANT_CODES[params.variant] | (_SWAP_BIT if params.swap_transforms else 0)
     c = geo.cylinder_circumference
-    header = struct.pack(
-        "<8s5Q9d",
-        CHECKPOINT_MAGIC,
-        geo.signature.n_t,
-        geo.signature.n_x,
-        params.n_entities,
-        params.n_relations,
-        tag,
-        tfd.tau1,
-        tfd.tau2,
-        tfd.u,
-        tfd.alpha,
-        tfd.alpha_prime,
-        1.0,  # k
-        tfd.beta,
-        0.0 if c is None else 1.0,
-        0.0 if c is None else c,
-    )
+    shapes = _table_shapes(params.n_entities, params.n_relations, geo.signature)
+    records = np.empty(params.n_relations, _relation_record(shapes))
     with open(path, "wb") as f:
-        f.write(header)
+        f.write(_HEADER.pack(
+            CHECKPOINT_MAGIC, geo.signature.n_t, geo.signature.n_x, params.n_entities, params.n_relations, tag,
+            tfd.tau1, tfd.tau2, tfd.u, tfd.alpha, tfd.alpha_prime, 1.0, tfd.beta,  # the prefactor k is 1
+            0.0 if c is None else 1.0, 0.0 if c is None else c,
+        ))
         for name, key in TABLES:
             if key == "entity":
-                f.write(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes())
-        relation_block = np.column_stack([getattr(params, name) for name, key in TABLES if key == "relation"])
-        f.write(np.ascontiguousarray(relation_block, dtype="<f8").tobytes())
+                np.asarray(getattr(params, name), dtype="<f8").tofile(f)
+            else:
+                records[name] = getattr(params, name)
+        records.tofile(f)
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a model written by :func:`save_checkpoint`."""
+    """Read a model written by :func:`save_checkpoint`, each table straight from the file into its array."""
     with open(path, "rb") as f:
-        blob = f.read()
-    head_size = struct.calcsize("<8s5Q9d")
-    if len(blob) < head_size or blob[:8] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-    (_, n_t, n_x, n, n_r, tag, tau1, tau2, u, alpha, alpha_prime, k, beta, has_c, c) = struct.unpack(
-        "<8s5Q9d", blob[:head_size]
-    )
-    variant = _VARIANT_FROM_CODE.get(tag & ~_SWAP_BIT)
-    if variant is None:
-        raise ValueError(f"{path}: unknown variant tag {tag}")
-    if k != 1.0:
-        raise ValueError(f"{path}: likelihood prefactor k = {k:g}, expected 1")
-    geometry = GeometryConfig(Signature(n_t, n_x), c if has_c else None)
-    tfd = TfdParams(tau1=tau1, tau2=tau2, u=u, alpha=alpha, alpha_prime=alpha_prime, beta=beta)
-
-    shapes = _table_shapes(n, n_r, geometry.signature)
-    widths = {name: math.prod(shape[1:]) for name, shape in shapes.items()}
-    expected = sum(math.prod(shape) for shape in shapes.values())
-    body_bytes = len(blob) - head_size
-    if body_bytes != 8 * expected:
-        raise ValueError(f"{path}: body holds {body_bytes // 8} values, expected {expected}")
-    body = np.frombuffer(blob, dtype="<f8", offset=head_size)  # a view: no copy of the body
-    tables, pos = {}, 0
-    for name, key in TABLES:
-        if key == "entity":
-            tables[name] = body[pos : pos + n * widths[name]].reshape(shapes[name]).copy()
-            pos += n * widths[name]
-    block_width = sum(widths[name] for name, key in TABLES if key == "relation")
-    block, col = body[pos:].reshape(n_r, block_width), 0
-    for name, key in TABLES:
-        if key == "relation":
-            tables[name] = block[:, col : col + widths[name]].reshape(shapes[name]).copy()
-            col += widths[name]
-    params = ModelParams(
-        **tables, tfd=tfd, geometry=geometry, variant=variant, swap_transforms=bool(tag & _SWAP_BIT)
-    )
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size or header[:8] != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a model checkpoint (bad magic)")
+        (_, n_t, n_x, n, n_r, tag, tau1, tau2, u, alpha, alpha_prime, k, beta, has_c, c) = _HEADER.unpack(header)
+        variant = _VARIANT_FROM_CODE.get(tag & ~_SWAP_BIT)
+        if variant is None:
+            raise ValueError(f"{path}: unknown variant tag {tag}")
+        if k != 1.0:
+            raise ValueError(f"{path}: likelihood prefactor k = {k:g}, expected 1")
+        geometry = GeometryConfig(Signature(n_t, n_x), c if has_c else None)
+        tfd = TfdParams(tau1=tau1, tau2=tau2, u=u, alpha=alpha, alpha_prime=alpha_prime, beta=beta)
+        shapes = _table_shapes(n, n_r, geometry.signature)
+        expected = sum(math.prod(shape) for shape in shapes.values())
+        body_bytes = os.fstat(f.fileno()).st_size - _HEADER.size
+        if body_bytes != 8 * expected:
+            raise ValueError(f"{path}: body holds {body_bytes // 8} values, expected {expected}")
+        tables = {
+            name: np.fromfile(f, "<f8", math.prod(shapes[name])).reshape(shapes[name])
+            for name, key in TABLES
+            if key == "entity"
+        }
+        records = np.fromfile(f, _relation_record(shapes), n_r)
+    tables.update({name: records[name].copy() for name in records.dtype.names})
+    params = ModelParams(**tables, tfd=tfd, geometry=geometry, variant=variant, swap_transforms=bool(tag & _SWAP_BIT))
     params.validate()
     return params

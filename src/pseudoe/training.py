@@ -86,7 +86,11 @@ class NegativeMode(str, Enum):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the loss goes non-finite during training."""
+    """Raised when training goes non-finite; ``triple``: the ids of the first non-finite score, if any."""
+
+    def __init__(self, message: str, triple: tuple[int, int, int] | None = None):
+        super().__init__(message)
+        self.triple = triple
 
 
 @dataclass(frozen=True)
@@ -324,8 +328,8 @@ def _loss_and_gradients(
     dx = np.empty((n, params.n_x))
     scaled_proj, dt, z1, z2, z3, zw, log_p, phi = _forward(params, heads, rels, tails, dx)
     if not np.all(np.isfinite(phi)):
-        bad = int(np.flatnonzero(~np.isfinite(phi))[0])
-        raise DivergenceError(f"non-finite score for triple {tuple(int(v) for v in triples[bad])}")
+        triple = tuple(int(v) for v in triples[np.flatnonzero(~np.isfinite(phi))[0]])
+        raise DivergenceError(f"non-finite score for triple {triple}", triple)
     loss = nll_from_scores(phi[:n_pos], phi[n_pos:])
     # d loss / d phi = sigmoid(phi) - label
     dphi = sigmoid(phi)
@@ -605,12 +609,17 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(train_triples.shape[0])
         total_loss = 0.0
-        for start in range(0, order.size, config.batch_size):
+        for step, start in enumerate(range(0, order.size, config.batch_size), start=1):
             batch = train_triples[order[start : start + config.batch_size]]
             negs = sample_negatives_batch(
                 batch, config.m_negatives, config.negative_mode, rng, store.n_entities
             )
-            loss, tape = _loss_and_gradients(params, batch, negs)
+            try:
+                loss, tape = _loss_and_gradients(params, batch, negs)
+            except DivergenceError as exc:
+                named = ", ".join(store.decode(exc.triple))
+                where = f"epoch {epoch}, step {step}: non-finite score for triple ({named})"
+                raise DivergenceError(where, exc.triple) from exc
             total_loss += loss
             optimizer.step(params, tape)
         mean_loss = total_loss / train_triples.shape[0]

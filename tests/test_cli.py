@@ -227,6 +227,29 @@ class TestFixedProtocol:
         assert not (tmp_path / "t").exists()
 
 
+    def test_negatives_refused_under_full_protocol(self, toy_data, trained, negatives_file, tmp_path, monkeypatch, capsys):
+        # A negatives file means fixed-negatives ranking; under the full
+        # protocol it would be ignored, so every command refuses it before
+        # ranking, training or writing anything.
+        import pseudoe.evaluation
+        import pseudoe.training
+
+        calls = []
+        monkeypatch.setattr(pseudoe.evaluation, "_ranks", lambda *args: calls.append("rank"))
+        monkeypatch.setattr(pseudoe.training, "_loss_and_gradients", lambda *args: calls.append("step"))
+        ckpt, data = str(trained / "model.ckpt"), str(toy_data)
+        for negs in (str(negatives_file), "/nonexistent.tsv"):
+            for argv in (
+                ["evaluate", "--checkpoint", ckpt, "--data", data, "--negatives", negs, "--out", str(tmp_path / "e")],
+                ["train", "--data", data, "--out", str(tmp_path / "t"), "--set", "negatives", negs],
+                ["sweep-beta", "--data", data, "--out", str(tmp_path / "s"), "--betas", "0", "--set", "negatives", negs],
+            ):
+                assert main(argv) == 1
+                err = capsys.readouterr().err
+                assert err == f"error: negatives file {negs} given, but protocol 'full' ranks every entity\n"
+        assert calls == []
+        assert not any((tmp_path / name).exists() for name in ("e", "t", "s"))
+
 class TestEvaluateCommand:
     def test_report_files(self, toy_data, trained, tmp_path, capsys):
         out = tmp_path / "eval"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import make_random_model
+from pseudoe.data import augmented_store
 from pseudoe.geometry import GeometryConfig, Signature
 from pseudoe.likelihood import TfdParams, sigmoid
 from pseudoe.model import _TAIL_BLOCK, TABLES, InitConfig, score, score_many
@@ -494,11 +496,11 @@ def small_graph():
 
 
 class TestTrainLoop:
-    def _run(self, store, optimizer, lr, epochs=6, seed=5):
+    def _run(self, store, optimizer, lr, epochs=6, seed=5, augment=False):
         tfd = TfdParams(tau1=0.5, tau2=0.5, u=0.5, alpha=0.2, alpha_prime=1.0, beta=0.1)
         config = TrainConfig(
             m_negatives=4, batch_size=32, learning_rate=lr, optimizer=optimizer,
-            max_epochs=epochs, eval_every=3, patience=10, seed=seed,
+            max_epochs=epochs, eval_every=3, patience=10, seed=seed, augment_reverse=augment,
         )
         geometry = GeometryConfig(Signature(1, 7))
         return train(store, config, geometry, tfd, Variant.DT, init_cfg=InitConfig(0.1, seed))
@@ -538,3 +540,15 @@ class TestTrainLoop:
         store, _, _ = small_graph
         with pytest.raises(DivergenceError):
             self._run(store, OptimizerKind.SGD, 1e12, epochs=30)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_divergence_names_epoch_step_and_triple(self, small_graph, augment):
+        # The first non-finite score is named by the entity and relation
+        # names of the store trained on, inverse relations as inv:<name>.
+        store, _, _ = small_graph
+        with pytest.raises(DivergenceError) as info:
+            self._run(store, OptimizerKind.SGD, 1e12, epochs=30, augment=augment)
+        names = (augmented_store(store) if augment else store).decode(info.value.triple)
+        message = rf"epoch \d+, step \d+: non-finite score for triple \({re.escape(', '.join(names))}\)"
+        assert re.fullmatch(message, str(info.value))
