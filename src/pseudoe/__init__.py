@@ -22,7 +22,7 @@ from .model import (
 )
 from .relmaps import Variant
 from .training import TrainConfig, train
-from .evaluation import EvalMode, EvalProtocol, RankReport, aggregate, beta_sweep, evaluate_split, filtered_rank
+from .evaluation import EvalMode, EvalProtocol, RankReport, aggregate, beta_sweep, evaluate_split
 from .data import FilterIndex, NegativesTable, TripleStore, build_store, load_dataset, load_negatives, load_triples
 
 __version__ = "0.1.0"

@@ -86,7 +86,10 @@ def _parse_value(key: str, raw):
         if raw.lower() not in _BOOL_WORDS:
             raise ValueError(f"{key}: expected a boolean, got {raw!r}")
         return _BOOL_WORDS[raw.lower()]
-    return kind(raw)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
 
 
 def _read_config_file(path) -> dict:
@@ -96,10 +99,13 @@ def _read_config_file(path) -> dict:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            values[key.strip()] = _parse_value(key.strip(), raw)
+            key, eq, raw = line.partition("=")
+            try:
+                if not eq:
+                    raise ValueError("expected 'key = value'")
+                values[key.strip()] = _parse_value(key.strip(), raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

@@ -1,11 +1,14 @@
-"""Triple ingestion and vocabulary management.
+"""Triple ingestion, vocabulary management and reversed-triple augmentation.
 
 Datasets are three tab-separated files (train.txt, valid.txt, test.txt) of
-``head<TAB>relation<TAB>tail`` lines.  Ids are assigned densely by first
-appearance scanning train, then valid, then test; the filter index is the
-de-duplicated union of all splits, held as a `FilterIndex` of sorted integer
-codes.  Fixed negative candidate lists (one line per (head, relation) pair,
-negatives comma-separated) support the fixed-negatives evaluation protocol.
+``head<TAB>relation<TAB>tail`` lines; a line with an empty or blank column is
+refused.  Ids are assigned densely by first appearance scanning train, then
+valid, then test, head before tail; the filter index is the de-duplicated
+union of all splits, held as a `FilterIndex` of sorted integer codes.  Fixed
+negative candidate lists (one line per (head, relation) pair, negatives
+comma-separated) support the fixed-negatives evaluation protocol.  This
+module alone turns names into ids and adds reversed triples: relation k's
+inverse is k + n_relations, named ``inv:<name>``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import logging
 import operator
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,7 @@ __all__ = [
     "build_store",
     "load_negatives",
     "load_dataset",
+    "augment_reverse",
     "augmented_store",
 ]
 
@@ -107,8 +111,6 @@ class TripleStore:
     relation_to_id: dict[str, int]
     splits: dict[str, np.ndarray]
     filter_index: FilterIndex
-    entities_not_in_train: list[int] = field(default_factory=list)
-    relations_not_in_train: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.id_to_entity = {i: name for name, i in self.entity_to_id.items()}
@@ -130,6 +132,17 @@ class TripleStore:
         """In-degree plus out-degree per entity, over the training split."""
         train = self.splits["train"]
         return np.bincount(np.concatenate([train[:, 0], train[:, 2]]), minlength=self.n_entities)
+
+    @property
+    def entities_not_in_train(self) -> list[int]:
+        """Ascending ids of the entities in no training triple."""
+        return np.flatnonzero(self.entity_degrees() == 0).tolist()
+
+    @property
+    def relations_not_in_train(self) -> list[int]:
+        """Ascending ids of the relations of no training triple."""
+        counts = np.bincount(self.splits["train"][:, 1], minlength=self.n_relations)
+        return np.flatnonzero(counts == 0).tolist()
 
     def summary(self) -> dict:
         return {
@@ -165,6 +178,9 @@ def _read_rows(path):
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}")
+            for column, part in enumerate(parts, start=1):
+                if not part.strip():
+                    raise ParseError(f"{path}:{lineno}: column {column} is empty")
             yield lineno, parts
 
 
@@ -176,46 +192,29 @@ def load_triples(path) -> list[tuple[str, str, str]]:
 def build_store(train, valid, test) -> TripleStore:
     """Encode string triples into a TripleStore.
 
-    Vocabulary ids follow first appearance over train, then valid, then test.
-    Duplicate training triples are kept (they weight the loss) but the filter
-    index holds each triple once.
+    Vocabulary ids follow first appearance over train, then valid, then test,
+    head before tail.  Duplicate training triples are kept (they weight the
+    loss) but the filter index holds each triple once.
     """
     entity_to_id: dict[str, int] = {}
     relation_to_id: dict[str, int] = {}
-    splits: dict[str, np.ndarray] = {}
-    not_in_train_e: list[int] = []
-    not_in_train_r: list[int] = []
+    entity, relation = entity_to_id.setdefault, relation_to_id.setdefault
 
-    for split_name, rows in (("train", train), ("valid", valid), ("test", test)):
-        encoded = np.empty((len(rows), 3), dtype=np.int64)
-        for i, (h, r, t) in enumerate(rows):
-            for name, vocab, flagged in ((h, entity_to_id, not_in_train_e), (t, entity_to_id, not_in_train_e)):
-                if name not in vocab:
-                    vocab[name] = len(vocab)
-                    if split_name != "train":
-                        flagged.append(vocab[name])
-            if r not in relation_to_id:
-                relation_to_id[r] = len(relation_to_id)
-                if split_name != "train":
-                    not_in_train_r.append(relation_to_id[r])
-            encoded[i] = (entity_to_id[h], relation_to_id[r], entity_to_id[t])
-        splits[split_name] = encoded
+    def encode(rows) -> np.ndarray:
+        ids = [
+            (entity(h, len(entity_to_id)), relation(k, len(relation_to_id)), entity(t, len(entity_to_id)))
+            for h, k, t in rows
+        ]
+        return np.array(ids, dtype=np.int64).reshape(-1, 3)
 
+    splits = {"train": encode(train)}
+    in_train = len(entity_to_id), len(relation_to_id)
+    splits["valid"], splits["test"] = encode(valid), encode(test)
+    unseen = len(entity_to_id) - in_train[0], len(relation_to_id) - in_train[1]
+    if any(unseen):
+        logger.warning("%d entities and %d relations first appear outside the training split", *unseen)
     filter_index = FilterIndex(np.concatenate(list(splits.values())), len(entity_to_id), len(relation_to_id))
-    if not_in_train_e or not_in_train_r:
-        logger.warning(
-            "%d entities and %d relations first appear outside the training split",
-            len(not_in_train_e),
-            len(not_in_train_r),
-        )
-    return TripleStore(
-        entity_to_id=entity_to_id,
-        relation_to_id=relation_to_id,
-        splits=splits,
-        filter_index=filter_index,
-        entities_not_in_train=not_in_train_e,
-        relations_not_in_train=not_in_train_r,
-    )
+    return TripleStore(entity_to_id, relation_to_id, splits, filter_index)
 
 
 def load_dataset(directory) -> TripleStore:
@@ -265,15 +264,20 @@ def load_negatives(path, store: TripleStore) -> NegativesTable:
     return NegativesTable(table=table, length=length or 0)
 
 
+def augment_reverse(triples: np.ndarray, n_relations: int) -> np.ndarray:
+    """Append (tail, k + n_relations, head) for every (head, k, tail); output doubles."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    reversed_ = np.column_stack([triples[:, 2], triples[:, 1] + n_relations, triples[:, 0]])
+    return np.concatenate([triples, reversed_], axis=0)
+
+
 def augmented_store(store: TripleStore) -> TripleStore:
     """Store with reversed triples appended to every split under fresh inverse relations.
 
     Every relation k gains an inverse k + n_relations named ``inv:<name>``;
-    each (h, k, t) in any split gains (t, inv k, h) in the same split, and
-    the inverse of a relation missing from the training split is missing too.
+    each (h, k, t) in any split gains (t, inv k, h) in the same split, so the
+    inverse of a relation missing from the training split is missing too.
     """
-    from .training import augment_reverse
-
     n_r = store.n_relations
     relation_to_id = dict(store.relation_to_id)
     for name, k in store.relation_to_id.items():
@@ -283,11 +287,4 @@ def augmented_store(store: TripleStore) -> TripleStore:
         relation_to_id[inv] = k + n_r
     splits = {name: augment_reverse(rows, n_r) for name, rows in store.splits.items()}
     filter_index = FilterIndex(np.concatenate(list(splits.values())), store.n_entities, 2 * n_r)
-    return TripleStore(
-        entity_to_id=dict(store.entity_to_id),
-        relation_to_id=relation_to_id,
-        splits=splits,
-        filter_index=filter_index,
-        entities_not_in_train=list(store.entities_not_in_train),
-        relations_not_in_train=store.relations_not_in_train + [k + n_r for k in store.relations_not_in_train],
-    )
+    return TripleStore(dict(store.entity_to_id), relation_to_id, splits, filter_index)

@@ -40,7 +40,6 @@ __all__ = [
     "ProtocolError",
     "RelationStats",
     "RankReport",
-    "filtered_rank",
     "aggregate",
     "evaluate_split",
     "beta_sweep",
@@ -180,18 +179,6 @@ def _filter_index(params: ModelParams, filter_set) -> FilterIndex:
     return filter_set
 
 
-def filtered_rank(params: ModelParams, triple, filter_set, protocol: EvalProtocol) -> float:
-    """Filtered average-tie rank of one triple's true tail.
-
-    ``filter_set`` holds every known true triple across all splits, as a
-    `FilterIndex` or a plain set of id triples; candidate tails forming one of
-    them (other than the test triple itself) are excluded in full-filtered
-    mode and ignored in fixed-negatives mode.
-    """
-    split = np.asarray(triple, dtype=np.int64).reshape(1, 3)
-    return float(_ranks(params, split, _filter_index(params, filter_set), protocol)[0])
-
-
 def aggregate(ranks) -> RankReport:
     """MRR, hits@k at `HITS_AT` and per-relation breakdown from (triple, rank) pairs."""
     ranks = list(ranks)
@@ -225,6 +212,12 @@ def evaluate_split(
     threads: int = 1,
 ) -> RankReport:
     """Rank every triple of a split and aggregate.
+
+    ``filter_set`` holds every known true triple across all splits, as a
+    `FilterIndex` or a plain set of id triples; candidate tails forming one
+    of them (other than the ranked triple itself) are excluded in
+    full-filtered mode and ignored in fixed-negatives mode.  A one-row split
+    ranks a single triple.
 
     Evaluation runs on one thread; BLAS may use several for the screen's
     matrix products.  ``threads`` must be 1: the keyword stays only because

@@ -5,9 +5,10 @@ The loss over a batch of observed triples is
     L = -sum_pos [ log sigmoid(phi(pos)) + sum_neg log(1 - sigmoid(phi(neg))) ]
 
 with m uniformly drawn corruptions per positive: m/2 head and m/2 tail
-replacements, or all m on the tail when reversed-triple augmentation is on
-(the reversed triples already cover the head direction, so the head-corruption
-term is dropped; this coupling is enforced).
+replacements, or all m on the tail when reversed-triple augmentation
+(`data.augmented_store`) is on (the reversed triples already cover the head
+direction, so the head-corruption term is dropped; this coupling is
+enforced).
 
 Gradients are exact, hand-derived chain-rule expressions through the score
 pipeline.  Each table's rows are summed per entity or relation in the order
@@ -46,6 +47,8 @@ from enum import Enum
 
 import numpy as np
 
+from . import evaluation
+from .data import augmented_store
 from .likelihood import sigmoid, softplus
 from .model import FROZEN, TABLES, _TAIL_BLOCK, InitConfig, ModelParams, _check_ids, _forward, _sides
 from .model import init as model_init
@@ -57,7 +60,6 @@ __all__ = [
     "TrainConfig",
     "GradientTape",
     "DivergenceError",
-    "augment_reverse",
     "sample_negatives_batch",
     "nll_from_scores",
     "nll_loss",
@@ -159,13 +161,6 @@ class GradientTape:
         )
 
 
-def augment_reverse(triples: np.ndarray, n_relations: int) -> np.ndarray:
-    """Append (tail, k + n_relations, head) for every (head, k, tail); output doubles."""
-    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    reversed_ = np.column_stack([triples[:, 2], triples[:, 1] + n_relations, triples[:, 0]])
-    return np.concatenate([triples, reversed_], axis=0)
-
-
 def sample_negatives_batch(
     batch: np.ndarray, m: int, mode: NegativeMode, rng: np.random.Generator, n_entities: int
 ) -> np.ndarray:
@@ -179,11 +174,8 @@ def sample_negatives_batch(
     if m % 2 != 0 or m < 0:
         raise ValueError(f"m must be a non-negative even integer, got {m}")
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
-    b = batch.shape[0]
-    out = np.repeat(batch[:, None, :], m, axis=1) if m else np.empty((b, 0, 3), dtype=np.int64)
-    if m == 0:
-        return out
-    draws = rng.integers(0, n_entities, size=(b, m))
+    out = np.repeat(batch[:, None, :], m, axis=1)
+    draws = rng.integers(0, n_entities, size=(batch.shape[0], m))
     if mode is NegativeMode.TAIL_ONLY:
         out[:, :, 2] = draws
     else:
@@ -572,9 +564,6 @@ def train(
     with the per-epoch log.  An empty validation split is rejected before the
     first epoch.
     """
-    from . import evaluation
-    from .data import augmented_store
-
     if config.augment_reverse:
         store = augmented_store(store)
     train_triples = store.splits["train"]
@@ -600,7 +589,7 @@ def train(
     )
     optimizer = make_optimizer(config.optimizer, params, config.learning_rate)
 
-    best = params.copy()
+    best = None
     best_mrr = -np.inf
     rounds_without_improvement = 0
     log: list[TrainLogRow] = []
@@ -642,7 +631,4 @@ def train(
         if rounds_without_improvement >= config.patience:
             logger.info("early stop at epoch %d (best val MRR %.4f)", epoch, best_mrr)
             break
-
-    if not np.isfinite(best_mrr):
-        best = params.copy()
     return best, log

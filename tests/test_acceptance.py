@@ -14,7 +14,7 @@ import pytest
 
 from conftest import make_random_model
 from gradcheck import max_gradient_mismatch
-from pseudoe.evaluation import EvalProtocol, evaluate_split, filtered_rank
+from pseudoe.evaluation import EvalProtocol, evaluate_split
 from pseudoe.experiments import (
     direction_fraction,
     mean_top_prediction_degree,
@@ -130,7 +130,7 @@ def test_likelihood_invariants(rng):
 
 
 def test_ranking_oracle_equivalence(rng):
-    """filtered_rank equals exhaustive brute-force ranking, ties included."""
+    """A one-triple evaluate_split rank equals exhaustive brute-force ranking, ties included."""
     t0 = time.perf_counter()
     protocol = EvalProtocol()
     checked = 0
@@ -146,7 +146,7 @@ def test_ranking_oracle_equivalence(rng):
             for h, k, t in zip(rng.integers(0, 8, 12), rng.integers(0, 3, 12), rng.integers(0, 8, 12))
         }
         triple = (int(rng.integers(0, 8)), int(rng.integers(0, 3)), int(rng.integers(0, 8)))
-        got = filtered_rank(params, triple, filter_set, protocol)
+        ((_, got),) = evaluate_split(params, [triple], filter_set, protocol).per_triple_ranks
 
         h, k, t = triple
         true_score = params_score(params, h, k, t)

@@ -52,6 +52,28 @@ class TestResolveConfig:
         with pytest.raises(ValueError, match="unknown configuration key"):
             resolve_config(overrides={"not_a_key": "1"})
 
+    def test_bad_value_names_its_key(self, capsys):
+        for key, raw, kind in (("batch_size", "many", "int"), ("learning_rate", "fast", "float")):
+            with pytest.raises(ValueError) as info:
+                resolve_config(overrides={key: raw})
+            assert str(info.value) == f"{key}: expected {kind}, got {raw!r}"
+        assert main(["train", "--data", ".", "--out", "o", "--set", "batch_size", "many"]) == 1
+        assert capsys.readouterr().err == "error: batch_size: expected int, got 'many'\n"
+
+    def test_config_file_errors_name_path_and_line(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        for text, message in (
+            ("seed = 3\nn_t = two\n", "n_t: expected int, got 'two'"),
+            ("# comment\n\nnot_a_key = 1\n", "unknown configuration key 'not_a_key'"),
+            ("seed = 3\nswap_transforms = maybe\n", "swap_transforms: expected a boolean, got 'maybe'"),
+            ("seed 3\n", "expected 'key = value'"),
+        ):
+            cfg.write_text(text, encoding="utf-8")
+            lineno = len(text.splitlines())
+            with pytest.raises(ValueError) as info:
+                resolve_config(None, cfg)
+            assert str(info.value) == f"{cfg}:{lineno}: {message}"
+
     def test_preset_values(self):
         config = resolve_config("hetionet-both")
         assert config.n_x == 200
@@ -421,7 +443,7 @@ class TestSweepAndStats:
         older = tmp_path / "older.resolved"
         older.write_text("seed = 7\nthreads = 1\n", encoding="utf-8")
         assert main(["train", "--config", str(older), "--data", data, "--out", str(tmp_path / "run")]) == 1
-        assert capsys.readouterr().err == "error: unknown configuration key 'threads'\n"
+        assert capsys.readouterr().err == f"error: {older}:2: unknown configuration key 'threads'\n"
         for argv in (
             ["train", "--data", data, "--out", str(tmp_path / "run")],
             ["evaluate", "--checkpoint", ckpt, "--data", data],

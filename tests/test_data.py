@@ -1,10 +1,13 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from pseudoe.data import (
     FilterIndex,
     NegativesTable,
     ParseError,
+    augment_reverse,
     augmented_store,
     build_store,
     load_dataset,
@@ -40,6 +43,16 @@ class TestLoadTriples:
         with pytest.raises(ParseError):
             load_triples(tmp_path / "absent.txt")
 
+    def test_empty_column_names_line_and_column(self, tmp_path):
+        for line, column in (("b\t\tc", 2), ("\tr\tc", 1), ("b\tr\t", 3), ("b\t \tc", 2)):
+            p = write(tmp_path / "t.txt", f"a\tr\tb\n{line}\n")
+            with pytest.raises(ParseError, match=f"t.txt:2: column {column} is empty"):
+                load_triples(p)
+
+
+_ENTITY = st.sampled_from(["a", "b", "c", "d", "e"])
+_RELATION = st.sampled_from(["r", "s", "t"])
+
 
 class TestBuildStore:
     def test_first_appearance_ids(self):
@@ -49,6 +62,32 @@ class TestBuildStore:
         assert store.entity_to_id == {"a": 0, "b": 1, "c": 2, "d": 3}
         assert store.relation_to_id == {"r1": 0, "r2": 1}
         assert store.entities_not_in_train == [3]
+        assert store.relations_not_in_train == []
+
+    @given(st.lists(st.lists(st.tuples(_ENTITY, _RELATION, _ENTITY), max_size=8), min_size=3, max_size=3))
+    def test_ids_follow_first_appearance(self, rows):
+        # Names from small alphabets recur; some first appear in valid or
+        # test, and some splits are empty.
+        entities, relations, late_entities, late_relations = {}, {}, [], []
+        for i, split in enumerate(rows):
+            for h, k, t in split:
+                names = ((h, entities, late_entities), (k, relations, late_relations), (t, entities, late_entities))
+                for name, vocab, late in names:
+                    if name not in vocab:
+                        vocab[name] = len(vocab)
+                        if i > 0:
+                            late.append(vocab[name])
+        store = build_store(*rows)
+        assert store.entity_to_id == entities and store.relation_to_id == relations
+        for name, split in zip(("train", "valid", "test"), rows):
+            want = [(entities[h], relations[k], entities[t]) for h, k, t in split]
+            assert store.splits[name].tolist() == [list(row) for row in want]
+        assert store.entities_not_in_train == late_entities
+        assert store.relations_not_in_train == late_relations
+        n_r = store.n_relations
+        aug = augmented_store(store)
+        assert aug.entities_not_in_train == store.entities_not_in_train
+        assert aug.relations_not_in_train == store.relations_not_in_train + [k + n_r for k in store.relations_not_in_train]
 
     def test_deterministic(self):
         triples = [("x", "r", "y"), ("y", "r", "z")]
@@ -150,6 +189,30 @@ class TestLoadNegatives:
         p = write(tmp_path / "n.tsv", "a\tr\tb,c\nb\tr\tc,d\na\tr\tc,d\n")
         with pytest.raises(ParseError, match=r":3: .*'a', relation 'r' \(first on line 1\)"):
             load_negatives(p, store)
+
+    def test_empty_column_names_line_and_column(self, tmp_path, store):
+        p = write(tmp_path / "n.tsv", "a\tr\tb,c\nb\t\tc,d\n")
+        with pytest.raises(ParseError, match="n.tsv:2: column 2 is empty"):
+            load_negatives(p, store)
+
+
+class TestAugmentReverse:
+    def test_empty(self):
+        out = augment_reverse(np.empty((0, 3), dtype=np.int64), 5)
+        assert out.shape == (0, 3)
+
+    def test_single(self):
+        out = augment_reverse(np.array([[0, 0, 1]]), 1)
+        np.testing.assert_array_equal(out, [[0, 0, 1], [1, 1, 0]])
+
+    def test_doubles_size(self, rng):
+        triples = rng.integers(0, 10, size=(57, 3))
+        out = augment_reverse(triples, 10)
+        assert out.shape == (114, 3)
+        np.testing.assert_array_equal(out[:57], triples)
+        np.testing.assert_array_equal(out[57:, 0], triples[:, 2])
+        np.testing.assert_array_equal(out[57:, 1], triples[:, 1] + 10)
+        np.testing.assert_array_equal(out[57:, 2], triples[:, 0])
 
 
 class TestAugmentedStore:

@@ -12,7 +12,6 @@ from pseudoe.evaluation import (
     aggregate,
     beta_sweep,
     evaluate_split,
-    filtered_rank,
 )
 from pseudoe.evaluation import _QUERY_BATCH
 from pseudoe.model import _TAIL_BLOCK, _screen_tails, score_many, score_tails
@@ -35,12 +34,18 @@ def brute_force_rank(params, triple, filter_set):
     return 1.0 + better + 0.5 * equal
 
 
+def rank_of(params, triple, filter_set, protocol):
+    """Filtered rank of one triple: `evaluate_split` over a one-row split."""
+    ((_, rank),) = evaluate_split(params, [triple], filter_set, protocol).per_triple_ranks
+    return rank
+
+
 class TestFilteredRank:
     def test_true_tail_on_top(self):
         params = make_random_model(seed=0)
         params.node_bias[:] = 0.0
         params.node_bias[3] = 50.0  # tail 3 dominates every score
-        rank = filtered_rank(params, (0, 0, 3), set(), EvalProtocol())
+        rank = rank_of(params, (0, 0, 3), set(), EvalProtocol())
         assert rank == 1.0
 
     def test_all_tied_with_fixed_negatives(self):
@@ -51,7 +56,7 @@ class TestFilteredRank:
         params.rel_r[:] = 1.0
         negs = NegativesTable(table={(0, 0): np.full(80, 1)}, length=80)
         protocol = EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=negs)
-        rank = filtered_rank(params, (0, 0, 2), set(), protocol)
+        rank = rank_of(params, (0, 0, 2), set(), protocol)
         assert rank == 41.0  # 1 + 80/2
 
     def test_matches_brute_force_on_random_stores(self):
@@ -64,7 +69,7 @@ class TestFilteredRank:
             }
             triple = (int(rng.integers(0, 8)), int(rng.integers(0, 3)), int(rng.integers(0, 8)))
             expected = brute_force_rank(params, triple, filter_set)
-            assert filtered_rank(params, triple, filter_set, EvalProtocol()) == expected
+            assert rank_of(params, triple, filter_set, EvalProtocol()) == expected
 
     def test_missing_fixed_negatives_entry(self):
         params = make_random_model(seed=0)
@@ -73,7 +78,7 @@ class TestFilteredRank:
             negatives=NegativesTable(table={(0, 1): np.array([1, 2])}, length=2),
         )
         with pytest.raises(ProtocolError):
-            filtered_rank(params, (0, 0, 2), set(), protocol)
+            rank_of(params, (0, 0, 2), set(), protocol)
 
     def test_out_of_range_tail_rejected(self):
         params = make_random_model(n_entities=6, seed=0)
@@ -95,7 +100,7 @@ class TestFilteredRank:
         triple = (0, 0, 3)
         small = {(0, 0, 1)}
         large = {(0, 0, 1), (0, 0, 2), (0, 0, 4)}
-        assert filtered_rank(params, triple, large, EvalProtocol()) <= filtered_rank(
+        assert rank_of(params, triple, large, EvalProtocol()) <= rank_of(
             params, triple, small, EvalProtocol()
         )
 
@@ -235,7 +240,7 @@ class TestScreen:
             one = evaluate_split(params, split, index, protocol)
             assert any(rank % 1 for _, rank in one.per_triple_ranks)  # ties are counted
             for triple, rank in one.per_triple_ranks:
-                assert filtered_rank(params, triple, index, protocol) == rank
+                assert rank_of(params, triple, index, protocol) == rank
             if protocol.mode is EvalMode.FIXED_NEGATIVES:  # against score_many
                 for (h, k, t), rank in one.per_triple_ranks:
                     tails = np.append(protocol.negatives.table[(h, k)], t)
@@ -295,7 +300,7 @@ class TestEvaluateSplit:
         ranks = []
         for seed in range(4000):
             params = make_random_model(n_entities=n, n_relations=1, seed=seed, sigma=1.0)
-            ranks.append(filtered_rank(params, (0, 0, 1), {(0, 0, 0)}, EvalProtocol()))
+            ranks.append(rank_of(params, (0, 0, 1), {(0, 0, 0)}, EvalProtocol()))
         mrr = float(np.mean(1.0 / np.asarray(ranks)))
         m = n - 1
         expected = sum(1.0 / r for r in range(1, m + 1)) / m
@@ -313,15 +318,13 @@ class TestEvaluateSplit:
         split = np.array([[0, 0, 1]])
         rows = np.array([[0, 0, 2]])
         ok = FilterIndex(rows, n_entities=6, n_relations=3)
-        assert filtered_rank(params, (0, 0, 1), ok, EvalProtocol()) == filtered_rank(
+        assert rank_of(params, (0, 0, 1), ok, EvalProtocol()) == rank_of(
             params, (0, 0, 1), {(0, 0, 2)}, EvalProtocol()
         )
         for n, n_r in ((7, 3), (6, 4)):
             wrong = FilterIndex(rows, n_entities=n, n_relations=n_r)
             with pytest.raises(ValueError, match=f"{n} entities and {n_r} relations"):
                 evaluate_split(params, split, wrong, EvalProtocol())
-            with pytest.raises(ValueError, match=f"{n} entities and {n_r} relations"):
-                filtered_rank(params, (0, 0, 1), wrong, EvalProtocol())
         with pytest.raises(ValueError, match="outside"):
             evaluate_split(params, split, {(0, 0, 6)}, EvalProtocol())
 

@@ -27,7 +27,6 @@ from pseudoe.training import (
     _loss_and_gradients,
     _Segments,
     _take,
-    augment_reverse,
     gradients,
     make_optimizer,
     nll_from_scores,
@@ -52,28 +51,12 @@ def random_batch(params, rng, b=3, m=4):
     return batch, negs
 
 
-class TestAugmentReverse:
-    def test_empty(self):
-        out = augment_reverse(np.empty((0, 3), dtype=np.int64), 5)
-        assert out.shape == (0, 3)
-
-    def test_single(self):
-        out = augment_reverse(np.array([[0, 0, 1]]), 1)
-        np.testing.assert_array_equal(out, [[0, 0, 1], [1, 1, 0]])
-
-    def test_doubles_size(self, rng):
-        triples = rng.integers(0, 10, size=(57, 3))
-        out = augment_reverse(triples, 10)
-        assert out.shape == (114, 3)
-        np.testing.assert_array_equal(out[:57], triples)
-        np.testing.assert_array_equal(out[57:, 0], triples[:, 2])
-        np.testing.assert_array_equal(out[57:, 1], triples[:, 1] + 10)
-        np.testing.assert_array_equal(out[57:, 2], triples[:, 0])
-
-
 class TestSampleNegatives:
     def test_zero(self, rng):
-        assert sample_negatives_batch(np.array([[0, 0, 1]]), 0, NegativeMode.BOTH, rng, 5)[0].tolist() == []
+        state = rng.bit_generator.state
+        out = sample_negatives_batch(np.array([[0, 0, 1]]), 0, NegativeMode.BOTH, rng, 5)
+        assert out.shape == (1, 0, 3) and out.dtype == np.int64
+        assert rng.bit_generator.state == state  # no draws consumed
 
     def test_odd_rejected(self, rng):
         with pytest.raises(ValueError):
