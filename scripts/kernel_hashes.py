@@ -12,7 +12,9 @@ SM3.  Per configuration it hashes nine outputs:
 - ``_score_lists`` on 40 lists of 81 tails;
 - the phi and margin arrays of ``_screen_tails``;
 - the gradients of 30 training steps (tail-only and head-and-tail negatives
-  in turn), every table and the touched rows;
+  in turn), every table and the touched rows.  Each table is hashed through
+  the tape's dense view, so a compact row written to the wrong key moves the
+  hash;
 - ``nll_loss`` of each step's batch;
 - the parameters after those 30 optimizer steps, and the bytes
   ``save_checkpoint`` writes for them;

@@ -166,7 +166,8 @@ class NegativesTable:
 
 def _read_rows(path):
     """(line number, three columns) of each line of a tab-separated file;
-    empty lines are skipped."""
+    empty lines are skipped, and an empty column or one with leading or
+    trailing whitespace is refused."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
@@ -181,6 +182,9 @@ def _read_rows(path):
             for column, part in enumerate(parts, start=1):
                 if not part.strip():
                     raise ParseError(f"{path}:{lineno}: column {column} is empty")
+                if part != part.strip():
+                    # 'r' and 'r ' would otherwise be two relations
+                    raise ParseError(f"{path}:{lineno}: column {column} has surrounding whitespace: {part!r}")
             yield lineno, parts
 
 

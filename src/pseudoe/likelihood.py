@@ -46,10 +46,14 @@ class TfdParams:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.tau1 > 0 and self.tau2 > 0):
-            raise ValueError(f"temperatures must be positive, got tau1={self.tau1}, tau2={self.tau2}")
-        if self.u < 0:
-            raise ValueError(f"u must be non-negative, got {self.u}")
+        # A NaN passes no comparison, and an infinite temperature or radius
+        # turns every score into NaN.
+        for name in ("tau1", "tau2"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive real, got {value}")
+        if not (np.isfinite(self.u) and self.u >= 0):
+            raise ValueError(f"u must be a non-negative real, got {self.u}")
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.alpha_prime <= 1.0):
             raise ValueError(
                 f"alpha and alpha_prime must lie in [0, 1], got {self.alpha}, {self.alpha_prime}"

@@ -243,8 +243,8 @@ def _wrap(dt, c: float | None):
 # median 4.6-4.7 ms at 128 rows against 5.3 ms at 64, and 1,000 lists of 81
 # took 27-28 ms against 31; 256 rows was no faster, and at WN18RR shape
 # (40,943 tails, n_x = 500) all three took 23-25 ms.  An SM3 step over
-# 6,100 WN18RR-shape rows took 12.2-13.4 ms at 64 to 512 rows.  Any size
-# gives the same bits.
+# 6,100 WN18RR-shape rows of the compact tape took 9.4-10.2 ms at 64 to 512
+# rows.  Any size gives the same bits.
 _TAIL_BLOCK = 128
 
 

@@ -13,15 +13,15 @@ enforced).
 Gradients are exact, hand-derived chain-rule expressions through the score
 pipeline.  Each table's rows are summed per entity or relation in the order
 ``np.add.at`` would add them, so every bit is fixed by the batch, and written
-once into a dense tape: one full-size table per parameter table, allocated
-each step as lazily zeroed pages, plus the rows the batch references, which
-are the only rows the optimizers update.  Optimizers: plain SGD, Adam with
-bias-corrected moments, and SM3 with row/column cover sets over the
-coordinate table and per-coordinate accumulators everywhere else.  They keep
-state for, and step, only the tables the variant trains (`model.FROZEN`).  The
-loop shuffles each epoch from the run seed, evaluates filtered MRR on the
-validation split every few epochs and early-stops on it, returning the best
-checkpoint seen.
+once into a compact tape: the sorted ids the batch references and, per
+parameter table, one row for each of them, so no step allocates a gradient
+table with a row per entity.  Those rows are the only ones the optimizers
+update.  Optimizers: plain SGD, Adam with bias-corrected moments, and SM3
+with row/column cover sets over the coordinate table and per-coordinate
+accumulators everywhere else.  They keep state for, and step, only the
+tables the variant trains (`model.FROZEN`).  The loop shuffles each epoch
+from the run seed, evaluates filtered MRR on the validation split every few
+epochs and early-stops on it, returning the best checkpoint seen.
 
 A step scores its positives and negatives with one `model._forward` call, the
 same one `nll_loss` makes, and takes its loss from `nll_from_scores` as
@@ -33,7 +33,7 @@ the only (rows x n_x) array of a step.  Everything else of that width
 streams in `model._TAIL_BLOCK`-row blocks, which stay in cache: the forward
 space map, the sums of `_Segments`, which read the space rows of the
 backward through a gather that forms them per block, and each optimizer's
-update of the touched rows.
+update of the touched rows, which reads each block as a slice of the tape.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import csv
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 
 import numpy as np
@@ -121,44 +121,68 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs", "eval_every", "patience"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a positive real, got {self.learning_rate}")
 
     @property
     def negative_mode(self) -> NegativeMode:
         return NegativeMode.TAIL_ONLY if self.augment_reverse else NegativeMode.BOTH
 
 
+class _DenseView:
+    """The gradient of the parameter table this attribute is named after, in
+    the ModelParams layout: a new full-size table of +0.0 on each access, with
+    the tape's compact rows scattered to their ids."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.key = name, dict(TABLES)[name]
+
+    def __get__(self, tape, owner=None):
+        if tape is None:
+            return self
+        compact = getattr(tape, f"{self.name}_rows")
+        rows = tape.touched_entities if self.key == "entity" else tape.touched_relations
+        dense = np.zeros((tape._n_rows[self.key], *compact.shape[1:]))
+        dense[rows] = compact
+        return dense
+
+    def __set__(self, tape, value):
+        raise AttributeError(f"{self.name} is a read-only view; write {self.name}_rows")
+
+
 @dataclass
 class GradientTape:
-    """Dense gradients in the ModelParams layout: one table per parameter table.
+    """Gradients of the rows a batch touches: one compact table per parameter table.
 
-    Only the rows the batch references are written; every other row, and every
-    row of a table the variant freezes, stays exactly zero (+0.0).
-    ``touched_entities`` and ``touched_relations`` list the referenced rows,
-    sorted, so optimizers can update only those.
+    ``touched_entities`` and ``touched_relations`` list the ids the batch
+    references, sorted and unique.  Row i of ``coords_rows`` and
+    ``node_bias_rows`` is the gradient of entity ``touched_entities[i]``, and
+    row i of each ``rel_*_rows`` table that of relation
+    ``touched_relations[i]``.  A table the variant freezes gets no gradient:
+    its rows hold +0.0.
+
+    ``coords``, ``node_bias``, ``rel_u``, ``rel_r``, ``rel_h`` and ``rel_c``
+    are read-only dense views for checks, with the shapes of the ModelParams
+    tables and +0.0 at every untouched row.  Each access allocates and fills
+    a full-size table, so the optimizers never read them.  ``n_entities`` and
+    ``n_relations`` give their row counts.
     """
 
-    coords: np.ndarray
-    node_bias: np.ndarray
-    rel_u: np.ndarray
-    rel_r: np.ndarray
-    rel_h: np.ndarray
-    rel_c: np.ndarray
+    coords_rows: np.ndarray
+    node_bias_rows: np.ndarray
+    rel_u_rows: np.ndarray
+    rel_r_rows: np.ndarray
+    rel_h_rows: np.ndarray
+    rel_c_rows: np.ndarray
     touched_entities: np.ndarray
     touched_relations: np.ndarray
+    n_entities: InitVar[int]
+    n_relations: InitVar[int]
 
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "GradientTape":
-        # np.zeros takes pages that the kernel zeroes on first touch, where
-        # np.zeros_like would write every byte of the 164 MB WN18RR-shape
-        # coordinate table once more; a step pays only for the pages its rows
-        # touch.
-        return cls(
-            **{name: np.zeros(getattr(params, name).shape) for name, _ in TABLES},
-            touched_entities=np.empty(0, dtype=np.intp),
-            touched_relations=np.empty(0, dtype=np.intp),
-        )
+    coords, node_bias, rel_u, rel_r, rel_h, rel_c = (_DenseView() for _ in TABLES)
+
+    def __post_init__(self, n_entities: int, n_relations: int) -> None:
+        self._n_rows = {"entity": n_entities, "relation": n_relations}
 
 
 def sample_negatives_batch(
@@ -217,12 +241,12 @@ def gradients(params: ModelParams, batch: np.ndarray, negatives: np.ndarray) -> 
 
 
 class _Segments:
-    """Rows grouped by key, added into a zeroed table as ``np.add.at`` adds them.
+    """Rows grouped by key and summed per key as ``np.add.at`` adds them.
 
     ``np.add.at(out, keys, values)`` adds each row to its key's row of
-    ``out`` in row order.  `sum` keeps that order per key, so that on a table
-    that holds 0.0 at every key each total, signed zeros included, has the
-    same bits:
+    ``out`` in row order.  `sum` keeps that order per key, so that each total,
+    signed zeros included, has the bits that ``np.add.at`` leaves at that
+    key's row of a table that holds 0.0 there:
 
     - 1-D values and single columns go through ``np.bincount``, which adds in
       row order (``np.add.reduce`` would sum a single column pairwise);
@@ -234,20 +258,19 @@ class _Segments:
       number of blocks, those the reduces read plus the rounds of the first
       key block, which has the most.
 
-    ``keys`` lists the distinct keys, most repeated first.
+    ``keys`` lists the distinct keys, sorted; `sum` writes each key's total
+    at the key's position in it.
     """
 
     def __init__(self, keys):
         keys = np.asarray(keys, dtype=np.intp)
         order = np.argsort(keys, kind="stable")
-        distinct, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
-        by_count = np.argsort(-counts, kind="stable")
-        position = np.empty_like(by_count)
-        position[by_count] = np.arange(by_count.size)
+        self.keys, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
         self._group = np.empty_like(order)
-        self._group[order] = np.repeat(position, counts)
-        self.keys = distinct[by_count]
-        starts, counts = starts[by_count], counts[by_count]
+        self._group[order] = np.repeat(np.arange(counts.size), counts)
+        # The keys' positions, most repeated first.
+        self._slots = np.argsort(-counts, kind="stable")
+        starts, counts = starts[self._slots], counts[self._slots]
 
         # Keys [0, n_reduced) are reduced one by one; the rest, which hold at
         # most counts[n_reduced] rows each, take that many rounds.
@@ -264,20 +287,20 @@ class _Segments:
         self._rounds = list(zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()))
 
     def sum(self, take, out: np.ndarray) -> None:
-        """Add every row into ``out[key]``, where ``out`` holds 0.0 at every key.
+        """Write each key's total into ``out[i]``, where ``keys[i]`` is the key.
 
         ``take(rows, buffer)`` writes the values of the given rows into
         ``buffer`` and returns it.  Wide rows are read `_TAIL_BLOCK` at a
-        time, so a caller can form them on the fly, and ``out`` is written
-        once per key and never read.
+        time, so a caller can form them on the fly, and every row of ``out``
+        is written once and never read.
         """
         n_rows, shape = self._group.size, out.shape[1:]
         if math.prod(shape) == 1:
             values = take(np.arange(n_rows), np.empty((n_rows, *shape))).reshape(-1)
-            out[self.keys] = np.bincount(self._group, weights=values, minlength=self.keys.size).reshape(-1, *shape)
+            out[...] = np.bincount(self._group, weights=values, minlength=self.keys.size).reshape(out.shape)
             return
         buffer, totals = np.empty((1 + _TAIL_BLOCK, *shape)), np.empty((_TAIL_BLOCK, *shape))
-        for key, rows in zip(self.keys.tolist(), self._reduced):
+        for slot, rows in zip(self._slots.tolist(), self._reduced):
             # Each block is reduced after the total so far, which starts at 0.0.
             buffer[0] = 0.0
             for start in range(0, rows.size, _TAIL_BLOCK):
@@ -285,10 +308,10 @@ class _Segments:
                 take(block, buffer[1 : 1 + block.size])
                 np.add.reduce(buffer[: 1 + block.size], axis=0, out=totals[0])
                 buffer[0] = totals[0]
-            out[key] = totals[0]
-        keys = self.keys[len(self._reduced) :]
-        for low in range(0, keys.size, _TAIL_BLOCK):
-            block = keys[low : low + _TAIL_BLOCK]
+            out[slot] = totals[0]
+        slots = self._slots[len(self._reduced) :]
+        for low in range(0, slots.size, _TAIL_BLOCK):
+            block = slots[low : low + _TAIL_BLOCK]
             total = totals[: block.size]
             for r, (start, size) in enumerate(self._rounds):
                 if size <= low:
@@ -373,29 +396,32 @@ def _loss_and_gradients(
         return np.negative(buffer, out=buffer)
 
     # Each table is summed per row key in np.add.at's order, straight into a
-    # tape of lazily zeroed pages.
-    tape = GradientTape.zeros_like(params)
+    # compact tape whose rows follow the sorted keys.
     entities = _Segments(np.concatenate([heads, tails]))
     relations = _Segments(rels)
-    ent_keys, rel_keys = entities.keys, relations.keys
-    entities.sum(_take(np.concatenate([dphi, dphi])), tape.node_bias)
-    entities.sum(_take(time_grads.reshape(2 * n, n_t)), tape.coords[:, :n_t])
-    entities.sum(space_grads, tape.coords[:, n_t:])
-    relations.sum(_take(dphi), tape.rel_c)
+    touched = {"entity": entities.keys, "relation": relations.keys}
+    tape = GradientTape(
+        **{f"{name}_rows": np.zeros((touched[key].size, *getattr(params, name).shape[1:])) for name, key in TABLES},
+        touched_entities=entities.keys,
+        touched_relations=relations.keys,
+        n_entities=params.n_entities,
+        n_relations=params.n_relations,
+    )
+    entities.sum(_take(np.concatenate([dphi, dphi])), tape.node_bias_rows)
+    entities.sum(_take(time_grads.reshape(2 * n, n_t)), tape.coords_rows[:, :n_t])
+    entities.sum(space_grads, tape.coords_rows[:, n_t:])
+    relations.sum(_take(dphi), tape.rel_c_rows)
     # Tables the variant freezes receive no gradient.
     frozen = FROZEN[params.variant]
     if "rel_u" not in frozen:
-        relations.sum(_take(d_time), tape.rel_u[:, 0])
-        relations.sum(_take(ddx), tape.rel_u[:, 1:])
+        relations.sum(_take(d_time), tape.rel_u_rows[:, 0])
+        relations.sum(_take(ddx), tape.rel_u_rows[:, 1:])
     if "rel_r" not in frozen:
-        relations.sum(_take(-d_time * scaled_proj), tape.rel_r[:, 0])
-        relations.sum(rel_r_grads, tape.rel_r[:, 1:])
+        relations.sum(_take(-d_time * scaled_proj), tape.rel_r_rows[:, 0])
+        relations.sum(rel_r_grads, tape.rel_r_rows[:, 1:])
     if "rel_h" not in frozen:
         t_a, t_b = params.coords[a, :n_t], params.coords[b, :n_t]
-        relations.sum(_take(d_time[:, None] * t_a - (d_time * r_t)[:, None] * t_b), tape.rel_h)
-
-    tape.touched_entities = np.sort(ent_keys)
-    tape.touched_relations = np.sort(rel_keys)
+        relations.sum(_take(d_time[:, None] * t_a - (d_time * r_t)[:, None] * t_b), tape.rel_h_rows)
     return loss, tape
 
 
@@ -409,10 +435,8 @@ class SgdOptimizer:
         self.lr = learning_rate
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
-        for name, rows in _update_blocks(params, tape):
-            step = getattr(tape, name)[rows]
-            step *= self.lr
-            getattr(params, name)[rows] -= step
+        for name, rows, g in _update_blocks(params, tape):
+            getattr(params, name)[rows] -= g * self.lr
 
 
 class AdamOptimizer:
@@ -432,8 +456,7 @@ class AdamOptimizer:
         self.t = {n: np.zeros(getattr(params, n).shape[0], dtype=np.int64) for n in names}
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
-        for name, rows in _update_blocks(params, tape):
-            g = getattr(tape, name)[rows]
+        for name, rows, g in _update_blocks(params, tape):
             self.t[name][rows] += 1
             t = self.t[name][rows].astype(np.float64)
             c1, c2 = 1.0 - self.beta1**t, 1.0 - self.beta2**t
@@ -477,8 +500,7 @@ class Sm3Optimizer:
         # Every coordinate row's nu reads the column accumulators of the step
         # before; the new ones are the maxima over the step's rows.
         coord_col = self.coord_col.copy()
-        for name, rows in _update_blocks(params, tape):
-            g = getattr(tape, name)[rows]
+        for name, rows, g in _update_blocks(params, tape):
             if name == "coords":
                 nu = np.minimum(self.coord_row[rows, None], self.coord_col[None, :])
             else:
@@ -499,12 +521,16 @@ class Sm3Optimizer:
 
 
 def _update_blocks(params: ModelParams, tape: GradientTape):
-    """(table name, rows to update) for each table the variant trains: its
-    touched rows, `_TAIL_BLOCK` at a time."""
+    """(table name, rows to update, their gradients) for each table the
+    variant trains: its touched rows, `_TAIL_BLOCK` at a time, with the
+    matching slice of the tape's compact table, which the optimizers only
+    read."""
     rows = {"entity": tape.touched_entities, "relation": tape.touched_relations}
     for name, key in params.trained_tables:
+        grads = getattr(tape, f"{name}_rows")
         for start in range(0, rows[key].size, _TAIL_BLOCK):
-            yield name, rows[key][start : start + _TAIL_BLOCK]
+            block = slice(start, start + _TAIL_BLOCK)
+            yield name, rows[key][block], grads[block]
 
 
 _OPTIMIZERS = {OptimizerKind.SGD: SgdOptimizer, OptimizerKind.ADAM: AdamOptimizer, OptimizerKind.SM3: Sm3Optimizer}

@@ -436,6 +436,21 @@ class TestSweepAndStats:
             assert capsys.readouterr().err == "error: DT variant requires n_t == 1, got n_t = 2\n"
         assert not (tmp_path / "s").exists() and not (tmp_path / "t").exists()
 
+    def test_non_finite_settings_refused_before_data_loads(self, tmp_path, capsys):
+        # A NaN radius would otherwise surface as a non-finite score for the
+        # first triple trained; the dataset named here does not exist.
+        train = ["train", "--data", str(tmp_path / "absent"), "--out", str(tmp_path / "t")]
+        for key, value, rule in (
+            ("u", "nan", "a non-negative real"),
+            ("u", "inf", "a non-negative real"),
+            ("tau1", "inf", "a positive real"),
+            ("tau2", "inf", "a positive real"),
+            ("learning_rate", "inf", "a positive real"),
+        ):
+            assert main(train + ["--set", key, value]) == 1
+            assert capsys.readouterr().err == f"error: {key} must be {rule}, got {value}\n"
+        assert not (tmp_path / "t").exists()
+
     def test_no_thread_setting(self, toy_data, trained, tmp_path, monkeypatch, capsys):
         # Evaluation runs on one thread: no flag, config key or environment
         # variable sets a thread count.

@@ -49,6 +49,13 @@ class TestLoadTriples:
             with pytest.raises(ParseError, match=f"t.txt:2: column {column} is empty"):
                 load_triples(p)
 
+    def test_surrounding_whitespace_names_line_and_column(self, tmp_path):
+        # 'r ' is not silently a second relation beside 'r'
+        for line, column in (("b\tr \tc", 2), (" b\tr\tc", 1), ("b\tr\tc ", 3), ("b\t\u00a0r\tc", 2)):
+            p = write(tmp_path / "t.txt", f"a\tr\tb\n{line}\n")
+            with pytest.raises(ParseError, match=f"t.txt:2: column {column} has surrounding whitespace"):
+                load_triples(p)
+
 
 _ENTITY = st.sampled_from(["a", "b", "c", "d", "e"])
 _RELATION = st.sampled_from(["r", "s", "t"])
@@ -193,6 +200,11 @@ class TestLoadNegatives:
     def test_empty_column_names_line_and_column(self, tmp_path, store):
         p = write(tmp_path / "n.tsv", "a\tr\tb,c\nb\t\tc,d\n")
         with pytest.raises(ParseError, match="n.tsv:2: column 2 is empty"):
+            load_negatives(p, store)
+
+    def test_surrounding_whitespace_names_line_and_column(self, tmp_path, store):
+        p = write(tmp_path / "n.tsv", "a\tr\tb,c\nb\tr\tc,d \n")
+        with pytest.raises(ParseError, match=r"n.tsv:2: column 3 has surrounding whitespace: 'c,d '"):
             load_negatives(p, store)
 
 

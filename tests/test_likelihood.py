@@ -47,6 +47,21 @@ class TestParams:
         with pytest.raises(ValueError):
             TfdParams(tau1=1.0, tau2=1.0, u=0.0, alpha=0.5, alpha_prime=0.5, beta=1.2)
 
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("u", np.nan, "u must be a non-negative real, got nan"),
+            ("u", np.inf, "u must be a non-negative real, got inf"),
+            ("tau1", np.inf, "tau1 must be a positive real, got inf"),
+            ("tau1", np.nan, "tau1 must be a positive real, got nan"),
+            ("tau2", np.inf, "tau2 must be a positive real, got inf"),
+        ],
+    )
+    def test_non_finite_values_refused(self, name, value, message):
+        settings = {"tau1": 1.0, "tau2": 1.0, "u": 0.0, "alpha": 0.5, "alpha_prime": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TfdParams(**settings)
+
 
 class TestLogFd:
     def test_exponent_zero_gives_half(self):

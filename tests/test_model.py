@@ -352,6 +352,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="prefactor k = 2, expected 1"):
             load_checkpoint(path)
 
+    def test_non_finite_likelihood_setting_rejected(self, tmp_path):
+        # u is the third likelihood parameter, after tau1 and tau2.
+        path = tmp_path / "u.ckpt"
+        save_checkpoint(make_random_model(seed=1), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, struct.calcsize("<8s5Q2d"), np.nan)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="u must be a non-negative real, got nan"):
+            load_checkpoint(path)
+
     def test_truncated_body_rejected(self, tmp_path):
         params = make_random_model(seed=1)
         path = tmp_path / "t.ckpt"

@@ -12,7 +12,7 @@ from conftest import make_random_model
 from pseudoe.data import augmented_store
 from pseudoe.geometry import GeometryConfig, Signature
 from pseudoe.likelihood import TfdParams, sigmoid
-from pseudoe.model import _TAIL_BLOCK, TABLES, InitConfig, score, score_many
+from pseudoe.model import _TAIL_BLOCK, FROZEN, TABLES, InitConfig, score, score_many
 from pseudoe.relmaps import Variant
 from pseudoe.synthetic import tree_clique_graph
 from pseudoe.training import (
@@ -49,6 +49,18 @@ def random_batch(params, rng, b=3, m=4):
     )
     negs = sample_negatives_batch(batch, m, NegativeMode.BOTH, rng, params.n_entities)
     return batch, negs
+
+
+def zero_tape(params, entities, relations):
+    """A compact tape of +0.0 gradients on the given sorted entity and relation ids."""
+    touched = {"entity": np.asarray(entities, dtype=np.intp), "relation": np.asarray(relations, dtype=np.intp)}
+    return GradientTape(
+        **{f"{name}_rows": np.zeros((touched[key].size, *getattr(params, name).shape[1:])) for name, key in TABLES},
+        touched_entities=touched["entity"],
+        touched_relations=touched["relation"],
+        n_entities=params.n_entities,
+        n_relations=params.n_relations,
+    )
 
 
 class TestSampleNegatives:
@@ -199,6 +211,21 @@ class TestGradients:
         with pytest.raises(DivergenceError, match=r"\(2, 0, 1\)"):
             gradients(params, np.array([[2, 0, 1]]), np.empty((1, 0, 3), dtype=np.int64))
 
+    def test_one_call_holds_no_entity_sized_table(self):
+        # The tape holds one row per touched id: 16 positives with 10
+        # negatives each touch at most 192 of 50,000 entities.
+        rng = np.random.default_rng(4)
+        params = make_random_model(n_entities=50_000, n_relations=5, n_t=1, n_x=64, variant=Variant.DT, seed=3)
+        batch, _ = random_batch(params, rng, b=16)
+        negs = sample_negatives_batch(batch, 10, NegativeMode.BOTH, rng, params.n_entities)
+        tracemalloc.start()
+        try:
+            gradients(params, batch, negs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * params.coords.nbytes
+
     def test_rejects_out_of_range_ids(self):
         # a negative id would otherwise reach the optimizer as row N - 1
         params = make_random_model()  # 6 entities, 3 relations
@@ -220,11 +247,12 @@ def add_at_heads_then_tails(heads, tails, head_values, tail_values):
 def assert_segment_sums_match(heads, tails, head_values, tail_values):
     expected = add_at_heads_then_tails(heads, tails, head_values, tail_values)
     segments = _Segments(np.concatenate([heads, tails]).astype(np.intp))
-    sums = np.zeros_like(expected)
+    np.testing.assert_array_equal(segments.keys, np.unique(np.concatenate([heads, tails])))
+    # one row per sorted key, each written: NaN is left nowhere
+    sums = np.full((segments.keys.size, *head_values.shape[1:]), np.nan)
     segments.sum(_take(np.concatenate([head_values, tail_values])), sums)
-    np.testing.assert_array_equal(np.sort(segments.keys), np.unique(np.concatenate([heads, tails])))
-    # bit for bit: same signed zeros, same last bits, other rows untouched
-    assert sums.tobytes() == expected.tobytes()
+    # bit for bit with np.add.at's rows at the sorted keys: same signed zeros, same last bits
+    assert sums.tobytes() == expected[segments.keys].tobytes()
 
 
 @st.composite
@@ -267,7 +295,7 @@ class TestSegmentSums:
         keys = np.array([2, 0, 2], dtype=np.intp)
         values = np.full((3, *columns), -0.0)
         assert_segment_sums_match(keys, keys, values, values)
-        sums = np.zeros((3, *columns))
+        sums = np.zeros((2, *columns))  # keys 0 and 2
         _Segments(np.r_[keys, keys]).sum(_take(np.r_[values, values]), sums)
         assert not np.signbit(sums).any()
 
@@ -283,13 +311,18 @@ class TestSegmentSums:
 
 
 class TestGradientTapeLayout:
-    """The dense layout that the optimizers and the benchmark read."""
+    """The compact tape that the optimizers read, and the dense views that
+    checks read."""
 
-    def test_fields(self):
+    def test_fields(self, rng):
+        # Every field is an array, so the nbytes of the fields are the tape's size.
         names = [f.name for f in dataclasses.fields(GradientTape)]
-        assert names == [
-            "coords", "node_bias", "rel_u", "rel_r", "rel_h", "rel_c", "touched_entities", "touched_relations",
-        ]
+        assert names == [*(f"{name}_rows" for name, _ in TABLES), "touched_entities", "touched_relations"]
+        params = make_random_model(seed=2)
+        tape = gradients(params, *random_batch(params, rng))
+        assert all(type(getattr(tape, name)) is np.ndarray for name in names)
+        with pytest.raises(AttributeError, match="read-only"):
+            tape.coords = np.zeros_like(params.coords)
 
     @pytest.mark.parametrize("variant,n_t", [(Variant.BOTH, 2), (Variant.DT, 1), (Variant.MT, 2)])
     def test_dense_tables_and_untouched_rows(self, variant, n_t, rng):
@@ -297,18 +330,24 @@ class TestGradientTapeLayout:
         batch = np.array([[0, 1, 2], [2, 3, 0], [4, 1, 4]])
         negs = sample_negatives_batch(batch, 4, NegativeMode.BOTH, rng, 6)  # entities 0..5 only
         tape = gradients(params, batch, negs)
-        for name in ("coords", "node_bias", "rel_u", "rel_r", "rel_h", "rel_c"):
-            table = getattr(tape, name)
-            assert table.shape == getattr(params, name).shape and table.dtype == np.float64
         rows = np.concatenate([batch, negs.reshape(-1, 3)])
-        touched = np.unique(rows[:, [0, 2]])
-        np.testing.assert_array_equal(tape.touched_entities, touched)
-        np.testing.assert_array_equal(tape.touched_relations, [1, 3])
-        untouched = np.setdiff1d(np.arange(12), touched)
+        touched = {"entity": np.unique(rows[:, [0, 2]]), "relation": np.array([1, 3])}
+        # sorted, unique ids, and one compact row per id
+        np.testing.assert_array_equal(tape.touched_entities, touched["entity"])
+        np.testing.assert_array_equal(tape.touched_relations, touched["relation"])
+        for name, key in TABLES:
+            compact, dense = getattr(tape, f"{name}_rows"), getattr(tape, name)
+            assert compact.shape == (touched[key].size, *getattr(params, name).shape[1:]), name
+            assert dense.shape == getattr(params, name).shape and dense.dtype == compact.dtype == np.float64
+            assert dense[touched[key]].tobytes() == compact.tobytes(), name
+        untouched = np.setdiff1d(np.arange(12), touched["entity"])
         for table in (tape.coords, tape.node_bias):
             assert not table[untouched].any() and not np.signbit(table[untouched]).any()
         for table in (tape.rel_u, tape.rel_r, tape.rel_h, tape.rel_c):
             assert not table[[0, 2, 4]].any() and not np.signbit(table[[0, 2, 4]]).any()
+        for name in FROZEN[variant]:
+            for table in (getattr(tape, f"{name}_rows"), getattr(tape, name)):
+                assert not table.any() and not np.signbit(table).any(), name
 
 
 class TestOptimizers:
@@ -323,10 +362,8 @@ class TestOptimizers:
     def test_adam_constant_gradient_approaches_lr(self):
         params = make_random_model(seed=6)
         opt = AdamOptimizer(params, learning_rate=0.01)
-        tape = GradientTape.zeros_like(params)
-        tape.node_bias[:] = 0.37
-        tape.touched_entities = np.arange(params.n_entities)
-        tape.touched_relations = np.arange(params.n_relations)
+        tape = zero_tape(params, np.arange(params.n_entities), np.arange(params.n_relations))
+        tape.node_bias_rows[:] = 0.37
         before = params.node_bias.copy()
         for _ in range(50):
             prev = params.node_bias.copy()
@@ -374,11 +411,9 @@ class TestOptimizers:
         params = make_random_model(n_entities=8, n_relations=3, n_t=n_t, variant=variant, seed=5)
         before = params.copy()
         opt = make_optimizer(kind, params, 0.5)
-        tape = GradientTape.zeros_like(params)
+        tape = zero_tape(params, np.arange(params.n_entities), np.arange(params.n_relations))
         for name in ("coords", "node_bias", "rel_u", "rel_r", "rel_h", "rel_c"):
-            getattr(tape, name)[:] = 0.3
-        tape.touched_entities = np.arange(params.n_entities)
-        tape.touched_relations = np.arange(params.n_relations)
+            getattr(tape, f"{name}_rows")[:] = 0.3
         for _ in range(3):
             opt.step(params, tape)
         frozen = ("rel_u", "rel_r") if variant is Variant.MT else ("rel_h",)
@@ -401,16 +436,15 @@ class TestOptimizers:
         rng = np.random.default_rng(8)
         fresh = size - 1  # untouched until the last step, which gives it a zero gradient
         for count in (1, block - 1, block, block + 1, 2 * block + 3):
-            tape = GradientTape.zeros_like(params)
             touched = {key: np.sort(rng.choice(fresh, count, replace=False)) for key in ("entity", "relation")}
             if count > block + 1:
                 touched = {key: np.append(rows[1:], fresh) for key, rows in touched.items()}
-            tape.touched_entities, tape.touched_relations = touched["entity"], touched["relation"]
+            tape = zero_tape(params, touched["entity"], touched["relation"])
             for name, key in params.trained_tables:
-                grad = getattr(tape, name)
-                shape = (count, *grad.shape[1:])
-                grad[touched[key]] = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-                grad[fresh] = 0.0
+                grad = getattr(tape, f"{name}_rows")
+                shape = grad.shape
+                grad[:] = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+                grad[touched[key] == fresh] = 0.0
             before = params.copy()
             opt.step(params, tape)
             oracle_step(oracle, expected, tape)
@@ -461,6 +495,11 @@ class TestTrainConfig:
             TrainConfig(m_negatives=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_learning_rate_refused(self, value):
+        with pytest.raises(ValueError, match=f"^learning_rate must be a positive real, got {value}$"):
+            TrainConfig(learning_rate=value)
 
     def test_optimizer_given_by_value(self):
         assert TrainConfig(optimizer="adam").optimizer is OptimizerKind.ADAM
