@@ -29,7 +29,13 @@ model holds a clone of entity 1, so exact ties occur.
 The hashes sit under ``"hashes"``, next to the ``"environment"`` they were
 computed in: numpy's version and enabled CPU features, the BLAS library and
 the platform.  ``tests/data/kernel_hashes.json`` holds this output, and a
-test recomputes it wherever the environment matches.  A change that moves
+test recomputes it wherever the environment matches.  The CPU count is not
+part of the environment, on purpose: each block of the row-block loops is
+computed whole by one thread, so the hashes must not depend on how many
+threads share the blocks out, and the test recomputes them as they run by
+default, then forced to 1 thread and to 3 threads with every loop shared out
+(these shapes are narrower than `model._SHARED_WIDTH`), against the same
+committed file.  A change that moves
 bits on purpose regenerates that file:
 
     PYTHONPATH=src python scripts/kernel_hashes.py > tests/data/kernel_hashes.json

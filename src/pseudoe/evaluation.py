@@ -7,18 +7,17 @@ fixed-negatives protocol they are a stored per-(head, relation) candidate
 list.  Ties share their rank: rank = 1 + #{better} + #{equal}/2, so a
 constant scorer earns mid-range ranks rather than rank 1.
 
-Queries are ranked in batches, one after another on one thread.  In
-full-filtered mode one pass over the entity table screens every entity
-against every query of a batch with two matrix products
-(`model._screen_tails`), with a margin that bounds the distance to the
-exact score; only the candidates within their margin of the true score are
-rescored with `score_tails`.  In fixed-negatives mode the batch's candidate
-lists, each closed by its true tail, are scored together.  Both go through
-the one exact candidate scorer, `model._score_lists` (`score_tails` is one
-list of it), which walks the candidates in the order of their tail ids, so
-that the entity table is read front to back.  Either way every comparison is
-made on the kernel's exact scores, so ranks equal brute force, ties
-included.
+Queries are ranked in batches, one after another.  In full-filtered mode
+one pass over the entity table screens every entity against every query of
+a batch with two matrix products (`model._screen_tails`), with a margin
+that bounds the distance to the exact score; only the candidates within
+their margin of the true score are rescored with `score_tails`.  In
+fixed-negatives mode the batch's candidate lists, each closed by its true
+tail, are scored together.  Both go through the one exact candidate scorer,
+`model._score_lists` (`score_tails` is one list of it), which walks the
+candidates in the order of their tail ids, so that the entity table is read
+front to back.  Either way every comparison is made on the kernel's exact
+scores, so ranks equal brute force, ties included.
 """
 
 from __future__ import annotations
@@ -219,10 +218,11 @@ def evaluate_split(
     full-filtered mode and ignored in fixed-negatives mode.  A one-row split
     ranks a single triple.
 
-    Evaluation runs on one thread; BLAS may use several for the screen's
-    matrix products.  ``threads`` must be 1: the keyword stays only because
-    the benchmark in ``perfbench/`` still passes ``threads=1``, and it goes
-    once the benchmark drops it.
+    Batches run one after another; the exact scorer shares its row blocks
+    out to every CPU (`model._in_shares`) and BLAS may use several threads
+    for the screen's matrix products.  ``threads`` must be 1: the keyword
+    stays only because the benchmark in ``perfbench/`` still passes
+    ``threads=1``, and it goes once the benchmark drops it.
     """
     if threads != 1:
         raise ValueError(f"evaluation is single-threaded; threads must be 1, got {threads}")

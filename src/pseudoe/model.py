@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -242,10 +244,63 @@ def _wrap(dt, c: float | None):
 # Hetionet-shape list over every entity (12,733 tails, n_x = 200) took a
 # median 4.6-4.7 ms at 128 rows against 5.3 ms at 64, and 1,000 lists of 81
 # took 27-28 ms against 31; 256 rows was no faster, and at WN18RR shape
-# (40,943 tails, n_x = 500) all three took 23-25 ms.  An SM3 step over
-# 6,100 WN18RR-shape rows of the compact tape took 9.4-10.2 ms at 64 to 512
-# rows.  Any size gives the same bits.
+# (40,943 tails, n_x = 500) all three took 23-25 ms.  Any size gives the same
+# bits.
 _TAIL_BLOCK = 128
+
+# Threads that share out the blocks of a row-block loop (`_in_shares`): the
+# CPUs this process may run on.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# Rows narrower than this many values stay on the calling thread: their
+# blocks are numpy calls too short to outweigh passing the interpreter lock
+# between threads.  On a 2-vCPU host, over 5,248 rows, the forward and a
+# per-key sum took 1.1-1.6x as long on two threads as on one at 32 and 64
+# columns, 0.9-1.1x at 128 and 0.6-0.8x at 200; an SM3 step took 0.9x at 64
+# and 0.7x at 128 and above.
+_SHARED_WIDTH = 128
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, which inherits none of its threads."""
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _in_shares(work, items, width: int) -> list:
+    """``[work(share) for share in shares]``, where the shares deal the
+    independent pieces of work in ``items``, blocks of rows ``width`` values
+    wide, out to at most `_WORKERS` threads, round robin: share i is
+    ``items[i::n]``, so a list sorted by size splits evenly, and each share
+    keeps the items' order.
+
+    The calling thread runs share 0 and a pool, made on first use, runs the
+    others.  With one item or one CPU, or rows narrower than
+    `_SHARED_WIDTH`, ``work(items)`` runs inline as the one share.
+    Every share has finished when this returns or raises, and a share's
+    exception is raised here.  ``work`` must not call `_in_shares` itself.
+    Each item is computed whole by one thread, so the result does not depend
+    on how many threads there are or how they are scheduled.
+    """
+    n = min(_WORKERS, len(items)) if width >= _SHARED_WIDTH else 1
+    if n <= 1:
+        return [work(items)]
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="pseudoe")
+        futures = [_POOL.submit(work, items[i::n]) for i in range(1, n)]
+    try:
+        first = work(items[0::n])
+    finally:
+        wait(futures)
+    return [first, *(future.result() for future in futures)]
 
 
 def _forward(params: ModelParams, heads, rels, tails, dx=None):
@@ -304,27 +359,31 @@ def _space_map(params: ModelParams, head_side, rels, tails, lists, dx=None):
     the translated side minus that of the scaled side, (x_a + u) - r * x_b,
     by `_sides`.  It is written into ``dx``, (len(tails), n_x), when given.
 
-    The rows are mapped in `_TAIL_BLOCK`-row blocks, which stay in cache.
-    Each block gathers its tail rows into a fresh array, where dx is formed
-    unless ``dx`` is given, and its relation rows, then its head sides, into
-    one scratch block allocated once per call: ``np.take`` gathers into it
-    from a contiguous copy of the relation tables' space columns, so that
-    every operand stays contiguous (numpy's loops over strided rows took
-    about 2.5x as long).
+    The rows are mapped in `_TAIL_BLOCK`-row blocks, which stay in cache,
+    shared out by `_in_shares`.  Each block gathers its tail rows into a
+    fresh array, where dx is formed unless ``dx`` is given, and its relation
+    rows, then its head sides, into one scratch block allocated once per
+    share: ``np.take`` gathers into it from a contiguous copy of the relation
+    tables' space columns, so that every operand stays contiguous (numpy's
+    loops over strided rows took about 2.5x as long).
     """
     _, (op, table), _ = _sides(params, (np.add, params.rel_u), (np.multiply, params.rel_r))
     n_t, relation_rows = params.n_t, np.ascontiguousarray(table[:, 1:])
-    scratch = np.empty((min(_TAIL_BLOCK, tails.size), params.n_x))
     dx2 = np.empty(tails.size)
-    for start in range(0, tails.size, _TAIL_BLOCK):
-        block = slice(start, start + _TAIL_BLOCK)
-        queries = lists[block]
-        tail_side, rows = params.coords[tails[block], n_t:], scratch[: queries.size]
-        out = tail_side if dx is None else dx[block]
-        op(tail_side, np.take(relation_rows, rels[queries], axis=0, out=rows, mode="clip"), out=out)
-        translated, scaled, _ = _sides(params, np.take(head_side, queries, axis=0, out=rows, mode="clip"), out)
-        np.subtract(translated, scaled, out=out)
-        np.einsum("bi,bi->b", out, out, out=dx2[block])
+
+    def map_blocks(starts):
+        scratch = np.empty((min(_TAIL_BLOCK, tails.size), params.n_x))
+        for start in starts:
+            block = slice(start, start + _TAIL_BLOCK)
+            queries = lists[block]
+            tail_side, rows = params.coords[tails[block], n_t:], scratch[: queries.size]
+            out = tail_side if dx is None else dx[block]
+            op(tail_side, np.take(relation_rows, rels[queries], axis=0, out=rows, mode="clip"), out=out)
+            translated, scaled, _ = _sides(params, np.take(head_side, queries, axis=0, out=rows, mode="clip"), out)
+            np.subtract(translated, scaled, out=out)
+            np.einsum("bi,bi->b", out, out, out=dx2[block])
+
+    _in_shares(map_blocks, range(0, tails.size, _TAIL_BLOCK), params.n_x)
     return dx2
 
 
@@ -378,12 +437,13 @@ def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     `_score_rows`, here with `_head_side` computed once per list.  The
     candidates are scored in the order of their tail ids, in
     `_TAIL_BLOCK`-row blocks, so that the entity table is read front to back
-    and only the small per-list table is read at random.  At Hetionet
-    shape (1,000 lists of 81 over 12,733 entities, 2-vCPU host) candidates
-    taken in list order gathered table rows at random from the shared
-    last-level cache, and the time of a split followed the load other
-    processes put on that cache: it was slower and its spread from one
-    stretch of seconds to the next about twice as wide.
+    (by each thread, when `_space_map` shares the blocks out) and only the
+    small per-list table is read at random.  At Hetionet shape (1,000 lists
+    of 81 over 12,733 entities, 2-vCPU host) candidates taken in list order
+    gathered table rows at random from the shared last-level cache, and the
+    time of a split followed the load other processes put on that cache: it
+    was slower and its spread from one stretch of seconds to the next about
+    twice as wide.
     """
     heads = np.asarray(heads, dtype=np.intp)
     rels = np.asarray(rels, dtype=np.intp)
@@ -586,30 +646,38 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a model written by :func:`save_checkpoint`, each table straight from the file into its array."""
+    """Read a model written by :func:`save_checkpoint`, each table straight
+    from the file into its array.  Every refusal names the file."""
     with open(path, "rb") as f:
-        header = f.read(_HEADER.size)
-        if len(header) < _HEADER.size or header[:8] != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-        (_, n_t, n_x, n, n_r, tag, tau1, tau2, u, alpha, alpha_prime, k, beta, has_c, c) = _HEADER.unpack(header)
-        variant = _VARIANT_FROM_CODE.get(tag & ~_SWAP_BIT)
-        if variant is None:
-            raise ValueError(f"{path}: unknown variant tag {tag}")
-        if k != 1.0:
-            raise ValueError(f"{path}: likelihood prefactor k = {k:g}, expected 1")
-        geometry = GeometryConfig(Signature(n_t, n_x), c if has_c else None)
-        tfd = TfdParams(tau1=tau1, tau2=tau2, u=u, alpha=alpha, alpha_prime=alpha_prime, beta=beta)
-        shapes = _table_shapes(n, n_r, geometry.signature)
-        expected = sum(math.prod(shape) for shape in shapes.values())
-        body_bytes = os.fstat(f.fileno()).st_size - _HEADER.size
-        if body_bytes != 8 * expected:
-            raise ValueError(f"{path}: body holds {body_bytes // 8} values, expected {expected}")
-        tables = {
-            name: np.fromfile(f, "<f8", math.prod(shapes[name])).reshape(shapes[name])
-            for name, key in TABLES
-            if key == "entity"
-        }
-        records = np.fromfile(f, _relation_record(shapes), n_r)
+        try:
+            return _read_checkpoint(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_checkpoint(f) -> ModelParams:
+    header = f.read(_HEADER.size)
+    if len(header) < _HEADER.size or header[:8] != CHECKPOINT_MAGIC:
+        raise ValueError("not a model checkpoint (bad magic)")
+    (_, n_t, n_x, n, n_r, tag, tau1, tau2, u, alpha, alpha_prime, k, beta, has_c, c) = _HEADER.unpack(header)
+    variant = _VARIANT_FROM_CODE.get(tag & ~_SWAP_BIT)
+    if variant is None:
+        raise ValueError(f"unknown variant tag {tag}")
+    if k != 1.0:
+        raise ValueError(f"likelihood prefactor k = {k:g}, expected 1")
+    geometry = GeometryConfig(Signature(n_t, n_x), c if has_c else None)
+    tfd = TfdParams(tau1=tau1, tau2=tau2, u=u, alpha=alpha, alpha_prime=alpha_prime, beta=beta)
+    shapes = _table_shapes(n, n_r, geometry.signature)
+    expected = sum(math.prod(shape) for shape in shapes.values())
+    body_bytes = os.fstat(f.fileno()).st_size - _HEADER.size
+    if body_bytes != 8 * expected:
+        raise ValueError(f"body holds {body_bytes // 8} values, expected {expected}")
+    tables = {
+        name: np.fromfile(f, "<f8", math.prod(shapes[name])).reshape(shapes[name])
+        for name, key in TABLES
+        if key == "entity"
+    }
+    records = np.fromfile(f, _relation_record(shapes), n_r)
     tables.update({name: records[name].copy() for name in records.dtype.names})
     params = ModelParams(**tables, tfd=tfd, geometry=geometry, variant=variant, swap_transforms=bool(tag & _SWAP_BIT))
     params.validate()

@@ -34,6 +34,10 @@ streams in `model._TAIL_BLOCK`-row blocks, which stay in cache: the forward
 space map, the sums of `_Segments`, which read the space rows of the
 backward through a gather that forms them per block, and each optimizer's
 update of the touched rows, which reads each block as a slice of the tape.
+`model._in_shares` deals the blocks of wide rows out to one thread per CPU.
+Each block (each key's sum, each row's update) is computed whole by one
+thread, in the same operations and order as on one, so every bit of a step
+is the same for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 from . import evaluation
 from .data import augmented_store
 from .likelihood import sigmoid, softplus
-from .model import FROZEN, TABLES, _TAIL_BLOCK, InitConfig, ModelParams, _check_ids, _forward, _sides
+from .model import FROZEN, TABLES, _TAIL_BLOCK, InitConfig, ModelParams, _check_ids, _forward, _in_shares, _sides
 from .model import init as model_init
 from .relmaps import Variant
 
@@ -258,8 +262,9 @@ class _Segments:
       number of blocks, those the reduces read plus the rounds of the first
       key block, which has the most.
 
-    ``keys`` lists the distinct keys, sorted; `sum` writes each key's total
-    at the key's position in it.
+    Each reduced key and each block of keys is one item of `_in_shares`,
+    summed whole by one thread.  ``keys`` lists the distinct keys, sorted;
+    `sum` writes each key's total at the key's position in it.
     """
 
     def __init__(self, keys):
@@ -299,32 +304,41 @@ class _Segments:
             values = take(np.arange(n_rows), np.empty((n_rows, *shape))).reshape(-1)
             out[...] = np.bincount(self._group, weights=values, minlength=self.keys.size).reshape(out.shape)
             return
-        buffer, totals = np.empty((1 + _TAIL_BLOCK, *shape)), np.empty((_TAIL_BLOCK, *shape))
-        for slot, rows in zip(self._slots.tolist(), self._reduced):
-            # Each block is reduced after the total so far, which starts at 0.0.
-            buffer[0] = 0.0
-            for start in range(0, rows.size, _TAIL_BLOCK):
-                block = rows[start : start + _TAIL_BLOCK]
-                take(block, buffer[1 : 1 + block.size])
-                np.add.reduce(buffer[: 1 + block.size], axis=0, out=totals[0])
-                buffer[0] = totals[0]
-            out[slot] = totals[0]
-        slots = self._slots[len(self._reduced) :]
-        for low in range(0, slots.size, _TAIL_BLOCK):
-            block = slots[low : low + _TAIL_BLOCK]
-            total = totals[: block.size]
-            for r, (start, size) in enumerate(self._rounds):
-                if size <= low:
-                    break
-                rows = self._round_rows[start + low : start + min(size, low + _TAIL_BLOCK)]
-                if r:
-                    total[: rows.size] += take(rows, buffer[: rows.size])
-                else:
-                    # Round 0 adds each key's first row to 0.0, which turns
-                    # -0.0 into 0.0 as np.add.at does.
-                    take(rows, total)
-                    total += 0.0
-            out[block] = total
+        n_reduced, slots = len(self._reduced), self._slots[len(self._reduced) :]
+
+        def add(items):
+            buffer, totals = np.empty((1 + _TAIL_BLOCK, *shape)), np.empty((_TAIL_BLOCK, *shape))
+            for item in items:
+                if item < n_reduced:
+                    # Each block is reduced after the total so far, which
+                    # starts at 0.0.
+                    rows = self._reduced[item]
+                    buffer[0] = 0.0
+                    for start in range(0, rows.size, _TAIL_BLOCK):
+                        block = rows[start : start + _TAIL_BLOCK]
+                        take(block, buffer[1 : 1 + block.size])
+                        np.add.reduce(buffer[: 1 + block.size], axis=0, out=totals[0])
+                        buffer[0] = totals[0]
+                    out[self._slots[item]] = totals[0]
+                    continue
+                low = (item - n_reduced) * _TAIL_BLOCK
+                block = slots[low : low + _TAIL_BLOCK]
+                total = totals[: block.size]
+                for r, (start, size) in enumerate(self._rounds):
+                    if size <= low:
+                        break
+                    rows = self._round_rows[start + low : start + min(size, low + _TAIL_BLOCK)]
+                    if r:
+                        total[: rows.size] += take(rows, buffer[: rows.size])
+                    else:
+                        # Round 0 adds each key's first row to 0.0, which
+                        # turns -0.0 into 0.0 as np.add.at does.
+                        take(rows, total)
+                        total += 0.0
+                out[block] = total
+
+        # The items: each reduced key, then each block of the other keys.
+        _in_shares(add, range(n_reduced + -(-slots.size // _TAIL_BLOCK)), math.prod(shape))
 
 
 def _take(values: np.ndarray):
@@ -435,8 +449,12 @@ class SgdOptimizer:
         self.lr = learning_rate
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
-        for name, rows, g in _update_blocks(params, tape):
-            getattr(params, name)[rows] -= g * self.lr
+        def update(blocks):
+            for name, rows, g in blocks:
+                getattr(params, name)[rows] -= g * self.lr
+
+        for width, blocks in _update_blocks(params, tape):
+            _in_shares(update, blocks, width)
 
 
 class AdamOptimizer:
@@ -456,7 +474,11 @@ class AdamOptimizer:
         self.t = {n: np.zeros(getattr(params, n).shape[0], dtype=np.int64) for n in names}
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
-        for name, rows, g in _update_blocks(params, tape):
+        for width, blocks in _update_blocks(params, tape):
+            _in_shares(lambda share: self._update(params, share), blocks, width)
+
+    def _update(self, params: ModelParams, blocks) -> None:
+        for name, rows, g in blocks:
             self.t[name][rows] += 1
             t = self.t[name][rows].astype(np.float64)
             c1, c2 = 1.0 - self.beta1**t, 1.0 - self.beta2**t
@@ -498,9 +520,18 @@ class Sm3Optimizer:
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
         # Every coordinate row's nu reads the column accumulators of the step
-        # before; the new ones are the maxima over the step's rows.
+        # before; the new ones are the maxima over the step's rows, taken per
+        # share and then over the shares, which is exact in any order.
+        column_maxima = [self.coord_col]
+        for width, blocks in _update_blocks(params, tape):
+            column_maxima += _in_shares(lambda share: self._update(params, share), blocks, width)
+        self.coord_col = np.maximum.reduce(column_maxima)
+
+    def _update(self, params: ModelParams, blocks) -> np.ndarray:
+        """Update the rows of ``blocks``; returns the maximum of `coord_col`
+        and of their coordinate rows' nu, per column."""
         coord_col = self.coord_col.copy()
-        for name, rows, g in _update_blocks(params, tape):
+        for name, rows, g in blocks:
             if name == "coords":
                 nu = np.minimum(self.coord_row[rows, None], self.coord_col[None, :])
             else:
@@ -517,20 +548,21 @@ class Sm3Optimizer:
                 np.maximum(coord_col, nu.max(axis=0), out=coord_col)
             else:
                 self.acc[name][rows] = nu
-        self.coord_col = coord_col
+        return coord_col
 
 
 def _update_blocks(params: ModelParams, tape: GradientTape):
-    """(table name, rows to update, their gradients) for each table the
-    variant trains: its touched rows, `_TAIL_BLOCK` at a time, with the
-    matching slice of the tape's compact table, which the optimizers only
-    read."""
+    """The row width and the blocks of each table the variant trains: its
+    touched rows, `_TAIL_BLOCK` at a time, as (table name, rows to update,
+    their gradients), with the matching slice of the tape's compact table,
+    which the optimizers only read.  No two blocks share a row, so an
+    optimizer shares each table's blocks out with `_in_shares`."""
     rows = {"entity": tape.touched_entities, "relation": tape.touched_relations}
     for name, key in params.trained_tables:
         grads = getattr(tape, f"{name}_rows")
-        for start in range(0, rows[key].size, _TAIL_BLOCK):
-            block = slice(start, start + _TAIL_BLOCK)
-            yield name, rows[key][block], grads[block]
+        starts = range(0, rows[key].size, _TAIL_BLOCK)
+        blocks = [(name, rows[key][s : s + _TAIL_BLOCK], grads[s : s + _TAIL_BLOCK]) for s in starts]
+        yield math.prod(grads.shape[1:]), blocks
 
 
 _OPTIMIZERS = {OptimizerKind.SGD: SgdOptimizer, OptimizerKind.ADAM: AdamOptimizer, OptimizerKind.SM3: Sm3Optimizer}

@@ -452,8 +452,7 @@ class TestSweepAndStats:
         assert not (tmp_path / "t").exists()
 
     def test_no_thread_setting(self, toy_data, trained, tmp_path, monkeypatch, capsys):
-        # Evaluation runs on one thread: no flag, config key or environment
-        # variable sets a thread count.
+        # No flag, config key or environment variable sets a thread count.
         ckpt, data = str(trained / "model.ckpt"), str(toy_data)
         older = tmp_path / "older.resolved"
         older.write_text("seed = 7\nthreads = 1\n", encoding="utf-8")

@@ -3,7 +3,11 @@
 `scripts/kernel_hashes.py` hashes scores, screens, ranks, gradients, losses,
 optimizer steps and checkpoint bytes over 48 configurations.  Its output is
 committed as `tests/data/kernel_hashes.json`; here it is recomputed and must
-match wherever the environment the hashes depend on is the same.
+match wherever the environment the hashes depend on is the same.  The number
+of threads the row-block loops use is not part of that environment: the
+hashes are recomputed as they run by default, then forced to 1 thread and to
+3 threads with every loop shared out, whatever its width, and each must
+match.
 """
 
 import importlib.util
@@ -11,6 +15,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from pseudoe import model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,7 +28,7 @@ def _script():
     return module
 
 
-def test_kernel_outputs_keep_every_bit():
+def test_kernel_outputs_keep_every_bit(monkeypatch):
     committed = json.loads((ROOT / "tests" / "data" / "kernel_hashes.json").read_text(encoding="utf-8"))
     script = _script()
     differ = [
@@ -32,11 +38,14 @@ def test_kernel_outputs_keep_every_bit():
     ]
     if differ:
         pytest.skip("hashes committed for another environment: " + "; ".join(differ))
-    hashes = script.hashes()
-    moved = [
-        f"{config} {output}"
-        for config, row in committed["hashes"].items()
-        for output, digest in row.items()
-        if hashes.get(config, {}).get(output) != digest
-    ]
-    assert hashes == committed["hashes"], f"{len(moved)} hashes moved: {', '.join(moved[:10])}"
+    for workers, width in ((model._WORKERS, model._SHARED_WIDTH), (1, 1), (3, 1)):
+        monkeypatch.setattr(model, "_WORKERS", workers)
+        monkeypatch.setattr(model, "_SHARED_WIDTH", width)
+        hashes = script.hashes()
+        moved = [
+            f"{config} {output}"
+            for config, row in committed["hashes"].items()
+            for output, digest in row.items()
+            if hashes.get(config, {}).get(output) != digest
+        ]
+        assert hashes == committed["hashes"], f"{len(moved)} hashes moved at {workers} threads: {', '.join(moved[:10])}"

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -359,7 +360,17 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         struct.pack_into("<d", blob, struct.calcsize("<8s5Q2d"), np.nan)
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="u must be a non-negative real, got nan"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: u must be a non-negative real, got nan")):
+            load_checkpoint(path)
+
+    def test_bad_geometry_setting_rejected(self, tmp_path):
+        # The cylinder flag and circumference close the header.
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(make_random_model(seed=1), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<2d", blob, struct.calcsize("<8s5Q7d"), 1.0, -1.0)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: cylinder circumference must be a positive real")):
             load_checkpoint(path)
 
     def test_truncated_body_rejected(self, tmp_path):
@@ -378,7 +389,7 @@ class TestCheckpoint:
             params = make_random_model(seed=4)
             getattr(params, name).flat[-1] = value
             save_checkpoint(params, path)
-            with pytest.raises(ValueError, match=f"{name} contains non-finite values"):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {name} contains non-finite values")):
                 load_checkpoint(path)
 
     def test_load_peaks_near_the_file_size(self, tmp_path):

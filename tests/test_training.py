@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import multiprocessing
 import re
+import sys
 import tracemalloc
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -9,10 +12,11 @@ import pytest
 from hypothesis import given
 
 from conftest import make_random_model
+from pseudoe import model
 from pseudoe.data import augmented_store
 from pseudoe.geometry import GeometryConfig, Signature
 from pseudoe.likelihood import TfdParams, sigmoid
-from pseudoe.model import _TAIL_BLOCK, FROZEN, TABLES, InitConfig, score, score_many
+from pseudoe.model import _TAIL_BLOCK, FROZEN, TABLES, InitConfig, _forward, _in_shares, score, score_many, score_tails
 from pseudoe.relmaps import Variant
 from pseudoe.synthetic import tree_clique_graph
 from pseudoe.training import (
@@ -485,6 +489,115 @@ class TestOptimizers:
         np.testing.assert_array_equal(params.coords[untouched_e], coords_before)
         np.testing.assert_array_equal(params.node_bias[untouched_e], bias_before)
         np.testing.assert_array_equal(params.rel_c[untouched_r], relc_before)
+
+
+class TestWorkerCount:
+    """The row-block loops share their blocks out to `model._WORKERS`
+    threads; each block is computed whole by one of them, so no count may
+    move a bit.  Counts above the CPUs are forced, and every loop is shared
+    out whatever its width, so that the pool runs on any host and shape."""
+
+    N_ENTITIES, N_RELATIONS = 3000, 5000
+
+    @pytest.fixture(autouse=True)
+    def share_every_width(self, monkeypatch):
+        monkeypatch.setattr(model, "_SHARED_WIDTH", 1)
+
+    def _outputs(self, monkeypatch, workers):
+        monkeypatch.setattr(model, "_WORKERS", workers)
+        params = make_random_model(
+            n_entities=self.N_ENTITIES, n_relations=self.N_RELATIONS, n_t=2, n_x=200, variant=Variant.BOTH, seed=3
+        )
+        rng = np.random.default_rng(4)
+        outputs = []
+        heads, rels, tails = self._triples(rng).T
+        outputs += _forward(params, heads, rels, tails)
+        outputs.append(score_tails(params, 0, 0, rng.permutation(self.N_ENTITIES)))
+        for kind in OptimizerKind:
+            trained = params.copy()
+            opt = make_optimizer(kind, trained, 1e-3)
+            for step in range(5):
+                batch = self._triples(rng)
+                mode = NegativeMode.TAIL_ONLY if step % 2 == 0 else NegativeMode.BOTH
+                tape = gradients(trained, batch, sample_negatives_batch(batch, 4, mode, rng, self.N_ENTITIES))
+                outputs += [getattr(tape, field.name) for field in dataclasses.fields(tape)]
+                opt.step(trained, tape)
+            outputs += [getattr(trained, name) for name, _ in TABLES]
+            for state in vars(opt).values():
+                outputs += state.values() if isinstance(state, dict) else [state]
+        return outputs
+
+    def _triples(self, rng):
+        # 1,024 positives, a quarter of them on one hub head and relation,
+        # whose rows are summed as reduced keys; the rest spread over more
+        # than five blocks of light keys in every table.  The hub head is the
+        # last entity, so its block is not the calling thread's at 3 workers.
+        size = 1024
+        triples = np.column_stack(
+            [
+                rng.integers(0, self.N_ENTITIES, size),
+                rng.integers(0, self.N_RELATIONS, size),
+                rng.integers(0, self.N_ENTITIES, size),
+            ]
+        )
+        triples[: size // 4, :2] = self.N_ENTITIES - 1, 0
+        return triples
+
+    def test_the_shape_splits_every_loop(self):
+        rng = np.random.default_rng(4)
+        batch = self._triples(rng)
+        negatives = sample_negatives_batch(batch, 4, NegativeMode.BOTH, rng, self.N_ENTITIES)
+        rows = np.concatenate([batch, negatives.reshape(-1, 3)])
+        for keys in (np.concatenate([rows[:, 0], rows[:, 2]]), rows[:, 1]):
+            segments = _Segments(keys)
+            assert segments._reduced and segments.keys.size > 5 * _TAIL_BLOCK
+
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch):
+        expected = self._outputs(monkeypatch, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter often
+        try:
+            runs = [(workers, self._outputs(monkeypatch, workers)) for workers in (2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for workers, outputs in runs:
+            assert len(outputs) == len(expected)
+            for i, (got, want) in enumerate(zip(map(np.asarray, outputs), map(np.asarray, expected))):
+                assert got.dtype == want.dtype and got.shape == want.shape, i
+                assert got.tobytes() == want.tobytes(), f"output {i} moved at {workers} workers"
+
+    def test_shares_deal_items_round_robin(self, monkeypatch):
+        monkeypatch.setattr(model, "_WORKERS", 3)
+        monkeypatch.setattr(model, "_SHARED_WIDTH", 10)
+        assert _in_shares(list, range(7), 10) == [[0, 3, 6], [1, 4], [2, 5]]
+        assert _in_shares(list, range(1), 10) == [[0]]
+        # Narrow rows stay on the calling thread, as does everything on one CPU.
+        assert _in_shares(list, range(7), 9) == [list(range(7))]
+        monkeypatch.setattr(model, "_WORKERS", 1)
+        assert _in_shares(list, range(7), 10) == [list(range(7))]
+
+    def test_a_forked_child_starts_its_own_pool(self, monkeypatch):
+        # A child forked after the pool has run inherits none of its threads.
+        monkeypatch.setattr(model, "_WORKERS", 2)
+        assert _in_shares(list, range(2), 1) == [[0], [1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            with multiprocessing.get_context("fork").Pool(1) as children:
+                assert children.apply_async(_in_shares, (list, range(2), 1)).get(timeout=60) == [[0], [1]]
+
+    @pytest.mark.parametrize("bad_block", [0, 4])
+    def test_an_exception_in_a_share_reaches_the_caller(self, monkeypatch, bad_block):
+        # Block 0 is mapped by the calling thread and block 4 by a worker.
+        monkeypatch.setattr(model, "_WORKERS", 3)
+        params = make_random_model(n_entities=50, n_relations=3, seed=5)
+        rng = np.random.default_rng(6)
+        heads, rels, tails = (rng.integers(0, n, 6 * _TAIL_BLOCK) for n in (50, 3, 50))
+        expected = _forward(params, heads, rels, tails)[-1]
+        bad = tails.copy()
+        bad[bad_block * _TAIL_BLOCK + 5] = 50
+        with pytest.raises(IndexError):
+            _forward(params, heads, rels, bad)
+        np.testing.assert_array_equal(_forward(params, heads, rels, tails)[-1], expected)
 
 
 class TestTrainConfig:
