@@ -252,13 +252,17 @@ _TAIL_BLOCK = 128
 # CPUs this process may run on.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# Rows narrower than this many values stay on the calling thread: their
-# blocks are numpy calls too short to outweigh passing the interpreter lock
-# between threads.  On a 2-vCPU host, over 5,248 rows, the forward and a
-# per-key sum took 1.1-1.6x as long on two threads as on one at 32 and 64
-# columns, 0.9-1.1x at 128 and 0.6-0.8x at 200; an SM3 step took 0.9x at 64
-# and 0.7x at 128 and above.
-_SHARED_WIDTH = 128
+# Rows narrower than this many values stay on the calling thread: two
+# threads pass the interpreter lock at every numpy call, and the shorter the
+# calls, the more that costs.  The cost also changes with the host's state.
+# On a 2-vCPU host, `score_tails` over 12,733 tails took a median 0.84x as
+# long on two threads as on one at 200 columns and 0.68x at 500.  But for
+# stretches of a few seconds, about one in twenty, every shared call slowed
+# down, and the ratio was 1.53x at 200, 1.31x at 300, 1.11x at 400 and 0.96x
+# at 500.  A WN18RR-shape SM3 step and rank query (501 and 500 columns) took
+# 0.65x usually and 1.03x in those stretches.  Rows this wide lose at most
+# a few percent in those stretches, where narrower ones lost up to half.
+_SHARED_WIDTH = 500
 _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = threading.Lock()
 
