@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import operator
-from collections.abc import Set
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,14 +42,14 @@ class ParseError(ValueError):
     """A malformed dataset file, with the offending location in the message."""
 
 
-class FilterIndex(Set):
+class FilterIndex:
     """Read-only set of known (head, relation, tail) triples.
 
     Each triple is stored once as the int64 code ``(h * n_relations + k) *
     n_entities + t`` in one sorted array, so the true tails of a (head,
     relation) key form one contiguous run found by two binary searches.
-    Membership, iteration (in code order) and comparison with plain sets of
-    int triples come from `collections.abc.Set`.
+    It answers membership (``triple in index``), iterates the triples in
+    code order and has a length.
     """
 
     def __init__(self, rows, n_entities: int, n_relations: int) -> None:
@@ -64,11 +63,6 @@ class FilterIndex(Set):
                 f"{self.n_entities} entities x {self.n_relations} relations"
             )
         self.codes = np.unique(self.encode(h, k, t))
-
-    @classmethod
-    def _from_iterable(cls, it):
-        # Results of set algebra (&, |, -) have no vocabulary sizes: plain sets.
-        return set(it)
 
     def encode(self, heads, rels, tails) -> np.ndarray:
         """Codes of in-range id arrays; the sort order is (head, relation, tail)."""

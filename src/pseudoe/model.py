@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
@@ -263,18 +262,20 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 # 0.65x usually and 1.03x in those stretches.  Rows this wide lose at most
 # a few percent in those stretches, where narrower ones lost up to half.
 _SHARED_WIDTH = 500
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
 
 
-def _forget_pool() -> None:
-    """Drop the pool in a forked child, which inherits none of its threads."""
+def _new_pool() -> None:
+    """Make `_POOL`, the threads that run the shares after the first: at
+    import, and again in a forked child, which inherits none of its threads.
+    The executor starts a thread only when a task finds none idle, and
+    `_in_shares` hands it at most `_WORKERS` - 1 tasks at a time."""
     global _POOL
-    _POOL = None
+    _POOL = ThreadPoolExecutor(thread_name_prefix="pseudoe")
 
 
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _in_shares(work, items, width: int) -> list:
@@ -284,9 +285,9 @@ def _in_shares(work, items, width: int) -> list:
     ``items[i::n]``, so a list sorted by size splits evenly, and each share
     keeps the items' order.
 
-    The calling thread runs share 0 and a pool, made on first use, runs the
-    others.  With one item or one CPU, or rows narrower than
-    `_SHARED_WIDTH`, ``work(items)`` runs inline as the one share.
+    The calling thread runs share 0 and `_POOL` runs the others.  With one
+    item or one CPU, or rows narrower than `_SHARED_WIDTH`, ``work(items)``
+    runs inline as the one share.
     Every share has finished when this returns or raises, and a share's
     exception is raised here.  ``work`` must not call `_in_shares` itself.
     Each item is computed whole by one thread, so the result does not depend
@@ -295,11 +296,7 @@ def _in_shares(work, items, width: int) -> list:
     n = min(_WORKERS, len(items)) if width >= _SHARED_WIDTH else 1
     if n <= 1:
         return [work(items)]
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="pseudoe")
-        futures = [_POOL.submit(work, items[i::n]) for i in range(1, n)]
+    futures = [_POOL.submit(work, items[i::n]) for i in range(1, n)]
     try:
         first = work(items[0::n])
     finally:

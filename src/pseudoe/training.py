@@ -35,9 +35,11 @@ space map, the sums of `_Segments`, which read the space rows of the
 backward through a gather that forms them per block, and each optimizer's
 update of the touched rows, which reads each block as a slice of the tape.
 `model._in_shares` deals the blocks of wide rows out to one thread per CPU.
-Each block (each key's sum, each row's update) is computed whole by one
-thread, in the same operations and order as on one, so every bit of a step
-is the same for any number of CPUs.
+An optimizer is its update rule for one block: one driver, `_update_rows`,
+walks the blocks of every trained table, shares them out and runs the rule
+on each.  Each block (each key's sum, each row's update) is computed whole
+by one thread, in the same operations and order as on one, so every bit of
+a step is the same for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -442,6 +444,23 @@ def _loss_and_gradients(
 # --- optimizers --------------------------------------------------------------
 
 
+def _update_rows(params: ModelParams, tape: GradientTape, rule) -> list:
+    """Run ``rule(params, name, rows, g)`` on the touched rows of each table
+    the variant trains, `_TAIL_BLOCK` rows at a time, with g the matching
+    slice of the tape's compact table, which the rule only reads, and return
+    what each call returned.  No two blocks share a row, so each table's
+    blocks are shared out with `_in_shares` at its row width."""
+    touched = {"entity": tape.touched_entities, "relation": tape.touched_relations}
+    results = []
+    for name, key in params.trained_tables:
+        rows, grads = touched[key], getattr(tape, f"{name}_rows")
+        blocks = [(rows[s : s + _TAIL_BLOCK], grads[s : s + _TAIL_BLOCK]) for s in range(0, rows.size, _TAIL_BLOCK)]
+        width = math.prod(grads.shape[1:])
+        for share in _in_shares(lambda share: [rule(params, name, *block) for block in share], blocks, width):
+            results += share
+    return results
+
+
 class SgdOptimizer:
     """param -= lr * grad over touched rows."""
 
@@ -449,12 +468,10 @@ class SgdOptimizer:
         self.lr = learning_rate
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
-        def update(blocks):
-            for name, rows, g in blocks:
-                getattr(params, name)[rows] -= g * self.lr
+        _update_rows(params, tape, self._update)
 
-        for width, blocks in _update_blocks(params, tape):
-            _in_shares(update, blocks, width)
+    def _update(self, params: ModelParams, name: str, rows: np.ndarray, g: np.ndarray) -> None:
+        getattr(params, name)[rows] -= g * self.lr
 
 
 class AdamOptimizer:
@@ -474,34 +491,32 @@ class AdamOptimizer:
         self.t = {n: np.zeros(getattr(params, n).shape[0], dtype=np.int64) for n in names}
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
-        for width, blocks in _update_blocks(params, tape):
-            _in_shares(lambda share: self._update(params, share), blocks, width)
+        _update_rows(params, tape, self._update)
 
-    def _update(self, params: ModelParams, blocks) -> None:
-        for name, rows, g in blocks:
-            self.t[name][rows] += 1
-            t = self.t[name][rows].astype(np.float64)
-            c1, c2 = 1.0 - self.beta1**t, 1.0 - self.beta2**t
-            if g.ndim == 2:
-                c1, c2 = c1[:, None], c2[:, None]
-            # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2)
-            # * g * g, each product rounded in that order
-            m, v = self.m[name][rows], self.v[name][rows]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            self.m[name][rows] = m
-            v *= self.beta2
-            g_term = (1 - self.beta2) * g
-            g_term *= g
-            v += g_term
-            self.v[name][rows] = v
-            # lr * (m / c1) / (sqrt(v / c2) + eps)
-            step = np.divide(m, c1, out=m)
-            step *= self.lr
-            denominator = np.sqrt(np.divide(v, c2, out=v), out=v)
-            denominator += self.eps
-            step /= denominator
-            getattr(params, name)[rows] -= step
+    def _update(self, params: ModelParams, name: str, rows: np.ndarray, g: np.ndarray) -> None:
+        self.t[name][rows] += 1
+        t = self.t[name][rows].astype(np.float64)
+        c1, c2 = 1.0 - self.beta1**t, 1.0 - self.beta2**t
+        if g.ndim == 2:
+            c1, c2 = c1[:, None], c2[:, None]
+        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2)
+        # * g * g, each product rounded in that order
+        m, v = self.m[name][rows], self.v[name][rows]
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        self.m[name][rows] = m
+        v *= self.beta2
+        g_term = (1 - self.beta2) * g
+        g_term *= g
+        v += g_term
+        self.v[name][rows] = v
+        # lr * (m / c1) / (sqrt(v / c2) + eps)
+        step = np.divide(m, c1, out=m)
+        step *= self.lr
+        denominator = np.sqrt(np.divide(v, c2, out=v), out=v)
+        denominator += self.eps
+        step /= denominator
+        getattr(params, name)[rows] -= step
 
 
 class Sm3Optimizer:
@@ -520,49 +535,29 @@ class Sm3Optimizer:
 
     def step(self, params: ModelParams, tape: GradientTape) -> None:
         # Every coordinate row's nu reads the column accumulators of the step
-        # before; the new ones are the maxima over the step's rows, taken per
-        # share and then over the shares, which is exact in any order.
-        column_maxima = [self.coord_col]
-        for width, blocks in _update_blocks(params, tape):
-            column_maxima += _in_shares(lambda share: self._update(params, share), blocks, width)
-        self.coord_col = np.maximum.reduce(column_maxima)
+        # before; the new ones are the maxima over the step's blocks, which is
+        # exact in any order.
+        maxima = [m for m in _update_rows(params, tape, self._update) if m is not None]
+        self.coord_col = np.maximum.reduce([self.coord_col, *maxima])
 
-    def _update(self, params: ModelParams, blocks) -> np.ndarray:
-        """Update the rows of ``blocks``; returns the maximum of `coord_col`
-        and of their coordinate rows' nu, per column."""
-        coord_col = self.coord_col.copy()
-        for name, rows, g in blocks:
-            if name == "coords":
-                nu = np.minimum(self.coord_row[rows, None], self.coord_col[None, :])
-            else:
-                nu = self.acc[name][rows]
-            nu += g * g
-            # g / sqrt(nu) where nu > 0, else 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = g / np.sqrt(nu)
-            step[~(nu > 0.0)] = 0.0
-            step *= self.lr
-            getattr(params, name)[rows] -= step
-            if name == "coords":
-                self.coord_row[rows] = nu.max(axis=1)
-                np.maximum(coord_col, nu.max(axis=0), out=coord_col)
-            else:
-                self.acc[name][rows] = nu
-        return coord_col
-
-
-def _update_blocks(params: ModelParams, tape: GradientTape):
-    """The row width and the blocks of each table the variant trains: its
-    touched rows, `_TAIL_BLOCK` at a time, as (table name, rows to update,
-    their gradients), with the matching slice of the tape's compact table,
-    which the optimizers only read.  No two blocks share a row, so an
-    optimizer shares each table's blocks out with `_in_shares`."""
-    rows = {"entity": tape.touched_entities, "relation": tape.touched_relations}
-    for name, key in params.trained_tables:
-        grads = getattr(tape, f"{name}_rows")
-        starts = range(0, rows[key].size, _TAIL_BLOCK)
-        blocks = [(name, rows[key][s : s + _TAIL_BLOCK], grads[s : s + _TAIL_BLOCK]) for s in starts]
-        yield math.prod(grads.shape[1:]), blocks
+    def _update(self, params: ModelParams, name: str, rows: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+        """Update ``rows``; returns, for coordinate rows, their nu's maximum per column."""
+        if name == "coords":
+            nu = np.minimum(self.coord_row[rows, None], self.coord_col[None, :])
+        else:
+            nu = self.acc[name][rows]
+        nu += g * g
+        # g / sqrt(nu) where nu > 0, else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / np.sqrt(nu)
+        step[~(nu > 0.0)] = 0.0
+        step *= self.lr
+        getattr(params, name)[rows] -= step
+        if name != "coords":
+            self.acc[name][rows] = nu
+            return None
+        self.coord_row[rows] = nu.max(axis=1)
+        return nu.max(axis=0)
 
 
 _OPTIMIZERS = {OptimizerKind.SGD: SgdOptimizer, OptimizerKind.ADAM: AdamOptimizer, OptimizerKind.SM3: Sm3Optimizer}
@@ -608,7 +603,7 @@ def train(
     geometry,
     tfd,
     variant: Variant,
-    init_cfg: InitConfig | None = None,
+    init_cfg: InitConfig,
     protocol=None,
     swap_transforms: bool = False,
 ) -> tuple[ModelParams, list[TrainLogRow]]:
@@ -616,7 +611,8 @@ def train(
 
     ``store`` is a TripleStore; with ``config.augment_reverse`` its augmented
     view (reversed triples, doubled relation vocabulary) is trained on and
-    negatives corrupt tails only.  Validation MRR is computed every
+    negatives corrupt tails only.  The model starts from ``init_cfg``, and
+    the shuffles and negatives are drawn from ``config.seed``.  Validation MRR is computed every
     ``eval_every`` epochs under ``protocol`` (filtered ranking against the
     full vocabulary by default) and the best checkpoint is returned together
     with the per-epoch log.  An empty validation split is rejected before the
@@ -631,10 +627,8 @@ def train(
     if protocol is None:
         protocol = evaluation.EvalProtocol()
 
-    seeds = np.random.SeedSequence(config.seed).spawn(2)
-    if init_cfg is None:
-        init_cfg = InitConfig(sigma_init=0.02, seed=int(seeds[0].generate_state(1)[0]))
-    rng = np.random.default_rng(seeds[1])
+    # The shuffles and negatives draw from the second child of the run seed.
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
 
     params = model_init(
         store.n_entities,

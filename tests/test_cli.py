@@ -7,7 +7,7 @@ from pseudoe.cli import RunConfig, _from_config, main, resolve_config, write_res
 from pseudoe.data import load_dataset, load_negatives
 from pseudoe.evaluation import EvalMode, EvalProtocol, evaluate_split, format_report
 from pseudoe.likelihood import TfdParams
-from pseudoe.model import load_checkpoint
+from pseudoe.model import load_checkpoint, save_checkpoint, scale_node_bias
 from pseudoe.presets import PRESETS
 from pseudoe.synthetic import tree_clique_graph
 from pseudoe.training import TrainConfig
@@ -366,6 +366,43 @@ class TestEvaluateCommand:
             assert main(argv) == 1
             assert "checkpoint has 12 entities but the dataset has 13" in capsys.readouterr().err
 
+    def test_checkpoint_for_another_relation_count_rejected(self, toy_data, trained, tmp_path, capsys):
+        # Two relations in the checkpoint, three in the dataset: neither the
+        # dataset's count nor twice it, so no augmented view fits either.
+        other = tmp_path / "other"
+        other.mkdir()
+        for name in ("train.txt", "valid.txt", "test.txt"):
+            (other / name).write_text((toy_data / name).read_text(encoding="utf-8"), encoding="utf-8")
+        with open(other / "test.txt", "a", encoding="utf-8") as f:
+            f.write("n0\tnew_relation\tn1\n")
+        ckpt = str(trained / "model.ckpt")
+        for argv in (
+            ["evaluate", "--checkpoint", ckpt, "--data", str(other)],
+            ["rank", "--checkpoint", ckpt, "--data", str(other), "--head", "n0", "--relation", "same_group"],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: checkpoint has 2 relations but the dataset has 3\n"
+
+    def test_gamma_b_scores_the_scaled_model(self, toy_data, trained, tmp_path, capsys):
+        # --gamma-b g prints what the checkpoint of scale_node_bias(model, g)
+        # prints at g = 1.
+        ckpt, scaled = trained / "model.ckpt", tmp_path / "scaled.ckpt"
+        save_checkpoint(scale_node_bias(load_checkpoint(ckpt), 0.5), scaled)
+        for command, *extra in (
+            ["evaluate", "--per-relation"],
+            ["rank", "--head", "n0", "--relation", "same_group", "--top", "12"],
+        ):
+            printed = {}
+            for path, gamma in ((ckpt, "0.5"), (scaled, "1"), (ckpt, "1")):
+                argv = [command, "--checkpoint", str(path), "--data", str(toy_data), "--gamma-b", gamma, *extra]
+                assert main(argv) == 0
+                printed[path, gamma] = capsys.readouterr().out
+            assert printed[ckpt, "0.5"] == printed[scaled, "1"]
+        # The rank scores show that the biases were scaled at all.
+        assert printed[ckpt, "0.5"] != printed[ckpt, "1"]
+
 
 class TestSweepAndStats:
     def test_stats(self, toy_data, capsys):
@@ -493,6 +530,22 @@ class TestSweepAndStats:
             calls.clear()
             assert main(argv) == 0
             assert calls == [data], argv[0]
+
+    def test_sweep_retrain(self, toy_data, tmp_path):
+        # Without --checkpoint, each beta point trains --repeats models; the
+        # betas are given in descending order, which the rows must keep.
+        argv = ["sweep-beta", "--data", str(toy_data), "--betas", "1,0", "--repeats", "2"]
+        argv += ["--set", "max_epochs", "2", "--set", "eval_every", "1", "--set", "n_x", "7"]
+        for out in ("a", "b"):
+            assert main(argv + ["--out", str(tmp_path / out)]) == 0
+        written = (tmp_path / "a" / "sweep.csv").read_bytes()
+        assert written == (tmp_path / "b" / "sweep.csv").read_bytes()
+        lines = written.decode().splitlines()
+        assert lines[0] == "beta,relation,mrr,sd"
+        relations = sorted(load_dataset(toy_data).relation_to_id.items(), key=lambda item: item[1])
+        assert [line.split(",")[:2] for line in lines[1:]] == [[b, name] for b in ("1", "0") for name, _ in relations]
+        # Each point's two models start from different seeds.
+        assert all(float(line.split(",")[3]) > 0 for line in lines[1:])
 
     def test_sweep_rescore(self, toy_data, tmp_path):
         run_out = tmp_path / "run"

@@ -119,7 +119,7 @@ class TestBuildStore:
             everything = np.concatenate(list(store.splits.values()))
             scan = {tuple(map(int, row)) for row in everything}
             index = store.filter_index
-            assert index == scan
+            assert set(index) == scan
             assert len(index) == len(scan)
             n, n_r = store.n_entities, store.n_relations
             for h in range(n):

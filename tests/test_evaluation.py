@@ -328,6 +328,16 @@ class TestEvaluateSplit:
         with pytest.raises(ValueError, match="outside"):
             evaluate_split(params, split, {(0, 0, 6)}, EvalProtocol())
 
+    @pytest.mark.parametrize(
+        "protocol",
+        [EvalProtocol(), EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=NegativesTable({}, 3))],
+        ids=["full", "fixed"],
+    )
+    def test_empty_split_rejected(self, protocol):
+        params = make_random_model(n_entities=6, n_relations=3, seed=2)
+        with pytest.raises(ValueError, match="cannot aggregate an empty rank list"):
+            evaluate_split(params, np.zeros((0, 3), dtype=np.int64), set(), protocol)
+
 
 class TestOverfitModelRanking:
     def test_top1_is_a_true_tail_for_every_training_pair(self):

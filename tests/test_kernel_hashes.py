@@ -2,12 +2,13 @@
 
 `scripts/kernel_hashes.py` hashes scores, screens, ranks, gradients, losses,
 optimizer steps and checkpoint bytes over 48 configurations.  Its output is
-committed as `tests/data/kernel_hashes.json`; here it is recomputed and must
-match wherever the environment the hashes depend on is the same.  The number
-of threads the row-block loops use is not part of that environment: the
-hashes are recomputed as they run by default, then forced to 1 thread and to
-3 threads with every loop shared out, whatever its width, and each must
-match.
+committed as `tests/data/kernel_hashes.json`, with every environment the
+hashes depend on in which they were recomputed and matched; here they are
+recomputed and must match wherever the environment is one of those.  The
+number of threads the row-block loops use is not part of an environment:
+the hashes are recomputed as they run by default, then forced to 1 thread
+and to 3 threads with every loop shared out, whatever its width, and each
+must match.
 """
 
 import importlib.util
@@ -31,13 +32,13 @@ def _script():
 def test_kernel_outputs_keep_every_bit(monkeypatch):
     committed = json.loads((ROOT / "tests" / "data" / "kernel_hashes.json").read_text(encoding="utf-8"))
     script = _script()
-    differ = [
-        f"{key} {value!r}, committed {committed['environment'].get(key)!r}"
-        for key, value in script.environment().items()
-        if committed["environment"].get(key) != value
-    ]
-    if differ:
-        pytest.skip("hashes committed for another environment: " + "; ".join(differ))
+    current = script.environment()
+    if current not in committed["environments"]:
+        differ = [
+            ", ".join(f"{k} {v!r} (committed {env.get(k)!r})" for k, v in current.items() if env.get(k) != v)
+            for env in committed["environments"]
+        ]
+        pytest.skip("hashes committed for other environments: " + "; ".join(differ))
     for workers, width in ((model._WORKERS, model._SHARED_WIDTH), (1, 1), (3, 1)):
         monkeypatch.setattr(model, "_WORKERS", workers)
         monkeypatch.setattr(model, "_SHARED_WIDTH", width)

@@ -648,6 +648,18 @@ class TestTrainLoop:
             (r.epoch, r.mean_loss, r.val_mrr) for r in log_b
         ]
 
+    def test_early_stop_once_validation_stops_improving(self, small_graph):
+        # At a learning rate of 1e-300 no score moves, so the second
+        # validation ties the first and, with patience 1, ends the run.
+        store, _, _ = small_graph
+        config = TrainConfig(
+            m_negatives=4, batch_size=32, learning_rate=1e-300, max_epochs=10, eval_every=1, patience=1, seed=5
+        )
+        geometry, tfd = GeometryConfig(Signature(1, 7)), TfdParams(0.5, 0.5, 0.5, 0.2, 1.0)
+        _, log = train(store, config, geometry, tfd, Variant.DT, init_cfg=InitConfig(0.1, config.seed))
+        assert [row.epoch for row in log] == [1, 2]
+        assert log[1].val_mrr == log[0].val_mrr
+
     @pytest.mark.parametrize("kind", [OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.SM3])
     def test_loss_decreases_over_first_epochs(self, kind):
         # the overfit graph at each optimizer's preset learning rate
@@ -667,7 +679,10 @@ class TestTrainLoop:
         monkeypatch.setattr(pseudoe.training, "_loss_and_gradients", lambda *args: steps.append(args))
         config = TrainConfig(m_negatives=4, max_epochs=2, eval_every=1, augment_reverse=augment)
         with pytest.raises(ValueError, match="the validation split is empty"):
-            train(empty, config, GeometryConfig(Signature(1, 7)), TfdParams(0.5, 0.5, 0.5, 0.2, 1.0), Variant.DT)
+            train(
+                empty, config, GeometryConfig(Signature(1, 7)), TfdParams(0.5, 0.5, 0.5, 0.2, 1.0), Variant.DT,
+                init_cfg=InitConfig(0.1, config.seed),
+            )
         assert steps == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
