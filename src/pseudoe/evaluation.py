@@ -8,13 +8,14 @@ list.  Ties share their rank: rank = 1 + #{better} + #{equal}/2, so a
 constant scorer earns mid-range ranks rather than rank 1.
 
 Queries are ranked in batches, one after another.  In full-filtered mode
-one pass over the entity table screens every entity against every query of
-a batch with two matrix products (`model._screen_tails`), with a margin
-that bounds the distance to the exact score; only the candidates within
-their margin of the true score are rescored with `score_tails`.  In
-fixed-negatives mode the batch's candidate lists, each closed by its true
-tail, are scored together.  Both go through the one exact candidate scorer,
-`model._score_lists` (`score_tails` is one list of it), which walks the
+the entity table is read once per batch: one pass screens every entity
+against every query of the batch with two matrix products (`model._screen`),
+with a margin that bounds the distance to the exact score.  The screen's
+per-query decisions are shares (`model._in_shares`), one query each, and
+only the candidates within their margin of the true score are rescored, by
+one exact call for the whole batch.  In fixed-negatives mode the batch's
+candidate lists, each closed by its true tail, are scored together.  Both
+go through the kernel's one exact score body, `model._score_rows`, with the
 candidates in the order of their tail ids, so that the entity table is read
 front to back.  Either way every comparison is made on the kernel's exact
 scores, so ranks equal brute force, ties included.
@@ -30,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import ModelParams, _check_ids, _score_lists, _screen_tails, score_tails
+from .model import ModelParams, _check_ids, _in_shares, _score_lists, _score_rows, _screen
 from .data import FilterIndex, NegativesTable
 
 __all__ = [
@@ -101,27 +102,49 @@ def _full_filtered_counts(params: ModelParams, queries: np.ndarray, index: Filte
     """Exact better/equal counts of each query's true tail against every
     entity it is not filtered against.
 
-    `_screen_tails` decides every candidate whose approximate score lies
-    farther from the true score than its margin; the rest, typically a
-    handful, are rescored with `score_tails`, the kernel's exact bits, and
-    compared with true scores from the same scorer.
+    `_screen` reads the entity table once for the whole batch, with matrix
+    products that BLAS threads.  Its per-query decisions are shares: each
+    query is one item of `_in_shares`, which finishes the query's screen,
+    masks its filtered tails in a buffer of its share's own, and counts the
+    candidates whose approximate score lies farther above the true score than
+    its margin.  No item calls `_in_shares` or BLAS.  The undecided
+    candidates of every query, typically a handful, are then rescored
+    together on the calling thread by one `_score_rows` call, in the order of
+    their tail ids, which gives the bits of `score_tails` (`_score_lists`),
+    and compared with true scores from the same scorer.
     """
-    true_scores = _score_lists(params, queries[:, 0], queries[:, 1], queries[:, 2:])[:, 0]
+    heads, rels = queries[:, 0], queries[:, 1]
+    true_scores = _score_lists(params, heads, rels, queries[:, 2:])[:, 0]
+    screen = _screen(params, heads, rels)
+
+    def decide(share):
+        keep = np.empty(params.n_entities, dtype=bool)
+        decided = []
+        for q in share:
+            h, k, t = queries[q].tolist()
+            phi, margin = screen(q)
+            keep[:] = True
+            keep[index.tails(h, k)] = False
+            keep[t] = False  # the true triple is never its own competitor
+            gap = phi - true_scores[q]
+            above, below = gap > margin, gap < -margin
+            undecided = np.flatnonzero(keep & ~above & ~below)  # NaN gaps included
+            decided.append((q, np.count_nonzero(keep & above), undecided))
+        return decided
+
     better = np.zeros(len(queries), dtype=np.int64)
-    equal = np.zeros(len(queries), dtype=np.int64)
-    keep = np.empty(params.n_entities, dtype=bool)
-    screens = _screen_tails(params, queries[:, 0], queries[:, 1])
-    for q, (phi, margin) in enumerate(screens):
-        h, k, t = (int(v) for v in queries[q])
-        keep[:] = True
-        keep[index.tails(h, k)] = False
-        keep[t] = False  # the true triple is never its own competitor
-        gap = phi - true_scores[q]
-        above, below = gap > margin, gap < -margin
-        undecided = np.flatnonzero(keep & ~above & ~below)  # NaN gaps included
-        exact = score_tails(params, h, k, undecided)
-        better[q] = np.count_nonzero(keep & above) + np.count_nonzero(exact > true_scores[q])
-        equal[q] = np.count_nonzero(exact == true_scores[q])
+    undecided = [None] * len(queries)
+    for share in _in_shares(decide, range(len(queries)), params.n_entities):
+        for q, above, rest in share:
+            better[q], undecided[q] = above, rest
+    lists = np.repeat(np.arange(len(queries)), [rest.size for rest in undecided])
+    tails = np.concatenate(undecided)
+    order = np.argsort(tails)
+    lists = lists[order]
+    exact = _score_rows(params, heads, rels, tails[order], lists)[-1]
+    truth = true_scores[lists]
+    better += np.bincount(lists[exact > truth], minlength=len(queries))
+    equal = np.bincount(lists[exact == truth], minlength=len(queries))
     return better, equal
 
 
@@ -150,7 +173,6 @@ def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol:
     fixed-negatives mode; every count is exact, so the ranks do not depend on
     the batching.
     """
-    _check_ids(params, split[:, 0], split[:, 1], split[:, 2])
     if split.shape[0] == 0:
         return np.zeros(0)
     if protocol.mode is EvalMode.FIXED_NEGATIVES:
@@ -218,16 +240,21 @@ def evaluate_split(
     full-filtered mode and ignored in fixed-negatives mode.  A one-row split
     ranks a single triple.
 
-    Batches run one after another; the exact scorer shares its row blocks
-    out to every CPU (`model._in_shares`) and BLAS may use several threads
-    for the screen's matrix products.  ``threads`` must be 1: the keyword
-    stays only because the benchmark in ``perfbench/`` still passes
-    ``threads=1``, and it goes once the benchmark drops it.
+    Ids must be integers; a split of any other dtype is refused before it
+    is cast.  Batches run one after another.  In full-filtered mode each
+    batch reads the entity table once, in the screen's matrix products, which
+    BLAS may thread; the screen's per-query decisions and the exact scorer's
+    row blocks are shared out to every CPU (`model._in_shares`).  ``threads``
+    must be 1: the keyword stays only because the benchmark in
+    ``perfbench/`` still passes ``threads=1``, and it goes once the
+    benchmark drops it.
     """
     if threads != 1:
         raise ValueError(f"evaluation is single-threaded; threads must be 1, got {threads}")
     protocol = protocol or EvalProtocol()
-    split = np.asarray(split, dtype=np.int64).reshape(-1, 3)
+    split = np.asarray(split).reshape(-1, 3)
+    _check_ids(params, split[:, 0], split[:, 1], split[:, 2])  # before the cast would truncate
+    split = split.astype(np.int64, copy=False)
     ranks = _ranks(params, split, _filter_index(params, filter_set), protocol)
     pairs = [(tuple(row), rank) for row, rank in zip(split.tolist(), ranks.tolist())]
     return aggregate(pairs)

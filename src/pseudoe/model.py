@@ -13,7 +13,7 @@ likelihood (`_likelihood`), over lists of tails that each belong to one
 the head side once per distinct (head, relation) pair (`score_many`,
 `score`, and the loss and backward pass in `training`), and `_score_lists`
 per candidate list, walked in tail-id order in blocks (`score_tails` is one
-such list).  The certified screen `_screen_tails` shares the time map and
+such list).  The certified screen `_screen` shares the time map and
 the likelihood and expands the space map; only `_sides` reads which side
 each relation map acts on.  The tests check the kernel against a
 step-by-step single-triple oracle (`tests/reference.py`).
@@ -281,9 +281,9 @@ if hasattr(os, "register_at_fork"):
 def _in_shares(work, items, width: int) -> list:
     """``[work(share) for share in shares]``, where the shares deal the
     independent pieces of work in ``items``, blocks of rows ``width`` values
-    wide, out to at most `_WORKERS` threads, round robin: share i is
-    ``items[i::n]``, so a list sorted by size splits evenly, and each share
-    keeps the items' order.
+    wide or the screen's queries over ``width`` entities, out to at most
+    `_WORKERS` threads, round robin: share i is ``items[i::n]``, so a list
+    sorted by size splits evenly, and each share keeps the items' order.
 
     The calling thread runs share 0 and `_POOL` runs the others.  With one
     item or one CPU, or rows narrower than `_SHARED_WIDTH`, ``work(items)``
@@ -425,7 +425,7 @@ def score_tails(params: ModelParams, head: int, rel: int, tails) -> np.ndarray:
     triples, with the head and relation side computed once and the candidates
     walked in tail-id order.
     """
-    tails = np.asarray(tails, dtype=np.intp).reshape(-1)
+    tails = np.asarray(tails).reshape(-1)
     _check_ids(params, head, rel, tails)
     return _score_lists(params, [head], [rel], tails[None])[0]
 
@@ -456,21 +456,43 @@ def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     return phi.reshape(tails.shape)
 
 
-# Entity rows per block of the screen's pass over the space columns: the
-# block and its square stay in cache for the two matrix products.
-_SCREEN_BLOCK = 1024
+# Entity rows per block of the screen's pass over the space columns.  At
+# WN18RR shape (n_t + n_x = 501) a block of 256 rows and its square take 1 MB
+# each, so the square is still in a core's 2 MB L2 when the second matrix
+# product reads it; at 1,024 rows they took 4 MB each and the square was read
+# back from L3.  On a 2-vCPU host (2 MB L2 per core), the pass and the first
+# query of a 3-query screen took a median 38.5 ms at 256 rows, against 40 at
+# 128, 57 at 512 and 52 at 1,024; at 64 queries, where the products dominate,
+# every size took 85-115 ms.  Any size gives the same ranks.
+_SCREEN_BLOCK = 256
 
 # The unit roundoff eps of float64, and the factor by which the margin of
-# `_screen_tails` covers the rounding of the likelihood functions (a few ulps
+# `_screen` covers the rounding of the likelihood functions (a few ulps
 # each for exp, log, log1p and expm1, over a dozen dependent operations).
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _LIBM_ULPS = 64.0
 
 
 def _screen_tails(params: ModelParams, heads, rels):
-    """For each query (heads[q], rels[q]), every entity's approximate score as
-    its tail and a margin: yields ``(phi, margin)`` arrays over all entities
-    such that the exact score (`score_tails`) lies within ``margin`` of ``phi``.
+    """For each query (heads[q], rels[q]) in turn, every entity's approximate
+    score as its tail and a margin: yields `_screen`'s ``(phi, margin)``
+    arrays over all entities, such that the exact score (`score_tails`) lies
+    within ``margin`` of ``phi``, after its one pass over the entity table."""
+    screen = _screen(params, heads, rels)
+    for q in range(np.size(heads)):
+        yield screen(q)
+
+
+def _screen(params: ModelParams, heads, rels):
+    """One pass over the entity table for the queries (heads[q], rels[q]),
+    returning ``screen(q)``: query q's approximate score of every entity as
+    its tail and a margin, ``(phi, margin)`` arrays over all entities such
+    that the exact score (`score_tails`) lies within ``margin`` of ``phi``.
+
+    ``screen`` finishes query q's part of the pass in place, so it is called
+    once per query; calls for different queries are independent and may run
+    on different threads (`evaluation._full_filtered_counts` shares them out
+    with `_in_shares`); they call neither `_in_shares` nor BLAS.
 
     *The expansion.*  Let H be the query's head side, fl(x_h + u) or, when
     swapped, fl(x_h * r), which the kernel computes bit for bit
@@ -555,13 +577,16 @@ def _screen_tails(params: ModelParams, heads, rels):
         np.matmul(weights, squared[:, n_t:].T, out=quad[:, rows])
     quad_norm = np.sqrt(quad)
 
-    # Every entity as one list of tails.
+    # Every entity as one list of tails; |u| per query, with BLAS, here.
     tails, one_list, tail_bias = np.arange(n), np.zeros(n, dtype=np.intp), np.abs(params.node_bias)
-    for q, (head, rel) in enumerate(zip(heads.tolist(), rels.tolist())):
+    u_norm = [math.sqrt(row @ row) for row in u]
+
+    def screen(q: int):
+        head, rel = int(heads[q]), int(rels[q])
         query_dx2 = dx2[q]
         query_dx2 += shared2[q]
         query_dx2 += quad[weight_of_query[q]]
-        size = quad_norm[weight_of_query[q]] + (math.sqrt(shared2[q]) + math.sqrt(u[q] @ u[q]))
+        size = quad_norm[weight_of_query[q]] + (math.sqrt(shared2[q]) + u_norm[q])
         dx2_err = 4.0 * gamma * (size * size)
 
         head_bias, rel_bias = params.node_bias[head], params.rel_c[rel]
@@ -575,7 +600,9 @@ def _screen_tails(params: ModelParams, heads, rels):
             slope = 1.0 / np.abs(np.expm1(np.minimum(log_p + log_p_drift, 0.0)))
         terms = 1.0 + np.abs(phi) + 2.0 * (np.abs(log_p) + tail_bias + (abs(head_bias) + abs(rel_bias)))
         margin = 2.0 * (slope * log_p_drift + _LIBM_ULPS * _UNIT_ROUNDOFF * terms)
-        yield phi, margin
+        return phi, margin
+
+    return screen
 
 
 def probability(params: ModelParams, head: int, rel: int, tail: int) -> float:
@@ -584,10 +611,18 @@ def probability(params: ModelParams, head: int, rel: int, tail: int) -> float:
 
 
 def _check_ids(params: ModelParams, heads, rels, tails) -> None:
-    """Raise IndexError unless every head, relation and tail id is in range."""
+    """Raise TypeError unless every head, relation and tail id is an integer,
+    and IndexError unless it is in range.
+
+    A float or bool id would be truncated to an integer by the casts that
+    follow, so ids of any other dtype are refused before any cast, by their
+    dtype alone; an empty array holds no id to truncate.
+    """
     n, n_r = params.n_entities, params.n_relations
     for side, ids, size in (("head", heads, n), ("relation", rels, n_r), ("tail", tails, n)):
         ids = np.asarray(ids)
+        if ids.dtype.kind not in "iu" and ids.size:
+            raise TypeError(f"{side} ids must be integers, got dtype {ids.dtype}")
         if ids.ndim == 0:  # one query id: a plain comparison costs far less than a mask
             bad = [] if 0 <= int(ids) < size else [int(ids)]
         else:

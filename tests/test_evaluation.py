@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import make_random_model
+from pseudoe import evaluation, model
 from pseudoe.data import FilterIndex, NegativesTable
 from pseudoe.evaluation import (
     EvalMode,
@@ -90,6 +94,14 @@ class TestFilteredRank:
                 evaluate_split(params, [[0, 0, t]], index, EvalProtocol())
             with pytest.raises(IndexError, match="tail id out of range"):
                 evaluate_split(params, [[0, 0, t]], index, fixed)
+
+    def test_non_integer_split_refused_before_the_cast(self):
+        # Cast first, (0, 0, 1.9) would be ranked as (0, 0, 1).
+        params = make_random_model(n_entities=6, seed=0)
+        for split in ([[0, 0, 1.9]], np.array([[0, 0, 1.0]]), np.array([[True, False, True]])):
+            with pytest.raises(TypeError, match="^head ids must be integers, got dtype"):
+                evaluate_split(params, split, set(), EvalProtocol())
+        assert rank_of(params, (0, 0, 1), set(), EvalProtocol()) == brute_force_rank(params, (0, 0, 1), set())
 
     def test_protocol_requires_table(self):
         with pytest.raises(ProtocolError):
@@ -209,6 +221,26 @@ class TestScreen:
         for triple, rank in report.per_triple_ranks:
             assert rank == brute_force_rank(params, triple, filter_set), triple
 
+    @settings(deadline=None, max_examples=25)
+    @given(near_tails(), st.integers(0, 2**16))
+    def test_pass_over_several_blocks(self, params, seed):
+        # Blocks of 7 rows: the pass over 600 entities ends in a block of 5.
+        assert params.n_entities % 7
+        everyone = np.arange(params.n_entities)
+        rng = np.random.default_rng(seed)
+        heads, rels = np.array([0, 0, 7]), np.array([0, 1, 0])
+        tails = np.array([rng.integers(params.n_entities // 2, params.n_entities), 0, rng.integers(params.n_entities)])
+        split = np.column_stack([heads, rels, tails])
+        filter_set = {(0, 0, int(c)) for c in rng.integers(0, params.n_entities, 5)}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_SCREEN_BLOCK", 7)
+            for (phi, margin), h, k in zip(_screen_tails(params, heads, rels), heads, rels):
+                exact = score_tails(params, h, k, everyone)
+                assert np.all(np.abs(phi - exact) <= margin), np.flatnonzero(np.abs(phi - exact) > margin)
+            report = evaluate_split(params, split, filter_set, EvalProtocol())
+        for triple, rank in report.per_triple_ranks:
+            assert rank == brute_force_rank(params, triple, filter_set), triple
+
     def test_likelihood_within_rounding_of_one(self):
         # A wide margin u / tau1 puts every likelihood within 1e-21 of 1, far
         # inside the rounding margin: every candidate must go to the kernel.
@@ -217,7 +249,7 @@ class TestScreen:
         for triple, rank in evaluate_split(params, split, set(), EvalProtocol()).per_triple_ranks:
             assert rank == brute_force_rank(params, triple, set()), triple
 
-    def test_batch_boundaries_and_threads(self):
+    def test_batch_boundaries_and_threads(self, monkeypatch):
         n = 40
         params = make_random_model(n_entities=n, n_relations=3, n_t=2, n_x=9, seed=21, swap=True, cylinder=2.5)
         params.coords[n - 1] = params.coords[0]  # ties in every query that ranks entity 0
@@ -236,6 +268,44 @@ class TestScreen:
             EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=NegativesTable(table=table, length=length))
             for length, table in tables.items()
         ]
+        # The model of `test_likelihood_within_rounding_of_one`, which leaves
+        # every candidate undecided.
+        undecided = make_random_model(n_entities=20, beta=1.0, u=5.0, tau1=0.1, sigma=0.01, seed=3)
+        cases = [(params, split, index, protocol) for protocol in protocols]
+        cases.append((undecided, np.array([[0, 0, 1], [2, 1, 3], [4, 2, 5]]), set(), EvalProtocol()))
+
+        # No `_in_shares` call may start while a share of another runs, on
+        # any thread.
+        real, lock, running, nested = model._in_shares, threading.Lock(), [0], []
+
+        def in_shares(work, items, width):
+            nested.extend([width] if running[0] else [])
+
+            def share(items):
+                with lock:
+                    running[0] += 1
+                try:
+                    return work(items)
+                finally:
+                    with lock:
+                        running[0] -= 1
+
+            return real(share, items, width)
+
+        for module in (model, evaluation):
+            monkeypatch.setattr(module, "_in_shares", in_shares)
+        ranks, interval = {}, sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads hand over the interpreter lock often
+        try:
+            for workers in (1, 3):  # every loop shared out, whatever its width
+                monkeypatch.setattr(model, "_WORKERS", workers)
+                monkeypatch.setattr(model, "_SHARED_WIDTH", 1)
+                ranks[workers] = [evaluate_split(*case).per_triple_ranks for case in cases]
+        finally:
+            sys.setswitchinterval(interval)
+        assert ranks[1] == ranks[3]
+        assert not nested, nested
+
         for protocol in protocols:
             one = evaluate_split(params, split, index, protocol)
             assert any(rank % 1 for _, rank in one.per_triple_ranks)  # ties are counted
@@ -246,6 +316,8 @@ class TestScreen:
                     tails = np.append(protocol.negatives.table[(h, k)], t)
                     scores = score_many(params, np.full(tails.size, h), np.full(tails.size, k), tails)
                     assert rank == 1.0 + np.sum(scores[:-1] > scores[-1]) + 0.5 * np.sum(scores[:-1] == scores[-1])
+        undecided_ranks = ranks[3][-1]
+        assert undecided_ranks == [(triple, brute_force_rank(undecided, triple, set())) for triple, _ in undecided_ranks]
 
 
 class TestAggregate:

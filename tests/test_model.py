@@ -136,6 +136,24 @@ class TestScore:
             with pytest.raises(IndexError, match="id out of range"):
                 score_many(params, heads, rels, tails)
 
+    def test_non_integer_ids_refused_before_any_cast(self):
+        # A cast to an integer dtype would truncate 1.7 to 1 and score tail 1.
+        params = make_random_model()  # 6 entities, 3 relations
+        for side, call in (
+            ("tail", lambda: score_tails(params, 0, 0, [1.7, 2.2])),
+            ("tail", lambda: score_tails(params, 0, 0, np.array([True, False]))),
+            ("head", lambda: score_tails(params, 0.0, 0, [1])),
+            ("relation", lambda: score_tails(params, 0, True, [1])),
+            ("head", lambda: score_many(params, [0.5], [0], [1])),
+            ("relation", lambda: score_many(params, [0], np.array([0.0]), [1])),
+            ("tail", lambda: score_many(params, [0], [0], [False])),
+            ("head", lambda: score(params, 1.0, 0, 1)),
+        ):
+            with pytest.raises(TypeError, match=f"^{side} ids must be integers, got dtype"):
+                call()
+        assert score_tails(params, 0, 0, []).shape == (0,)
+        assert score_tails(params, np.int32(0), np.uint8(0), np.array([1], dtype=np.uint16))[0] == score(params, 0, 0, 1)
+
     def test_score_tails_rejects_out_of_range_ids(self):
         params = make_random_model()
         tails = np.arange(params.n_entities)
