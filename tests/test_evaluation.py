@@ -279,7 +279,8 @@ class TestScreen:
         real, lock, running, nested = model._in_shares, threading.Lock(), [0], []
 
         def in_shares(work, items, width):
-            nested.extend([width] if running[0] else [])
+            if running[0]:
+                nested.append(width)
 
             def share(items):
                 with lock:
