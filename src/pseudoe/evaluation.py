@@ -11,11 +11,12 @@ Queries are ranked in batches, one after another.  In full-filtered mode
 the entity table is read once per batch: one pass screens every entity
 against every query of the batch with two matrix products (`model._screen`),
 with a margin that bounds the distance to the exact score.  The screen's
-per-query decisions are shares (`model._in_shares`), one query each, and
-only the candidates within their margin of the true score are rescored, by
-one exact call for the whole batch.  In fixed-negatives mode the batch's
-candidate lists, each closed by its true tail, are scored together.  Both
-go through the kernel's one exact score body, `model._score_rows`, with the
+per-query decisions are shares (`model._in_shares`), one query each, on
+graphs of `_SHARED_ENTITIES` entities or more, and only the candidates
+within their margin of the true score are rescored, together for the whole
+batch.  In fixed-negatives mode the batch's candidate lists, each closed by
+its true tail, are scored together.  Both go through the kernel's one exact
+score body, `model._score_rows`, by `model._score_ragged`, with the
 candidates in the order of their tail ids, so that the entity table is read
 front to back.  Either way every comparison is made on the kernel's exact
 scores, so ranks equal brute force, ties included.
@@ -31,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import ModelParams, _check_ids, _in_shares, _score_lists, _score_rows, _screen
+from .model import _CANDIDATE_BATCH, ModelParams, _check_ids, _in_shares, _score_lists, _score_ragged, _screen
 from .data import FilterIndex, NegativesTable
 
 __all__ = [
@@ -92,10 +93,22 @@ class RankReport:
 
 
 # Queries ranked per call of the full-filtered counter, each call one pass of
-# the screen over the entity table; and candidates per call of the
-# fixed-negatives counter, which scores them together in tail-id order.
+# the screen over the entity table.  The fixed-negatives counter takes at most
+# `model._CANDIDATE_BATCH` candidates per call, which it scores together in
+# tail-id order.
 _QUERY_BATCH = 64
-_CANDIDATE_BATCH = 1 << 17
+
+# Entities below which the screen's per-query decisions run inline, on the
+# calling thread: each numpy call of a decision covers one value per entity,
+# and the shorter the calls, the more two threads lose to handing over the
+# interpreter lock.  On a 2-vCPU host (DT models at WN18RR's n_x = 500, no
+# candidate left undecided), shared against inline `_full_filtered_counts`
+# took a median 1.37-1.49x as long at 600 entities and 1.09-1.23x at 2,000
+# for 3 queries, and 1.02-1.03x at either for 64; 0.99-1.05x at 5,000 and
+# 0.98-1.02x at 7,500; 0.94-0.95x (3 queries) and 0.91-1.03x (64) at 10,000;
+# 0.92-0.94x and 0.80-0.93x at FB15k-237's 14,541; and 0.90x and 0.69-0.70x
+# at WN18RR's 40,943 (two or three runs of 16-60 alternating pairs each).
+_SHARED_ENTITIES = 10_000
 
 
 def _full_filtered_counts(params: ModelParams, queries: np.ndarray, index: FilterIndex):
@@ -103,15 +116,15 @@ def _full_filtered_counts(params: ModelParams, queries: np.ndarray, index: Filte
     entity it is not filtered against.
 
     `_screen` reads the entity table once for the whole batch, with matrix
-    products that BLAS threads.  Its per-query decisions are shares: each
-    query is one item of `_in_shares`, which finishes the query's screen,
-    masks its filtered tails in a buffer of its share's own, and counts the
-    candidates whose approximate score lies farther above the true score than
-    its margin.  No item calls `_in_shares` or BLAS.  The undecided
-    candidates of every query, typically a handful, are then rescored
-    together on the calling thread by one `_score_rows` call, in the order of
-    their tail ids, which gives the bits of `score_tails` (`_score_lists`),
-    and compared with true scores from the same scorer.
+    products that BLAS threads.  Its per-query decisions are shares, from
+    `_SHARED_ENTITIES` entities up: each query is one item of `_in_shares`,
+    which finishes the query's screen, masks its filtered tails in a buffer
+    of its share's own, and counts the candidates whose approximate score
+    lies farther above the true score than its margin.  No item calls
+    `_in_shares` or BLAS.  The undecided candidates of every query,
+    typically a handful, are then rescored together on the calling thread by
+    `_score_ragged`, which gives the bits of `score_tails`, and compared with
+    true scores from the same scorer.
     """
     heads, rels = queries[:, 0], queries[:, 1]
     true_scores = _score_lists(params, heads, rels, queries[:, 2:])[:, 0]
@@ -134,14 +147,12 @@ def _full_filtered_counts(params: ModelParams, queries: np.ndarray, index: Filte
 
     better = np.zeros(len(queries), dtype=np.int64)
     undecided = [None] * len(queries)
-    for share in _in_shares(decide, range(len(queries)), params.n_entities):
+    width = params.n_entities if params.n_entities >= _SHARED_ENTITIES else 0  # 0: inline
+    for share in _in_shares(decide, range(len(queries)), width):
         for q, above, rest in share:
             better[q], undecided[q] = above, rest
     lists = np.repeat(np.arange(len(queries)), [rest.size for rest in undecided])
-    tails = np.concatenate(undecided)
-    order = np.argsort(tails)
-    lists = lists[order]
-    exact = _score_rows(params, heads, rels, tails[order], lists)[-1]
+    exact = _score_ragged(params, heads, rels, np.concatenate(undecided), lists)
     truth = true_scores[lists]
     better += np.bincount(lists[exact > truth], minlength=len(queries))
     equal = np.bincount(lists[exact == truth], minlength=len(queries))

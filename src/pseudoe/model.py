@@ -11,12 +11,12 @@ space map (`_head_side` and `_space_map`, dx), the three biases and the
 likelihood (`_likelihood`), over lists of tails that each belong to one
 (head, relation) query.  Two drivers call it: `_forward` per triple, with
 the head side once per distinct (head, relation) pair (`score_many`,
-`score`, and the loss and backward pass in `training`), and `_score_lists`
-per candidate list, walked in tail-id order in blocks (`score_tails` is one
-such list).  The certified screen `_screen` shares the time map and
-the likelihood and expands the space map; only `_sides` reads which side
-each relation map acts on.  The tests check the kernel against a
-step-by-step single-triple oracle (`tests/reference.py`).
+`score`, and the loss and backward pass in `training`), and `_score_ragged`
+per candidate list, walked in tail-id order in blocks (`_score_lists` for
+lists of one length; `score_tails` is one such list).  The certified screen
+`_screen` shares the time map and the likelihood and expands the space map;
+only `_sides` reads which side each relation map acts on.  The tests check
+the kernel against a step-by-step single-triple oracle (`tests/reference.py`).
 
 Also here: the one declaration of the six parameter tables and of what each
 variant freezes (`TABLES`, `FROZEN`), parameter initialization, node-bias
@@ -432,7 +432,23 @@ def score_tails(params: ModelParams, head: int, rel: int, tails) -> np.ndarray:
 
 def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     """Scores of (heads[q], rels[q], tails[q, j]) for a (Q, L) array of tail
-    ids: one candidate list per query.
+    ids: one candidate list of `_score_ragged` per query."""
+    tails = np.asarray(tails, dtype=np.intp)
+    lists = np.repeat(np.arange(tails.shape[0]), tails.shape[1])
+    return _score_ragged(params, heads, rels, tails.reshape(-1), lists).reshape(tails.shape)
+
+
+# Candidates per `_score_rows` call of `_score_ragged`, a multiple of
+# `_TAIL_BLOCK`, so that the temporaries stay the same however many
+# candidates are scored: with its sort order and scores, `_score_ragged` of
+# 2^17 candidates at n_x = 500 peaked at 22 MiB at n_t = 1 or 2 and 88 MiB at
+# n_t = 41, where the time rows of each candidate are gathered (tracemalloc).
+_CANDIDATE_BATCH = 1 << 17
+
+
+def _score_ragged(params: ModelParams, heads, rels, tails, lists) -> np.ndarray:
+    """Scores of (heads[lists[j]], rels[lists[j]], tails[j]): each
+    (heads[q], rels[q]) query owns a list of tails, of any length.
 
     Bit-identical to `score_many` on the same triples: both are
     `_score_rows`, here with `_head_side` computed once per list.  The
@@ -444,16 +460,19 @@ def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
     gathered table rows at random from the shared last-level cache, and the
     time of a split followed the load other processes put on that cache: it
     was slower and its spread from one stretch of seconds to the next about
-    twice as wide.
+    twice as wide.  The sorted candidates are scored in slices of
+    `_CANDIDATE_BATCH`; every candidate's score is computed on its own, so
+    the slices move no bit.
     """
     heads = np.asarray(heads, dtype=np.intp)
     rels = np.asarray(rels, dtype=np.intp)
-    tails = np.asarray(tails, dtype=np.intp)
-    order = np.argsort(tails, axis=None)
+    tails, lists = np.asarray(tails, dtype=np.intp), np.asarray(lists, dtype=np.intp)
+    order = np.argsort(tails)
     phi = np.empty(tails.size)
-    # order // L is the list of each candidate
-    phi[order] = _score_rows(params, heads, rels, tails.reshape(-1)[order], order // tails.shape[1])[-1]
-    return phi.reshape(tails.shape)
+    for start in range(0, tails.size, _CANDIDATE_BATCH):
+        picked = order[start : start + _CANDIDATE_BATCH]
+        phi[picked] = _score_rows(params, heads, rels, tails[picked], lists[picked])[-1]
+    return phi
 
 
 # Entity rows per block of the screen's pass over the space columns.  At

@@ -249,6 +249,15 @@ class TestScreen:
         for triple, rank in evaluate_split(params, split, set(), EvalProtocol()).per_triple_ranks:
             assert rank == brute_force_rank(params, triple, set()), triple
 
+    def test_undecided_rescored_in_slices(self, monkeypatch):
+        # Every candidate of the model of `test_likelihood_within_rounding_of_one`
+        # goes to the kernel; scored 7 at a time, the ranks stay brute force's.
+        params = make_random_model(n_entities=20, beta=1.0, u=5.0, tau1=0.1, sigma=0.01, seed=3)
+        split = np.array([[0, 0, 1], [2, 1, 3], [4, 2, 5]])
+        monkeypatch.setattr(model, "_CANDIDATE_BATCH", 7)
+        for triple, rank in evaluate_split(params, split, set(), EvalProtocol()).per_triple_ranks:
+            assert rank == brute_force_rank(params, triple, set()), triple
+
     def test_batch_boundaries_and_threads(self, monkeypatch):
         n = 40
         params = make_random_model(n_entities=n, n_relations=3, n_t=2, n_x=9, seed=21, swap=True, cylinder=2.5)
@@ -301,6 +310,7 @@ class TestScreen:
             for workers in (1, 3):  # every loop shared out, whatever its width
                 monkeypatch.setattr(model, "_WORKERS", workers)
                 monkeypatch.setattr(model, "_SHARED_WIDTH", 1)
+                monkeypatch.setattr(evaluation, "_SHARED_ENTITIES", 1)
                 ranks[workers] = [evaluate_split(*case).per_triple_ranks for case in cases]
         finally:
             sys.setswitchinterval(interval)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_model
+from pseudoe import model
 from pseudoe.geometry import GeometryConfig, Signature
 from pseudoe.likelihood import sigmoid
 from pseudoe.model import (
@@ -22,6 +23,7 @@ from pseudoe.model import (
     score_many,
     score_tails,
     _score_lists,
+    _score_ragged,
     _TAIL_BLOCK,
 )
 from pseudoe.relmaps import Variant
@@ -212,6 +214,35 @@ class TestScoreLists:
         tails = np.array([[1, n - 1, 2]])
         clone = _score_lists(params, [0], [2], tails)[0]
         assert clone[0] == clone[1]
+
+    @pytest.mark.parametrize("batch", [7, _TAIL_BLOCK, _TAIL_BLOCK + 9])
+    def test_ragged_lists_in_slices_bit_equal_to_score_many(self, monkeypatch, batch):
+        # Lists of different lengths, one empty, scored in slices of `batch`
+        # candidates: the last slice partial, some cutting `_TAIL_BLOCK` blocks.
+        n = 50
+        params = make_random_model(n_entities=n, n_relations=4, n_t=2, n_x=7, cylinder=2.5, seed=9, swap=True)
+        rng = np.random.default_rng(6)
+        lengths = [0, 3, 140, 1, 61]
+        heads, rels = rng.integers(0, n, len(lengths)), rng.integers(0, 4, len(lengths))
+        lists = np.repeat(np.arange(len(lengths)), lengths)
+        tails = rng.integers(0, n, lists.size)
+        monkeypatch.setattr(model, "_CANDIDATE_BATCH", batch)
+        got = _score_ragged(params, heads, rels, tails, lists)
+        np.testing.assert_array_equal(got, score_many(params, heads[lists], rels[lists], tails))
+
+    def test_slices_bound_the_temporaries(self, monkeypatch):
+        # 40,000 candidates in slices of 1,024: the call holds the sort order
+        # and the scores of every candidate, and the temporaries of one slice.
+        params = make_random_model(n_entities=500, n_x=20, seed=4)
+        tails = np.random.default_rng(1).integers(0, 500, 40_000)
+        monkeypatch.setattr(model, "_CANDIDATE_BATCH", 1024)
+        tracemalloc.start()
+        try:
+            _score_ragged(params, [0], [0], tails, np.zeros_like(tails))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * tails.nbytes
 
 
 class TestInit:
