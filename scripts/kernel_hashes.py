@@ -9,8 +9,9 @@ SM3.  Per configuration it hashes nine outputs:
 
 - ``score_many`` on a batch of random triples;
 - ``score_tails`` over every entity and over a shuffled subset;
-- ``_score_lists`` on 40 lists of 81 tails;
-- the phi and margin arrays of ``_screen_tails``;
+- ``_score_ragged`` on 40 lists of 81 tails (key ``score_lists``);
+- the phi and margin arrays of ``_screen`` for three queries (key
+  ``screen_tails``);
 - the gradients of 30 training steps (tail-only and head-and-tail negatives
   in turn), every table and the touched rows.  Each table is hashed through
   the tape's dense view, so a compact row written to the wrong key moves the
@@ -37,8 +38,9 @@ part of the environment, on purpose: each block of the row-block loops is
 computed whole by one thread, so the hashes must not depend on how many
 threads share the blocks out, and the test recomputes them as they run by
 default, then forced to 1 thread and to 3 threads with every loop shared out
-(these shapes are narrower than `model._SHARED_WIDTH`), against the same
-committed file.  A change that moves
+(these shapes are narrower than `model._SHARED_WIDTH`, and these graphs
+smaller than `evaluation._SHARED_ENTITIES`), against the same committed
+file.  A change that moves
 bits on purpose regenerates that file:
 
     PYTHONPATH=src python scripts/kernel_hashes.py > tests/data/kernel_hashes.json
@@ -58,7 +60,7 @@ from pseudoe.data import FilterIndex, NegativesTable
 from pseudoe.evaluation import EvalMode, EvalProtocol, evaluate_split
 from pseudoe.geometry import GeometryConfig, Signature
 from pseudoe.likelihood import TfdParams
-from pseudoe.model import TABLES, InitConfig, _score_lists, _screen_tails, init, save_checkpoint, score_many, score_tails
+from pseudoe.model import TABLES, InitConfig, _score_ragged, _screen, init, save_checkpoint, score_many, score_tails
 from pseudoe.training import NegativeMode, gradients, make_optimizer, nll_loss, sample_negatives_batch
 
 N_ENTITIES, N_RELATIONS, N_X = 300, 5, 16
@@ -103,12 +105,13 @@ def _scores(params, rng) -> dict:
     subset = rng.permutation(np.concatenate([rng.integers(0, N_ENTITIES, 90), [1, 1, CLONE]]))
     every = np.arange(N_ENTITIES)
     lists = rng.integers(0, N_ENTITIES, (40, 81))
-    screen = list(_screen_tails(params, heads[:3], rels[:3]))
+    ragged = _score_ragged(params, heads[:40], rels[:40], lists.reshape(-1), np.repeat(np.arange(40), 81))
+    screen = _screen(params, heads[:3], rels[:3])
     return {
         "score_many": _digest(score_many(params, heads, rels, tails)),
         "score_tails": _digest(*(score_tails(params, h, k, t) for h, k in ((0, 0), (1, 4)) for t in (every, subset))),
-        "score_lists": _digest(_score_lists(params, heads[:40], rels[:40], lists)),
-        "screen_tails": _digest(*itertools.chain.from_iterable(screen)),
+        "score_lists": _digest(ragged.reshape(lists.shape)),
+        "screen_tails": _digest(*itertools.chain.from_iterable(screen(q) for q in range(3))),
     }
 
 

@@ -49,12 +49,16 @@ class FilterIndex:
     n_entities + t`` in one sorted array, so the true tails of a (head,
     relation) key form one contiguous run found by two binary searches.
     It answers membership (``triple in index``), iterates the triples in
-    code order and has a length.
+    code order and has a length.  Ids must be integers: rows of any other
+    dtype are refused before the cast to int64 would truncate them.
     """
 
     def __init__(self, rows, n_entities: int, n_relations: int) -> None:
         self.n_entities, self.n_relations = int(n_entities), int(n_relations)
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu" and rows.size:  # the cast below would truncate
+            raise TypeError(f"filter triples must hold integer ids, got dtype {rows.dtype}")
+        rows = rows.astype(np.int64, copy=False).reshape(-1, 3)
         h, k, t = rows.T
         bad = (h < 0) | (h >= self.n_entities) | (k < 0) | (k >= self.n_relations) | (t < 0) | (t >= self.n_entities)
         if bad.any():

@@ -7,19 +7,20 @@ fixed-negatives protocol they are a stored per-(head, relation) candidate
 list.  Ties share their rank: rank = 1 + #{better} + #{equal}/2, so a
 constant scorer earns mid-range ranks rather than rank 1.
 
-Queries are ranked in batches, one after another.  In full-filtered mode
-the entity table is read once per batch: one pass screens every entity
+Queries are ranked in batches, one after another, through one body
+(`_ranks`): each query gets the count of competitors already decided better
+and the candidates to score exactly, and the candidates of the whole batch
+are scored together and compared with their query's true score.  In
+full-filtered mode one pass over the entity table screens every entity
 against every query of the batch with two matrix products (`model._screen`),
-with a margin that bounds the distance to the exact score.  The screen's
-per-query decisions are shares (`model._in_shares`), one query each, on
-graphs of `_SHARED_ENTITIES` entities or more, and only the candidates
-within their margin of the true score are rescored, together for the whole
-batch.  In fixed-negatives mode the batch's candidate lists, each closed by
-its true tail, are scored together.  Both go through the kernel's one exact
-score body, `model._score_rows`, by `model._score_ragged`, with the
-candidates in the order of their tail ids, so that the entity table is read
-front to back.  Either way every comparison is made on the kernel's exact
-scores, so ranks equal brute force, ties included.
+with a margin that bounds the distance to the exact score; the per-query
+decisions are shares (`model._in_shares`) on graphs of `_SHARED_ENTITIES`
+entities or more, and only the candidates within their margin of the true
+score are scored exactly.  In fixed-negatives mode none is decided and the
+stored lists are scored whole.  Every exact score is the kernel's one score
+body, `model._score_rows`, run by `model._score_ragged` in tail-id order, so
+that the entity table is read front to back; ranks equal brute force, ties
+included.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import csv
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
-from .model import _CANDIDATE_BATCH, ModelParams, _check_ids, _in_shares, _score_lists, _score_ragged, _screen
+from .model import _CANDIDATE_BATCH, ModelParams, _check_ids, _in_shares, _score_ragged, _screen
 from .data import FilterIndex, NegativesTable
 
 __all__ = [
@@ -92,28 +92,28 @@ class RankReport:
     per_relation: dict[int, RelationStats] = field(default_factory=dict)
 
 
-# Queries ranked per call of the full-filtered counter, each call one pass of
-# the screen over the entity table.  The fixed-negatives counter takes at most
-# `model._CANDIDATE_BATCH` candidates per call, which it scores together in
-# tail-id order.
+# Queries per full-filtered batch, each batch one pass of the screen over the
+# entity table.  A fixed-negatives batch holds at most `model._CANDIDATE_BATCH`
+# candidates, which are scored together in tail-id order.
 _QUERY_BATCH = 64
 
 # Entities below which the screen's per-query decisions run inline, on the
 # calling thread: each numpy call of a decision covers one value per entity,
 # and the shorter the calls, the more two threads lose to handing over the
 # interpreter lock.  On a 2-vCPU host (DT models at WN18RR's n_x = 500, no
-# candidate left undecided), shared against inline `_full_filtered_counts`
-# took a median 1.37-1.49x as long at 600 entities and 1.09-1.23x at 2,000
-# for 3 queries, and 1.02-1.03x at either for 64; 0.99-1.05x at 5,000 and
+# candidate left undecided), shared decisions against inline ones took a
+# median 1.37-1.49x as long at 600 entities and 1.09-1.23x at 2,000 for 3
+# queries, and 1.02-1.03x at either for 64; 0.99-1.05x at 5,000 and
 # 0.98-1.02x at 7,500; 0.94-0.95x (3 queries) and 0.91-1.03x (64) at 10,000;
 # 0.92-0.94x and 0.80-0.93x at FB15k-237's 14,541; and 0.90x and 0.69-0.70x
 # at WN18RR's 40,943 (two or three runs of 16-60 alternating pairs each).
 _SHARED_ENTITIES = 10_000
 
 
-def _full_filtered_counts(params: ModelParams, queries: np.ndarray, index: FilterIndex):
-    """Exact better/equal counts of each query's true tail against every
-    entity it is not filtered against.
+def _screened(params: ModelParams, queries: np.ndarray, true_scores: np.ndarray, index: FilterIndex):
+    """Full-filtered candidates of each query: the count of entities it is
+    not filtered against that the screen decides better than its true tail,
+    and the ids of those it leaves undecided.
 
     `_screen` reads the entity table once for the whole batch, with matrix
     products that BLAS threads.  Its per-query decisions are shares, from
@@ -121,14 +121,10 @@ def _full_filtered_counts(params: ModelParams, queries: np.ndarray, index: Filte
     which finishes the query's screen, masks its filtered tails in a buffer
     of its share's own, and counts the candidates whose approximate score
     lies farther above the true score than its margin.  No item calls
-    `_in_shares` or BLAS.  The undecided candidates of every query,
-    typically a handful, are then rescored together on the calling thread by
-    `_score_ragged`, which gives the bits of `score_tails`, and compared with
-    true scores from the same scorer.
+    `_in_shares` or BLAS.  The undecided candidates, typically a handful per
+    query, are left to `_ranks`.
     """
-    heads, rels = queries[:, 0], queries[:, 1]
-    true_scores = _score_lists(params, heads, rels, queries[:, 2:])[:, 0]
-    screen = _screen(params, heads, rels)
+    screen = _screen(params, queries[:, 0], queries[:, 1])
 
     def decide(share):
         keep = np.empty(params.n_entities, dtype=bool)
@@ -151,29 +147,25 @@ def _full_filtered_counts(params: ModelParams, queries: np.ndarray, index: Filte
     for share in _in_shares(decide, range(len(queries)), width):
         for q, above, rest in share:
             better[q], undecided[q] = above, rest
-    lists = np.repeat(np.arange(len(queries)), [rest.size for rest in undecided])
-    exact = _score_ragged(params, heads, rels, np.concatenate(undecided), lists)
-    truth = true_scores[lists]
-    better += np.bincount(lists[exact > truth], minlength=len(queries))
-    equal = np.bincount(lists[exact == truth], minlength=len(queries))
-    return better, equal
+    return better, undecided
 
 
-def _fixed_negative_counts(params: ModelParams, queries: np.ndarray, negatives: NegativesTable):
-    """Exact better/equal counts of each query's true tail against its stored
-    negatives: the lists, each closed by its true tail, scored as one array by
-    `_score_lists`, then compared all at once."""
+def _stored_negatives(split: np.ndarray, negatives: NegativesTable) -> list:
+    """The stored negatives of each triple's (head, relation), refused by
+    name where the table holds none or a list not `negatives.length` long."""
     lists = []
-    for h, k, _ in queries.tolist():
+    for h, k, _ in split.tolist():
         entry = negatives.table.get((h, k))
         if entry is None:
             raise ProtocolError(f"no fixed negatives stored for head={h}, relation={k}")
+        entry = np.asarray(entry)
+        if entry.shape != (negatives.length,):
+            raise ProtocolError(
+                f"fixed negatives for head={h}, relation={k} hold {entry.size} tails, "
+                f"the table's length is {negatives.length}"
+            )
         lists.append(entry)
-    tails = np.column_stack([np.stack(lists), queries[:, 2]])
-    _check_ids(params, queries[:, 0], queries[:, 1], tails)
-    scores = _score_lists(params, queries[:, 0], queries[:, 1], tails)
-    competitors, true_scores = scores[:, :-1], scores[:, -1:]
-    return np.count_nonzero(competitors > true_scores, axis=1), np.count_nonzero(competitors == true_scores, axis=1)
+    return lists
 
 
 def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol: EvalProtocol):
@@ -181,21 +173,39 @@ def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol:
 
     The triples are ranked in turn in batches, of at most `_QUERY_BATCH`
     queries in full-filtered mode and at most `_CANDIDATE_BATCH` candidates in
-    fixed-negatives mode; every count is exact, so the ranks do not depend on
-    the batching.
+    fixed-negatives mode.  The protocol gives each query the count of
+    competitors already decided better and the candidates to score exactly
+    (`_screened`, or the stored list with none decided); the candidates of
+    the whole batch are scored in one `_score_ragged` call and compared with
+    true scores from the same scorer.  Every count is exact, so the ranks do
+    not depend on the batching.
     """
     if split.shape[0] == 0:
         return np.zeros(0)
-    if protocol.mode is EvalMode.FIXED_NEGATIVES:
-        count = partial(_fixed_negative_counts, params, negatives=protocol.negatives)
+    fixed = protocol.mode is EvalMode.FIXED_NEGATIVES
+    if fixed:
+        stored = _stored_negatives(split, protocol.negatives)  # every list checked before any scoring
         size = max(1, _CANDIDATE_BATCH // (protocol.negatives.length + 1))
     else:
-        count = partial(_full_filtered_counts, params, index=index)
         size = _QUERY_BATCH
-    counts = [count(split[s : s + size]) for s in range(0, split.shape[0], size)]
-    better = np.concatenate([b for b, _ in counts])
-    equal = np.concatenate([e for _, e in counts])
-    return 1.0 + better + 0.5 * equal
+    ranks = []
+    for s in range(0, split.shape[0], size):
+        queries = split[s : s + size]
+        heads, rels, q = queries[:, 0], queries[:, 1], np.arange(len(queries))
+        true_scores = _score_ragged(params, heads, rels, queries[:, 2], q)
+        if fixed:
+            better, candidates = np.zeros(q.size, dtype=np.int64), stored[s : s + size]
+        else:
+            better, candidates = _screened(params, queries, true_scores, index)
+        lists = np.repeat(q, [c.size for c in candidates])
+        tails = np.concatenate(candidates)
+        _check_ids(params, heads, rels, tails)
+        exact = _score_ragged(params, heads, rels, tails, lists)
+        truth = true_scores[lists]
+        better += np.bincount(lists[exact > truth], minlength=q.size)
+        equal = np.bincount(lists[exact == truth], minlength=q.size)
+        ranks.append(1.0 + better + 0.5 * equal)
+    return np.concatenate(ranks)
 
 
 def _filter_index(params: ModelParams, filter_set) -> FilterIndex:

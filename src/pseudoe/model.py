@@ -12,11 +12,12 @@ likelihood (`_likelihood`), over lists of tails that each belong to one
 (head, relation) query.  Two drivers call it: `_forward` per triple, with
 the head side once per distinct (head, relation) pair (`score_many`,
 `score`, and the loss and backward pass in `training`), and `_score_ragged`
-per candidate list, walked in tail-id order in blocks (`_score_lists` for
-lists of one length; `score_tails` is one such list).  The certified screen
-`_screen` shares the time map and the likelihood and expands the space map;
-only `_sides` reads which side each relation map acts on.  The tests check
-the kernel against a step-by-step single-triple oracle (`tests/reference.py`).
+per candidate list, walked in tail-id order in blocks (`score_tails` is one
+list; `evaluation` scores all lists of a ranking batch in one call).  The
+certified screen `_screen` shares the time map and the likelihood and
+expands the space map; only `_sides` reads which side each relation map
+acts on.  The tests check the kernel against a step-by-step single-triple
+oracle (`tests/reference.py`).
 
 Also here: the one declaration of the six parameter tables and of what each
 variant freezes (`TABLES`, `FROZEN`), parameter initialization, node-bias
@@ -421,21 +422,13 @@ def score(params: ModelParams, head: int, rel: int, tail: int) -> float:
 def score_tails(params: ModelParams, head: int, rel: int, tails) -> np.ndarray:
     """Scores of (head, rel, t) for every candidate tail id in ``tails``.
 
-    One list of `_score_lists`: bit-identical to `score_many` on the same
+    One list of `_score_ragged`: bit-identical to `score_many` on the same
     triples, with the head and relation side computed once and the candidates
     walked in tail-id order.
     """
     tails = np.asarray(tails).reshape(-1)
     _check_ids(params, head, rel, tails)
-    return _score_lists(params, [head], [rel], tails[None])[0]
-
-
-def _score_lists(params: ModelParams, heads, rels, tails) -> np.ndarray:
-    """Scores of (heads[q], rels[q], tails[q, j]) for a (Q, L) array of tail
-    ids: one candidate list of `_score_ragged` per query."""
-    tails = np.asarray(tails, dtype=np.intp)
-    lists = np.repeat(np.arange(tails.shape[0]), tails.shape[1])
-    return _score_ragged(params, heads, rels, tails.reshape(-1), lists).reshape(tails.shape)
+    return _score_ragged(params, [head], [rel], tails, np.zeros(tails.size, dtype=np.intp))
 
 
 # Candidates per `_score_rows` call of `_score_ragged`, a multiple of
@@ -492,16 +485,6 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _LIBM_ULPS = 64.0
 
 
-def _screen_tails(params: ModelParams, heads, rels):
-    """For each query (heads[q], rels[q]) in turn, every entity's approximate
-    score as its tail and a margin: yields `_screen`'s ``(phi, margin)``
-    arrays over all entities, such that the exact score (`score_tails`) lies
-    within ``margin`` of ``phi``, after its one pass over the entity table."""
-    screen = _screen(params, heads, rels)
-    for q in range(np.size(heads)):
-        yield screen(q)
-
-
 def _screen(params: ModelParams, heads, rels):
     """One pass over the entity table for the queries (heads[q], rels[q]),
     returning ``screen(q)``: query q's approximate score of every entity as
@@ -510,8 +493,8 @@ def _screen(params: ModelParams, heads, rels):
 
     ``screen`` finishes query q's part of the pass in place, so it is called
     once per query; calls for different queries are independent and may run
-    on different threads (`evaluation._full_filtered_counts` shares them out
-    with `_in_shares`); they call neither `_in_shares` nor BLAS.
+    on different threads (`evaluation._screened` shares them out with
+    `_in_shares`); they call neither `_in_shares` nor BLAS.
 
     *The expansion.*  Let H be the query's head side, fl(x_h + u) or, when
     swapped, fl(x_h * r), which the kernel computes bit for bit

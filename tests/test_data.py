@@ -138,6 +138,15 @@ class TestBuildStore:
             with pytest.raises(ValueError, match="outside"):
                 FilterIndex(np.array([row]), n_entities=3, n_relations=2)
 
+    def test_filter_index_refuses_non_integer_triples(self):
+        # Cast first, (0, 0, 1.7) would be held as (0, 0, 1).
+        refused = (([(0, 0, 1.7)], "float64"), (np.array([[0, 0, 1.0]]), "float64"), ([[True] * 3], "bool"))
+        for rows, dtype in refused:
+            with pytest.raises(TypeError, match=f"^filter triples must hold integer ids, got dtype {dtype}"):
+                FilterIndex(rows, n_entities=3, n_relations=1)
+        assert len(FilterIndex([], n_entities=3, n_relations=1)) == 0
+        assert list(FilterIndex(np.array([[0, 0, 1]], dtype=np.uint8), n_entities=3, n_relations=1)) == [(0, 0, 1)]
+
     def test_degrees(self):
         store = build_store([("a", "r", "b"), ("a", "r", "c"), ("b", "r", "a")], [], [])
         deg = store.entity_degrees()

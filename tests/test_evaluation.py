@@ -18,7 +18,7 @@ from pseudoe.evaluation import (
     evaluate_split,
 )
 from pseudoe.evaluation import _QUERY_BATCH
-from pseudoe.model import _TAIL_BLOCK, _screen_tails, score_many, score_tails
+from pseudoe.model import _TAIL_BLOCK, _screen, score_many, score_tails
 from pseudoe.relmaps import Variant
 
 
@@ -83,6 +83,20 @@ class TestFilteredRank:
         )
         with pytest.raises(ProtocolError):
             rank_of(params, (0, 0, 2), set(), protocol)
+
+    def test_ragged_fixed_negatives_refused_by_name(self, monkeypatch):
+        # A list shorter or longer than the table's length is named, with
+        # both lengths, before any triple of the split is scored.
+        params = make_random_model(n_entities=6, seed=0)
+        calls = []
+        monkeypatch.setattr(evaluation, "_score_ragged", lambda *args: calls.append(args))
+        for entry in (np.array([1, 2]), np.array([1, 2, 3, 4])):
+            table = {(0, 0): np.array([1, 2, 3]), (2, 1): entry}
+            protocol = EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=NegativesTable(table, 3))
+            message = f"head=2, relation=1 hold {entry.size} tails, the table's length is 3"
+            with pytest.raises(ProtocolError, match=message):
+                evaluate_split(params, [[0, 0, 4], [2, 1, 5]], set(), protocol)
+        assert not calls
 
     def test_out_of_range_tail_rejected(self):
         params = make_random_model(n_entities=6, seed=0)
@@ -209,7 +223,9 @@ class TestScreen:
     def test_margin_covers_the_exact_score(self, params):
         everyone = np.arange(params.n_entities)
         heads, rels = np.array([0, 0, 7]), np.array([0, 1, 0])
-        for (phi, margin), h, k in zip(_screen_tails(params, heads, rels), heads, rels):
+        screen = _screen(params, heads, rels)
+        for q, (h, k) in enumerate(zip(heads, rels)):
+            phi, margin = screen(q)
             exact = score_tails(params, h, k, everyone)
             assert np.all(np.abs(phi - exact) <= margin), np.flatnonzero(np.abs(phi - exact) > margin)
 
@@ -234,7 +250,9 @@ class TestScreen:
         filter_set = {(0, 0, int(c)) for c in rng.integers(0, params.n_entities, 5)}
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model, "_SCREEN_BLOCK", 7)
-            for (phi, margin), h, k in zip(_screen_tails(params, heads, rels), heads, rels):
+            screen = _screen(params, heads, rels)
+            for q, (h, k) in enumerate(zip(heads, rels)):
+                phi, margin = screen(q)
                 exact = score_tails(params, h, k, everyone)
                 assert np.all(np.abs(phi - exact) <= margin), np.flatnonzero(np.abs(phi - exact) > margin)
             report = evaluate_split(params, split, filter_set, EvalProtocol())
@@ -268,7 +286,7 @@ class TestScreen:
         split = np.column_stack([rng.integers(0, n, rows), rng.integers(0, 3, rows), rng.integers(0, n, rows)])
         split[::5, 2] = 0
         index = FilterIndex(split[::3], n_entities=n, n_relations=3)
-        # Fixed lists of 101 and of 20 negatives: `_score_lists` walks each
+        # Fixed lists of 101 and of 20 negatives: `_score_ragged` walks each
         # batch's candidates in tail-id order in `_TAIL_BLOCK`-row blocks,
         # ending with a partial block.
         tables = {length: {(int(h), int(k)): rng.integers(0, n, length) for h, k, _ in split} for length in (101, 20)}
@@ -410,6 +428,33 @@ class TestEvaluateSplit:
                 evaluate_split(params, split, wrong, EvalProtocol())
         with pytest.raises(ValueError, match="outside"):
             evaluate_split(params, split, {(0, 0, 6)}, EvalProtocol())
+
+    def test_non_integer_filter_triples_refused(self):
+        # Cast first, (0, 0, 1.7) would filter tail 1 from the query (0, 0).
+        params = make_random_model(n_entities=6, n_relations=3, seed=2)
+        with pytest.raises(TypeError, match="^filter triples must hold integer ids, got dtype float64"):
+            evaluate_split(params, [[0, 0, 2]], {(0, 0, 1.7)}, EvalProtocol())
+        assert rank_of(params, (0, 0, 2), set(), EvalProtocol()) == brute_force_rank(params, (0, 0, 2), set())
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_fixed_negatives_of_every_other_entity_rank_as_full_filtered(self, swap):
+        # With nothing filtered and one query per (head, relation), a stored
+        # list of every entity but the true tail is the full-filtered
+        # candidate set: both protocols give the same ranks, ties included.
+        n, n_r = 40, 3
+        params = make_random_model(n_entities=n, n_relations=n_r, n_t=2, n_x=5, seed=8, swap=swap)
+        params.coords[n - 1] = params.coords[1]  # a clone of entity 1: ties
+        params.node_bias[n - 1] = params.node_bias[1]
+        rng = np.random.default_rng(3)
+        pairs = rng.permutation(n * n_r)[: _QUERY_BATCH + 6]  # more than one full-filtered batch
+        split = np.column_stack([pairs // n_r, pairs % n_r, rng.integers(0, n, pairs.size)])
+        split[::4, 2] = 1
+        everyone = np.arange(n)
+        table = {(int(h), int(k)): everyone[everyone != t] for h, k, t in split}
+        fixed = EvalProtocol(mode=EvalMode.FIXED_NEGATIVES, negatives=NegativesTable(table, n - 1))
+        full = evaluate_split(params, split, set(), EvalProtocol()).per_triple_ranks
+        assert evaluate_split(params, split, set(), fixed).per_triple_ranks == full
+        assert any(rank % 1 for _, rank in full)  # ties occur
 
     @pytest.mark.parametrize(
         "protocol",

@@ -7,8 +7,8 @@ hashes depend on in which they were recomputed and matched; here they are
 recomputed and must match wherever the environment is one of those.  The
 number of threads the row-block loops use is not part of an environment:
 the hashes are recomputed as they run by default, then forced to 1 thread
-and to 3 threads with every loop shared out, whatever its width, and each
-must match.
+and to 3 threads with every loop shared out, whatever its width, the
+ranking screen's per-query decisions included, and each must match.
 """
 
 import importlib.util
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from pseudoe import model
+from pseudoe import evaluation, model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,9 +39,11 @@ def test_kernel_outputs_keep_every_bit(monkeypatch):
             for env in committed["environments"]
         ]
         pytest.skip("hashes committed for other environments: " + "; ".join(differ))
-    for workers, width in ((model._WORKERS, model._SHARED_WIDTH), (1, 1), (3, 1)):
+    default = (model._WORKERS, model._SHARED_WIDTH, evaluation._SHARED_ENTITIES)
+    for workers, width, entities in (default, (1, 1, 1), (3, 1, 1)):
         monkeypatch.setattr(model, "_WORKERS", workers)
         monkeypatch.setattr(model, "_SHARED_WIDTH", width)
+        monkeypatch.setattr(evaluation, "_SHARED_ENTITIES", entities)
         hashes = script.hashes()
         moved = [
             f"{config} {output}"

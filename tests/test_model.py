@@ -22,7 +22,6 @@ from pseudoe.model import (
     score,
     score_many,
     score_tails,
-    _score_lists,
     _score_ragged,
     _TAIL_BLOCK,
 )
@@ -206,13 +205,12 @@ class TestScoreLists:
         # candidates filling less than a block, several blocks with and without a remainder, none
         for n_lists, length in ((3, 7), (11, 7), (5, _TAIL_BLOCK), (3, _TAIL_BLOCK + 9), (4, 0)):
             heads, rels = rng.integers(0, n, n_lists), rng.integers(0, 4, n_lists)
-            tails = rng.integers(0, n, (n_lists, length))
-            got = _score_lists(params, heads, rels, tails)
-            assert got.shape == (n_lists, length)
-            want = score_many(params, np.repeat(heads, length), np.repeat(rels, length), tails.reshape(-1))
-            np.testing.assert_array_equal(got.reshape(-1), want)
-        tails = np.array([[1, n - 1, 2]])
-        clone = _score_lists(params, [0], [2], tails)[0]
+            tails = rng.integers(0, n, n_lists * length)
+            got = _score_ragged(params, heads, rels, tails, np.repeat(np.arange(n_lists), length))
+            assert got.shape == (n_lists * length,)
+            want = score_many(params, np.repeat(heads, length), np.repeat(rels, length), tails)
+            np.testing.assert_array_equal(got, want)
+        clone = _score_ragged(params, [0], [2], [1, n - 1, 2], [0, 0, 0])
         assert clone[0] == clone[1]
 
     @pytest.mark.parametrize("batch", [7, _TAIL_BLOCK, _TAIL_BLOCK + 9])
