@@ -8,7 +8,8 @@ union of all splits, held as a `FilterIndex` of sorted integer codes.  Fixed
 negative candidate lists (one line per (head, relation) pair, negatives
 comma-separated) support the fixed-negatives evaluation protocol.  This
 module alone turns names into ids and adds reversed triples: relation k's
-inverse is k + n_relations, named ``inv:<name>``.
+inverse is k + n_relations, named ``inv:<name>``.  Its `_check_ids` is the
+one rule for ids, run once where each input enters the program.
 """
 
 from __future__ import annotations
@@ -42,6 +43,32 @@ class ParseError(ValueError):
     """A malformed dataset file, with the offending location in the message."""
 
 
+def _check_ids(sizes, heads, rels, tails) -> None:
+    """The one id rule: raise TypeError unless every head, relation and tail
+    id is an integer, and IndexError unless it is in range.
+
+    ``sizes`` is anything with ``n_entities`` and ``n_relations``, a model or
+    a `FilterIndex`.  A float or bool id would be truncated to an integer by
+    the casts that follow, so ids of any other dtype are refused before any
+    cast, by their dtype alone; an empty array holds no id to truncate.
+    """
+    n, n_r = sizes.n_entities, sizes.n_relations
+    for side, ids, size in (("head", heads, n), ("relation", rels, n_r), ("tail", tails, n)):
+        ids = np.asarray(ids)
+        if ids.dtype.kind not in "iu" and ids.size:
+            raise TypeError(f"{side} ids must be integers, got dtype {ids.dtype}")
+        bad = ids[(ids < 0) | (ids >= size)].tolist()
+        if bad:
+            raise IndexError(f"{side} id out of range [0, {size}): {bad[:5]}")
+
+
+def _check_triple_ids(sizes, *triples) -> None:
+    """`_check_ids` on every id of every (..., 3) triple array."""
+    for rows in triples:
+        rows = np.asarray(rows).reshape(-1, 3)
+        _check_ids(sizes, rows[:, 0], rows[:, 1], rows[:, 2])
+
+
 class FilterIndex:
     """Read-only set of known (head, relation, tail) triples.
 
@@ -49,23 +76,16 @@ class FilterIndex:
     n_entities + t`` in one sorted array, so the true tails of a (head,
     relation) key form one contiguous run found by two binary searches.
     It answers membership (``triple in index``), iterates the triples in
-    code order and has a length.  Ids must be integers: rows of any other
-    dtype are refused before the cast to int64 would truncate them.
+    code order and has a length.  The rows obey the id rule (`_check_ids`),
+    checked before the cast to int64 would truncate them, and `tails` takes
+    its ids through ``operator.index``, so a float is refused there too.
     """
 
     def __init__(self, rows, n_entities: int, n_relations: int) -> None:
         self.n_entities, self.n_relations = int(n_entities), int(n_relations)
-        rows = np.asarray(rows)
-        if rows.dtype.kind not in "iu" and rows.size:  # the cast below would truncate
-            raise TypeError(f"filter triples must hold integer ids, got dtype {rows.dtype}")
-        rows = rows.astype(np.int64, copy=False).reshape(-1, 3)
-        h, k, t = rows.T
-        bad = (h < 0) | (h >= self.n_entities) | (k < 0) | (k >= self.n_relations) | (t < 0) | (t >= self.n_entities)
-        if bad.any():
-            raise ValueError(
-                f"triple {tuple(map(int, rows[np.argmax(bad)]))} lies outside "
-                f"{self.n_entities} entities x {self.n_relations} relations"
-            )
+        rows = np.asarray(rows).reshape(-1, 3)
+        _check_triple_ids(self, rows)  # before the cast below would truncate
+        h, k, t = rows.astype(np.int64, copy=False).T
         self.codes = np.unique(self.encode(h, k, t))
 
     def encode(self, heads, rels, tails) -> np.ndarray:
@@ -74,7 +94,7 @@ class FilterIndex:
 
     def tails(self, head: int, rel: int) -> np.ndarray:
         """Sorted tail ids t with (head, rel, t) in the index; none for ids outside it."""
-        head, rel = int(head), int(rel)
+        head, rel = operator.index(head), operator.index(rel)
         if not (0 <= head < self.n_entities and 0 <= rel < self.n_relations):
             return self.codes[:0]
         base = (head * self.n_relations + rel) * self.n_entities

@@ -32,8 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import _CANDIDATE_BATCH, ModelParams, _check_ids, _in_shares, _score_ragged, _screen
-from .data import FilterIndex, NegativesTable
+from .model import _CANDIDATE_BATCH, ModelParams, _in_shares, _score_ragged, _screen
+from .data import FilterIndex, NegativesTable, _check_ids
 
 __all__ = [
     "EvalMode",
@@ -150,9 +150,10 @@ def _screened(params: ModelParams, queries: np.ndarray, true_scores: np.ndarray,
     return better, undecided
 
 
-def _stored_negatives(split: np.ndarray, negatives: NegativesTable) -> list:
-    """The stored negatives of each triple's (head, relation), refused by
-    name where the table holds none or a list not `negatives.length` long."""
+def _stored_negatives(params: ModelParams, split: np.ndarray, negatives: NegativesTable) -> np.ndarray:
+    """The stored negatives of each triple's (head, relation), one row each,
+    checked before any scoring: a missing list or one not `negatives.length`
+    long is refused by name, and every id by the id rule (`data._check_ids`)."""
     lists = []
     for h, k, _ in split.tolist():
         entry = negatives.table.get((h, k))
@@ -165,7 +166,9 @@ def _stored_negatives(split: np.ndarray, negatives: NegativesTable) -> list:
                 f"the table's length is {negatives.length}"
             )
         lists.append(entry)
-    return lists
+    table = np.stack(lists)
+    _check_ids(params, split[:, 0], split[:, 1], table)
+    return table
 
 
 def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol: EvalProtocol):
@@ -184,7 +187,7 @@ def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol:
         return np.zeros(0)
     fixed = protocol.mode is EvalMode.FIXED_NEGATIVES
     if fixed:
-        stored = _stored_negatives(split, protocol.negatives)  # every list checked before any scoring
+        stored = _stored_negatives(params, split, protocol.negatives)
         size = max(1, _CANDIDATE_BATCH // (protocol.negatives.length + 1))
     else:
         size = _QUERY_BATCH
@@ -199,7 +202,6 @@ def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol:
             better, candidates = _screened(params, queries, true_scores, index)
         lists = np.repeat(q, [c.size for c in candidates])
         tails = np.concatenate(candidates)
-        _check_ids(params, heads, rels, tails)
         exact = _score_ragged(params, heads, rels, tails, lists)
         truth = true_scores[lists]
         better += np.bincount(lists[exact > truth], minlength=q.size)
@@ -261,8 +263,8 @@ def evaluate_split(
     full-filtered mode and ignored in fixed-negatives mode.  A one-row split
     ranks a single triple.
 
-    Ids must be integers; a split of any other dtype is refused before it
-    is cast.  Batches run one after another.  In full-filtered mode each
+    The split, the filter set and the stored negatives obey the id rule
+    (`data._check_ids`), checked before any scoring.  Batches run in turn.  In full-filtered mode each
     batch reads the entity table once, in the screen's matrix products, which
     BLAS may thread; the screen's per-query decisions and the exact scorer's
     row blocks are shared out to every CPU (`model._in_shares`).  ``threads``

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import _check_ids
 from .geometry import GeometryConfig, Signature
 from .likelihood import TfdParams, log1mexp, sigmoid, softplus
 from .relmaps import Variant, check_time_dimensions, warn_if_time_not_shared
@@ -610,27 +611,6 @@ def _screen(params: ModelParams, heads, rels):
 def probability(params: ModelParams, head: int, rel: int, tail: int) -> float:
     """Edge probability sigmoid(score), strictly inside (0, 1)."""
     return float(sigmoid(score(params, head, rel, tail)))
-
-
-def _check_ids(params: ModelParams, heads, rels, tails) -> None:
-    """Raise TypeError unless every head, relation and tail id is an integer,
-    and IndexError unless it is in range.
-
-    A float or bool id would be truncated to an integer by the casts that
-    follow, so ids of any other dtype are refused before any cast, by their
-    dtype alone; an empty array holds no id to truncate.
-    """
-    n, n_r = params.n_entities, params.n_relations
-    for side, ids, size in (("head", heads, n), ("relation", rels, n_r), ("tail", tails, n)):
-        ids = np.asarray(ids)
-        if ids.dtype.kind not in "iu" and ids.size:
-            raise TypeError(f"{side} ids must be integers, got dtype {ids.dtype}")
-        if ids.ndim == 0:  # one query id: a plain comparison costs far less than a mask
-            bad = [] if 0 <= int(ids) < size else [int(ids)]
-        else:
-            bad = ids[(ids < 0) | (ids >= size)].tolist()
-        if bad:
-            raise IndexError(f"{side} id out of range [0, {size}): {bad[:5]}")
 
 
 def scale_node_bias(params: ModelParams, gamma_b: float) -> ModelParams:

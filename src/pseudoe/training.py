@@ -21,7 +21,8 @@ with row/column cover sets over the coordinate table and per-coordinate
 accumulators everywhere else.  They keep state for, and step, only the
 tables the variant trains (`model.FROZEN`).  The loop shuffles each epoch
 from the run seed, evaluates filtered MRR on the validation split every few
-epochs and early-stops on it, returning the best checkpoint seen.
+epochs and early-stops on it, returning the best checkpoint seen; stored
+negatives of a fixed protocol are checked against that split up front.
 
 A step scores its positives and negatives with one `model._forward` call, the
 same one `nll_loss` makes, and takes its loss from `nll_from_scores` as
@@ -54,9 +55,9 @@ from enum import Enum
 import numpy as np
 
 from . import evaluation
-from .data import augmented_store
+from .data import _check_triple_ids, augmented_store
 from .likelihood import sigmoid, softplus
-from .model import FROZEN, TABLES, _TAIL_BLOCK, InitConfig, ModelParams, _check_ids, _forward, _in_shares, _sides
+from .model import FROZEN, TABLES, _TAIL_BLOCK, InitConfig, ModelParams, _forward, _in_shares, _sides
 from .model import init as model_init
 from .relmaps import Variant
 
@@ -218,13 +219,6 @@ def sample_negatives_batch(
 def nll_from_scores(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     """-sum log sigmoid(pos) - sum log(1 - sigmoid(neg)), in stable softplus form."""
     return float(np.sum(softplus(-np.asarray(pos_scores))) + np.sum(softplus(np.asarray(neg_scores))))
-
-
-def _check_triple_ids(params: ModelParams, *triples) -> None:
-    """Raise IndexError unless every id of every (..., 3) triple array is in range."""
-    for rows in triples:
-        rows = np.asarray(rows).reshape(-1, 3)
-        _check_ids(params, rows[:, 0], rows[:, 1], rows[:, 2])
 
 
 def nll_loss(params: ModelParams, batch: np.ndarray, negatives: np.ndarray) -> float:
@@ -615,8 +609,8 @@ def train(
     the shuffles and negatives are drawn from ``config.seed``.  Validation MRR is computed every
     ``eval_every`` epochs under ``protocol`` (filtered ranking against the
     full vocabulary by default) and the best checkpoint is returned together
-    with the per-epoch log.  An empty validation split is rejected before the
-    first epoch.
+    with the per-epoch log.  An empty validation split, and stored negatives
+    that do not cover it, are rejected before the first epoch.
     """
     if config.augment_reverse:
         store = augmented_store(store)
@@ -639,6 +633,8 @@ def train(
         tfd=tfd,
         swap_transforms=swap_transforms,
     )
+    if protocol.mode is evaluation.EvalMode.FIXED_NEGATIVES:
+        evaluation._stored_negatives(params, valid_triples, protocol.negatives)
     optimizer = make_optimizer(config.optimizer, params, config.learning_rate)
 
     best = None

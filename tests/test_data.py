@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from conftest import make_random_model
+from pseudoe import evaluation, model, training
 from pseudoe.data import (
     FilterIndex,
     NegativesTable,
@@ -14,6 +16,12 @@ from pseudoe.data import (
     load_negatives,
     load_triples,
 )
+from pseudoe.evaluation import EvalMode, EvalProtocol, evaluate_split
+from pseudoe.geometry import GeometryConfig, Signature
+from pseudoe.likelihood import TfdParams
+from pseudoe.model import InitConfig, score_many, score_tails
+from pseudoe.relmaps import Variant
+from pseudoe.training import TrainConfig, gradients, nll_loss, train
 
 
 def write(path, text):
@@ -134,15 +142,19 @@ class TestBuildStore:
 
     def test_filter_index_rejects_rows_outside_vocabulary(self):
         FilterIndex(np.array([[2, 1, 2]]), n_entities=3, n_relations=2)
-        for row in ([3, 0, 0], [0, 2, 0], [0, 0, 3], [-1, 0, 0], [0, -1, 0], [0, 0, -1]):
-            with pytest.raises(ValueError, match="outside"):
+        for row, side, size in (
+            ([3, 0, 0], "head", 3), ([0, 2, 0], "relation", 2), ([0, 0, 3], "tail", 3),
+            ([-1, 0, 0], "head", 3), ([0, -1, 0], "relation", 2), ([0, 0, -1], "tail", 3),
+        ):
+            bad = max(row, key=abs)
+            with pytest.raises(IndexError, match=rf"^{side} id out of range \[0, {size}\): \[{bad}\]$"):
                 FilterIndex(np.array([row]), n_entities=3, n_relations=2)
 
     def test_filter_index_refuses_non_integer_triples(self):
         # Cast first, (0, 0, 1.7) would be held as (0, 0, 1).
         refused = (([(0, 0, 1.7)], "float64"), (np.array([[0, 0, 1.0]]), "float64"), ([[True] * 3], "bool"))
         for rows, dtype in refused:
-            with pytest.raises(TypeError, match=f"^filter triples must hold integer ids, got dtype {dtype}"):
+            with pytest.raises(TypeError, match=f"^head ids must be integers, got dtype {dtype}$"):
                 FilterIndex(rows, n_entities=3, n_relations=1)
         assert len(FilterIndex([], n_entities=3, n_relations=1)) == 0
         assert list(FilterIndex(np.array([[0, 0, 1]], dtype=np.uint8), n_entities=3, n_relations=1)) == [(0, 0, 1)]
@@ -255,3 +267,84 @@ class TestAugmentedStore:
         assert sorted(aug.relations_not_in_train) == [1, 2, 4, 5]
         assert aug.relation_to_id["inv:s"] == 4 and aug.relation_to_id["inv:t"] == 5
         assert aug.summary()["relations_not_in_train"] == 4
+
+
+def _triples(ids):
+    """One (0, 0, id) triple per id, of the ids' own dtype."""
+    zeros = np.zeros_like(ids)
+    return np.column_stack([zeros, zeros, ids])
+
+
+def _fixed(pairs, ids):
+    """The fixed-negatives protocol that stores ``ids`` for every pair."""
+    return EvalProtocol(EvalMode.FIXED_NEGATIVES, NegativesTable({pair: ids for pair in pairs}, ids.size))
+
+
+def _train(ids):
+    """Train on six entities, ranking the validation split against ``ids``."""
+    names = "abcdef"
+    store = build_store([(h, "r", t) for h, t in zip(names, names[1:])], [("a", "r", "c")], [])
+    config = TrainConfig(m_negatives=2, batch_size=4, max_epochs=2, eval_every=2)
+    geometry, tfd = GeometryConfig(Signature(1, 3)), TfdParams(0.5, 0.5, 0.5, 0.2, 1.0)
+    train(store, config, geometry, tfd, Variant.DT, InitConfig(0.1, 0), protocol=_fixed([(0, 0)], ids))
+
+
+# Every entry point of ids from outside the program, each given a bad tail id
+# (in an array of the bad id's dtype) on a vocabulary of six entities.
+ID_ENTRY_POINTS = {
+    "score_many": lambda params, ids: score_many(params, [0], [0], ids),
+    "score_tails": lambda params, ids: score_tails(params, 0, 0, ids),
+    "nll_loss": lambda params, ids: nll_loss(params, [[0, 0, 1]], _triples(ids)[None]),
+    "gradients": lambda params, ids: gradients(params, [[0, 0, 1]], _triples(ids)[None]),
+    "evaluate_split split": lambda params, ids: evaluate_split(params, _triples(ids), set()),
+    "evaluate_split filter set": lambda params, ids: evaluate_split(params, [[0, 0, 1]], set(map(tuple, _triples(ids)))),
+    "evaluate_split stored negatives": lambda params, ids: evaluate_split(params, [[0, 0, 1]], set(), _fixed([(0, 0)], ids)),
+    "FilterIndex": lambda params, ids: FilterIndex(_triples(ids), params.n_entities, params.n_relations),
+    "train stored negatives": lambda params, ids: _train(ids),
+}
+
+BAD_IDS = {
+    "float": (np.array([1.7]), TypeError, r"ids must be integers, got dtype float64$"),
+    "bool": (np.array([True]), TypeError, r"ids must be integers, got dtype bool$"),
+    "-1": (np.array([-1]), IndexError, r"^tail id out of range \[0, 6\): \[-1\]$"),
+    "N": (np.array([6]), IndexError, r"^tail id out of range \[0, 6\): \[6\]$"),
+}
+
+
+class TestIdRule:
+    """One rule for every id that comes from outside: an integer, refused by
+    dtype before any cast, and in range; checked where it enters, before any
+    scoring."""
+
+    @pytest.fixture
+    def no_scoring(self, monkeypatch):
+        def scored(*args):
+            raise AssertionError("scored before the ids were checked")
+
+        for module, name in (
+            (model, "_forward"),
+            (model, "_score_ragged"),
+            (evaluation, "_score_ragged"),
+            (training, "_forward"),
+            (training, "_loss_and_gradients"),
+        ):
+            monkeypatch.setattr(module, name, scored)
+
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    @pytest.mark.parametrize("entry", ID_ENTRY_POINTS)
+    def test_bad_id_refused_before_any_scoring(self, entry, bad, no_scoring):
+        ids, error, message = BAD_IDS[bad]
+        params = make_random_model()  # 6 entities, 3 relations
+        with pytest.raises(error, match=message):
+            ID_ENTRY_POINTS[entry](params, ids)
+
+    def test_filter_index_tails_takes_ids_through_operator_index(self):
+        # int(1.7) would return head 1's tails.  Python's own bool is an int
+        # to operator.index, as it is to `in`; numpy's is not.
+        index = FilterIndex([[1, 0, 2]], n_entities=6, n_relations=3)
+        for bad in (1.7, np.float64(1.0), np.True_):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                index.tails(bad, 0)
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                index.tails(1, bad)
+        np.testing.assert_array_equal(index.tails(np.int32(1), np.uint8(0)), [2])

@@ -426,13 +426,13 @@ class TestEvaluateSplit:
             wrong = FilterIndex(rows, n_entities=n, n_relations=n_r)
             with pytest.raises(ValueError, match=f"{n} entities and {n_r} relations"):
                 evaluate_split(params, split, wrong, EvalProtocol())
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(IndexError, match=r"^tail id out of range \[0, 6\): \[6\]$"):
             evaluate_split(params, split, {(0, 0, 6)}, EvalProtocol())
 
     def test_non_integer_filter_triples_refused(self):
         # Cast first, (0, 0, 1.7) would filter tail 1 from the query (0, 0).
         params = make_random_model(n_entities=6, n_relations=3, seed=2)
-        with pytest.raises(TypeError, match="^filter triples must hold integer ids, got dtype float64"):
+        with pytest.raises(TypeError, match="^head ids must be integers, got dtype float64$"):
             evaluate_split(params, [[0, 0, 2]], {(0, 0, 1.7)}, EvalProtocol())
         assert rank_of(params, (0, 0, 2), set(), EvalProtocol()) == brute_force_rank(params, (0, 0, 2), set())
 
