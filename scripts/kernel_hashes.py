@@ -31,17 +31,16 @@ The hashes sit under ``"hashes"``, next to the ``"environments"`` they were
 computed in: numpy's version and enabled CPU features, the BLAS library and
 the platform.  ``tests/data/kernel_hashes.json`` holds this output, and a
 test recomputes it wherever the environment is one of those listed.  An
-environment whose recomputed hashes all equal the committed ones, at each
-of the test's three thread settings, is appended to that list by hand; the
-hashes themselves stay as they are.  The CPU count is not
-part of the environment, on purpose: each block of the row-block loops is
-computed whole by one thread, so the hashes must not depend on how many
-threads share the blocks out, and the test recomputes them as they run by
-default, then forced to 1 thread and to 3 threads with every loop shared out
-(these shapes are narrower than `model._SHARED_WIDTH`, and these graphs
-smaller than `evaluation._SHARED_ENTITIES`), against the same committed
-file.  A change that moves
-bits on purpose regenerates that file:
+environment whose recomputed hashes all equal the committed ones, at both
+of the test's thread settings, is appended to that list by hand; the
+hashes themselves stay as they are.  The CPU count is not part of the
+environment, on purpose: each block of the row-block loops is computed
+whole by one thread, so the hashes must not depend on how many threads
+share the blocks out.  These shapes are narrower than `model._SHARED_WIDTH`
+and these graphs smaller than `evaluation._SHARED_ENTITIES`, so by default
+every loop runs on the calling thread; the test recomputes the hashes so,
+then forced to 3 threads with every loop shared out, against the same
+committed file.  A change that moves bits on purpose regenerates that file:
 
     PYTHONPATH=src python scripts/kernel_hashes.py > tests/data/kernel_hashes.json
 """

@@ -265,6 +265,14 @@ def cmd_rank(args) -> int:
     return 0
 
 
+def _beta(raw: str) -> float:
+    """One item of ``--betas``, named when it is not a number."""
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"--betas: expected float, got {raw!r}") from None
+
+
 def cmd_sweep_beta(args) -> int:
     config = resolve_config(args.preset, args.config, _collect_overrides(args))
     train_cfg, tfd, geometry, init_cfg, variant = _run_settings(config)
@@ -279,7 +287,7 @@ def cmd_sweep_beta(args) -> int:
         data = load_dataset(config.data)
         augmented = config.augment_reverse
         store = augmented_store(data) if augmented else data
-    tfds = [dataclasses.replace(tfd, beta=float(b)) for b in args.betas.split(",")]
+    tfds = [dataclasses.replace(tfd, beta=_beta(b)) for b in args.betas.split(",")]
     protocol = _protocol(config.protocol, config.negatives, store, augmented, "valid")
 
     def models(tfd):

@@ -20,7 +20,8 @@ score are scored exactly.  In fixed-negatives mode none is decided and the
 stored lists are scored whole.  Every exact score is the kernel's one score
 body, `model._score_rows`, run by `model._score_ragged` in tail-id order, so
 that the entity table is read front to back; ranks equal brute force, ties
-included.
+included.  A NaN exact score compares false with every score, so it is
+refused by triple rather than ranked first.
 """
 
 from __future__ import annotations
@@ -171,6 +172,16 @@ def _stored_negatives(params: ModelParams, split: np.ndarray, negatives: Negativ
     return table
 
 
+def _refuse_nan(scores, heads, rels, tails, lists) -> None:
+    """Raise ValueError naming the first (head, relation, tail) whose exact
+    score is NaN: NaN compares false with every score, so it would rank first."""
+    nan = np.isnan(scores)
+    if nan.any():
+        j = int(np.argmax(nan))
+        q = lists[j]
+        raise ValueError(f"score of triple ({heads[q]}, {rels[q]}, {tails[j]}) is NaN, which cannot be ranked")
+
+
 def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol: EvalProtocol):
     """Average-tie rank 1 + #better + #equal / 2 of every triple of ``split``.
 
@@ -196,6 +207,7 @@ def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol:
         queries = split[s : s + size]
         heads, rels, q = queries[:, 0], queries[:, 1], np.arange(len(queries))
         true_scores = _score_ragged(params, heads, rels, queries[:, 2], q)
+        _refuse_nan(true_scores, heads, rels, queries[:, 2], q)
         if fixed:
             better, candidates = np.zeros(q.size, dtype=np.int64), stored[s : s + size]
         else:
@@ -203,6 +215,7 @@ def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol:
         lists = np.repeat(q, [c.size for c in candidates])
         tails = np.concatenate(candidates)
         exact = _score_ragged(params, heads, rels, tails, lists)
+        _refuse_nan(exact, heads, rels, tails, lists)
         truth = true_scores[lists]
         better += np.bincount(lists[exact > truth], minlength=q.size)
         equal = np.bincount(lists[exact == truth], minlength=q.size)

@@ -618,9 +618,13 @@ def scale_node_bias(params: ModelParams, gamma_b: float) -> ModelParams:
 
     Test-time knob: positive gamma_b beyond 1 favours well-connected nodes,
     negative values push predictions toward poorly-connected ones.  All other
-    parameters are untouched and the input model is not modified.
+    parameters are untouched and the input model is not modified.  A
+    non-finite gamma_b is refused: inf times a zero bias is NaN.
     """
-    return replace(params, node_bias=params.node_bias * float(gamma_b))
+    gamma_b = float(gamma_b)
+    if not math.isfinite(gamma_b):
+        raise ValueError(f"gamma_b must be a finite real, got {gamma_b}")
+    return replace(params, node_bias=params.node_bias * gamma_b)
 
 
 # --- checkpoint format -----------------------------------------------------

@@ -404,6 +404,22 @@ class TestEvaluateCommand:
         assert printed[ckpt, "0.5"] != printed[ckpt, "1"]
 
 
+    def test_non_finite_gamma_b_is_a_one_line_error(self, toy_data, trained, tmp_path, capsys):
+        # NaN biases would rank every triple first (MRR 1), and inf times a
+        # zero bias is NaN.
+        base = ["--checkpoint", str(trained / "model.ckpt"), "--data", str(toy_data)]
+        for gamma in ("nan", "inf", "-inf"):
+            for argv in (
+                ["evaluate", *base, "--out", str(tmp_path / "e")],
+                ["rank", *base, "--head", "n0", "--relation", "same_group"],
+            ):
+                assert main(argv + [f"--gamma-b={gamma}"]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: gamma_b must be a finite real, got {gamma}\n"
+        assert not (tmp_path / "e").exists()
+
+
 class TestSweepAndStats:
     def test_stats(self, toy_data, capsys):
         assert main(["stats", "--data", str(toy_data)]) == 0
@@ -426,6 +442,18 @@ class TestSweepAndStats:
         sweep = ["sweep-beta", "--data", str(toy_data), "--out", str(tmp_path / "s"), "--betas", "0,1.5"]
         assert main(sweep) == 1
         assert capsys.readouterr().err == "error: beta must lie in [0, 1], got 1.5\n"
+        assert trained == []
+        assert not (tmp_path / "s").exists()
+
+    def test_unparsable_beta_named_before_training(self, toy_data, tmp_path, monkeypatch, capsys):
+        import pseudoe.training
+
+        trained = []
+        monkeypatch.setattr(pseudoe.training, "train", lambda *args, **kwargs: trained.append(args))
+        sweep = ["sweep-beta", "--data", str(toy_data), "--out", str(tmp_path / "s")]
+        for betas, item in (("0,x", "'x'"), ("0,,1", "''"), ("0.5,1e", "'1e'")):
+            assert main(sweep + ["--betas", betas]) == 1
+            assert capsys.readouterr().err == f"error: --betas: expected float, got {item}\n"
         assert trained == []
         assert not (tmp_path / "s").exists()
 

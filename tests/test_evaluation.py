@@ -52,6 +52,30 @@ class TestFilteredRank:
         rank = rank_of(params, (0, 0, 3), set(), EvalProtocol())
         assert rank == 1.0
 
+    @pytest.mark.parametrize("fixed", [False, True], ids=["full", "fixed"])
+    def test_nan_score_refused_by_triple(self, fixed):
+        # A NaN compares false with every score, so it would rank first.
+        negatives = NegativesTable({(0, 0): np.array([2, 4, 5])}, 3)
+        protocol = EvalProtocol(EvalMode.FIXED_NEGATIVES, negatives) if fixed else EvalProtocol()
+        params = make_random_model(seed=0)
+        params.node_bias[4] = np.nan  # one candidate
+        with pytest.raises(ValueError, match=r"^score of triple \(0, 0, 4\) is NaN, which cannot be ranked$"):
+            evaluate_split(params, [[0, 0, 1]], set(), protocol)
+        params.node_bias[:] = np.nan  # every true tail first
+        with pytest.raises(ValueError, match=r"^score of triple \(0, 0, 1\) is NaN"):
+            evaluate_split(params, [[0, 0, 1]], set(), protocol)
+
+    def test_infinite_scores_rank_as_any_other(self):
+        params = make_random_model(seed=0)
+        params.node_bias[4], params.node_bias[5] = np.inf, -np.inf  # above and below the true tail
+        assert rank_of(params, (0, 0, 1), set(), EvalProtocol()) == brute_force_rank(params, (0, 0, 1), set())
+        stored = np.array([2, 4, 5])
+        fixed = EvalProtocol(EvalMode.FIXED_NEGATIVES, NegativesTable({(0, 0): stored}, 3))
+        scores, true_score = score_tails(params, 0, 0, stored), score_tails(params, 0, 0, [1])[0]
+        assert list(scores[1:]) == [np.inf, -np.inf]
+        want = 1.0 + np.sum(scores > true_score) + 0.5 * np.sum(scores == true_score)
+        assert rank_of(params, (0, 0, 1), set(), fixed) == want
+
     def test_all_tied_with_fixed_negatives(self):
         params = make_random_model(seed=0)
         params.coords[:] = 0.0

@@ -317,6 +317,13 @@ class TestScaleNodeBias:
         half = score(scale_node_bias(params, 1.5), 0, 0, 1)
         assert half == pytest.approx(0.5 * (s1 + s0), abs=1e-10)
 
+    def test_non_finite_gamma_refused(self):
+        # inf times a zero bias would be NaN, and NaN scores rank first.
+        params = make_random_model(seed=2)
+        for gamma in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"^gamma_b must be a finite real, got {gamma}$"):
+                scale_node_bias(params, gamma)
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("variant,n_t,cylinder,swap", [
