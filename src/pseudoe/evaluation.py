@@ -277,13 +277,13 @@ def evaluate_split(
     ranks a single triple.
 
     The split, the filter set and the stored negatives obey the id rule
-    (`data._check_ids`), checked before any scoring.  Batches run in turn.  In full-filtered mode each
-    batch reads the entity table once, in the screen's matrix products, which
-    BLAS may thread; the screen's per-query decisions and the exact scorer's
-    row blocks are shared out to every CPU (`model._in_shares`).  ``threads``
-    must be 1: the keyword stays only because the benchmark in
-    ``perfbench/`` still passes ``threads=1``, and it goes once the
-    benchmark drops it.
+    (`data._check_ids`), checked before any scoring.  Batches run one after
+    another.  In full-filtered mode each batch reads the entity table once,
+    in the screen's matrix products, which BLAS may thread; the screen's
+    per-query decisions and the exact scorer's row blocks are shared out to
+    every CPU (`model._in_shares`).  ``threads`` must be 1: the keyword stays
+    only because the benchmark in ``perfbench/`` still passes ``threads=1``,
+    and it goes once the benchmark drops it.
     """
     if threads != 1:
         raise ValueError(f"evaluation is single-threaded; threads must be 1, got {threads}")
