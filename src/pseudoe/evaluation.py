@@ -7,21 +7,14 @@ fixed-negatives protocol they are a stored per-(head, relation) candidate
 list.  Ties share their rank: rank = 1 + #{better} + #{equal}/2, so a
 constant scorer earns mid-range ranks rather than rank 1.
 
-Queries are ranked in batches, one after another, through one body
-(`_ranks`): each query gets the count of competitors already decided better
-and the candidates to score exactly, and the candidates of the whole batch
-are scored together and compared with their query's true score.  In
-full-filtered mode one pass over the entity table screens every entity
-against every query of the batch with two matrix products (`model._screen`),
-with a margin that bounds the distance to the exact score; the per-query
-decisions are shares (`model._in_shares`) on graphs of `_SHARED_ENTITIES`
-entities or more, and only the candidates within their margin of the true
-score are scored exactly.  In fixed-negatives mode none is decided and the
-stored lists are scored whole.  Every exact score is the kernel's one score
-body, `model._score_rows`, run by `model._score_ragged` in tail-id order, so
-that the entity table is read front to back; ranks equal brute force, ties
-included.  A NaN exact score compares false with every score, so it is
-refused by triple rather than ranked first.
+Queries are ranked in batches through one body (`_ranks`): the protocol
+gives each query the count of competitors already decided better (by the
+screen of `_screened` in full-filtered mode, none with fixed negatives) and
+the candidates to score exactly, and the batch's true tails and candidates
+are scored in one `model._score_ragged` call, the kernel's one score body in
+tail-id order; ranks equal brute force, ties included.  A NaN exact score
+compares false with every score, so it is refused by triple rather than
+ranked first.
 """
 
 from __future__ import annotations
@@ -95,7 +88,7 @@ class RankReport:
 
 # Queries per full-filtered batch, each batch one pass of the screen over the
 # entity table.  A fixed-negatives batch holds at most `model._CANDIDATE_BATCH`
-# candidates, which are scored together in tail-id order.
+# tails, its true tails and stored candidates, scored together in tail-id order.
 _QUERY_BATCH = 64
 
 # Entities below which the screen's per-query decisions run inline, on the
@@ -111,19 +104,26 @@ _QUERY_BATCH = 64
 _SHARED_ENTITIES = 10_000
 
 
-def _screened(params: ModelParams, queries: np.ndarray, true_scores: np.ndarray, index: FilterIndex):
+def _screened(params: ModelParams, queries: np.ndarray, index: FilterIndex):
     """Full-filtered candidates of each query: the count of entities it is
     not filtered against that the screen decides better than its true tail,
-    and the ids of those it leaves undecided.
+    and the ids of those it leaves undecided, which `_ranks` scores.
 
     `_screen` reads the entity table once for the whole batch, with matrix
     products that BLAS threads.  Its per-query decisions are shares, from
     `_SHARED_ENTITIES` entities up: each query is one item of `_in_shares`,
-    which finishes the query's screen, masks its filtered tails in a buffer
-    of its share's own, and counts the candidates whose approximate score
-    lies farther above the true score than its margin.  No item calls
-    `_in_shares` or BLAS.  The undecided candidates, typically a handful per
-    query, are left to `_ranks`.
+    which finishes the query's screen and masks its filtered tails in a
+    buffer of its share's own.  No item calls `_in_shares` or BLAS.
+
+    The screen bounds every entity's exact score within its margin of its
+    screened score, the true tail t's included, so a candidate c is better
+    when phi_c - phi_t > margin_c + margin_t and worse when below minus that
+    sum.  The rounding of the difference, within eps (|phi_c| + |phi_t|), and
+    of the sum, within eps (margin_c + margin_t), fits in the spare half of
+    the two margins: each is twice its bound and at least 128 eps (1 + |phi|).
+    If phi_t or margin_t is infinite or NaN, so is every sum or difference (an
+    infinite phi_t makes margin_t infinite), no comparison holds, and every
+    unfiltered entity of the query is rescored, in `_CANDIDATE_BATCH` slices.
     """
     screen = _screen(params, queries[:, 0], queries[:, 1])
 
@@ -132,13 +132,14 @@ def _screened(params: ModelParams, queries: np.ndarray, true_scores: np.ndarray,
         decided = []
         for q in share:
             h, k, t = queries[q].tolist()
-            phi, margin = screen(q)
+            phi, margin = screen(q)  # fresh arrays, shifted in place
+            phi -= phi[t]
+            margin += margin[t]
             keep[:] = True
             keep[index.tails(h, k)] = False
             keep[t] = False  # the true triple is never its own competitor
-            gap = phi - true_scores[q]
-            above, below = gap > margin, gap < -margin
-            undecided = np.flatnonzero(keep & ~above & ~below)  # NaN gaps included
+            above, below = phi > margin, phi < -margin
+            undecided = np.flatnonzero(keep & ~above & ~below)  # NaN differences included
             decided.append((q, np.count_nonzero(keep & above), undecided))
         return decided
 
@@ -189,10 +190,10 @@ def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol:
     queries in full-filtered mode and at most `_CANDIDATE_BATCH` candidates in
     fixed-negatives mode.  The protocol gives each query the count of
     competitors already decided better and the candidates to score exactly
-    (`_screened`, or the stored list with none decided); the candidates of
-    the whole batch are scored in one `_score_ragged` call and compared with
-    true scores from the same scorer.  Every count is exact, so the ranks do
-    not depend on the batching.
+    (`_screened`, or the stored list with none decided); the batch's true
+    tails and candidates are scored in one `_score_ragged` call, under one
+    NaN check, and each candidate is compared with its query's true score.
+    Every count is exact, so the ranks do not depend on the batching.
     """
     if split.shape[0] == 0:
         return np.zeros(0)
@@ -206,19 +207,17 @@ def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol:
     for s in range(0, split.shape[0], size):
         queries = split[s : s + size]
         heads, rels, q = queries[:, 0], queries[:, 1], np.arange(len(queries))
-        true_scores = _score_ragged(params, heads, rels, queries[:, 2], q)
-        _refuse_nan(true_scores, heads, rels, queries[:, 2], q)
         if fixed:
             better, candidates = np.zeros(q.size, dtype=np.int64), stored[s : s + size]
         else:
-            better, candidates = _screened(params, queries, true_scores, index)
-        lists = np.repeat(q, [c.size for c in candidates])
-        tails = np.concatenate(candidates)
+            better, candidates = _screened(params, queries, index)
+        lists = np.concatenate([q, np.repeat(q, [c.size for c in candidates])])
+        tails = np.concatenate([queries[:, 2], *candidates])  # the true tails first
         exact = _score_ragged(params, heads, rels, tails, lists)
         _refuse_nan(exact, heads, rels, tails, lists)
-        truth = true_scores[lists]
+        truth = exact[lists]
         better += np.bincount(lists[exact > truth], minlength=q.size)
-        equal = np.bincount(lists[exact == truth], minlength=q.size)
+        equal = np.bincount(lists[exact == truth], minlength=q.size) - 1  # each true tail ties with itself
         ranks.append(1.0 + better + 0.5 * equal)
     return np.concatenate(ranks)
 
