@@ -161,8 +161,7 @@ def _protocol(kind: str, negatives: str | None, store, augmented: bool, split: s
         return EvalProtocol()
     if kind != "fixed":
         raise ValueError(f"unknown protocol {kind!r} (expected 'full' or 'fixed')")
-    if augmented:
-        raise ValueError("fixed-negatives protocol does not combine with augment_reverse")
+    evaluation._refuse_augmented(EvalMode.FIXED_NEGATIVES, augmented)
     if negatives is None:
         raise ValueError("fixed-negatives protocol requires a negatives file")
     table = load_negatives(negatives, store)

@@ -152,10 +152,19 @@ def _screened(params: ModelParams, queries: np.ndarray, index: FilterIndex):
     return better, undecided
 
 
+def _refuse_augmented(mode: EvalMode, augmented: bool) -> None:
+    """Refuse fixed negatives for a split augmented with reversed triples:
+    the stored lists key the plain (head, relation) pairs, none the inverse."""
+    if mode is EvalMode.FIXED_NEGATIVES and augmented:
+        raise ProtocolError("fixed-negatives protocol does not combine with augment_reverse")
+
+
 def _stored_negatives(params: ModelParams, split: np.ndarray, negatives: NegativesTable) -> np.ndarray:
     """The stored negatives of each triple's (head, relation), one row each,
     checked before any scoring: a missing list or one not `negatives.length`
-    long is refused by name, and every id by the id rule (`data._check_ids`)."""
+    long is refused by name, and every id by the id rule (`data._check_ids`),
+    a list of another dtype than integers before `np.stack` would promote a
+    bool list among integer ones."""
     lists = []
     for h, k, _ in split.tolist():
         entry = negatives.table.get((h, k))
@@ -167,6 +176,8 @@ def _stored_negatives(params: ModelParams, split: np.ndarray, negatives: Negativ
                 f"fixed negatives for head={h}, relation={k} hold {entry.size} tails, "
                 f"the table's length is {negatives.length}"
             )
+        if entry.dtype.kind not in "iu":
+            _check_ids(params, h, k, entry)
         lists.append(entry)
     table = np.stack(lists)
     _check_ids(params, split[:, 0], split[:, 1], table)

@@ -610,16 +610,18 @@ def train(
     ``eval_every`` epochs under ``protocol`` (filtered ranking against the
     full vocabulary by default) and the best checkpoint is returned together
     with the per-epoch log.  An empty validation split, and stored negatives
-    that do not cover it, are rejected before the first epoch.
+    that do not cover it or meet an augmented split, are rejected before
+    the first epoch.
     """
+    if protocol is None:
+        protocol = evaluation.EvalProtocol()
+    evaluation._refuse_augmented(protocol.mode, config.augment_reverse)
     if config.augment_reverse:
         store = augmented_store(store)
     train_triples = store.splits["train"]
     valid_triples = store.splits["valid"]
     if valid_triples.shape[0] == 0:
         raise ValueError("the validation split is empty; training ranks it for model selection")
-    if protocol is None:
-        protocol = evaluation.EvalProtocol()
 
     # The shuffles and negatives draw from the second child of the run seed.
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])

@@ -280,13 +280,14 @@ def _fixed(pairs, ids):
     return EvalProtocol(EvalMode.FIXED_NEGATIVES, NegativesTable({pair: ids for pair in pairs}, ids.size))
 
 
-def _train(ids):
-    """Train on six entities, ranking the validation split against ``ids``."""
+def _train(protocol, valid=(("a", "r", "c"),)):
+    """Train on six entities a to f (ids 0 to 5, one relation), ranking the
+    validation split ``valid`` under ``protocol``."""
     names = "abcdef"
-    store = build_store([(h, "r", t) for h, t in zip(names, names[1:])], [("a", "r", "c")], [])
+    store = build_store([(h, "r", t) for h, t in zip(names, names[1:])], list(valid), [])
     config = TrainConfig(m_negatives=2, batch_size=4, max_epochs=2, eval_every=2)
     geometry, tfd = GeometryConfig(Signature(1, 3)), TfdParams(0.5, 0.5, 0.5, 0.2, 1.0)
-    train(store, config, geometry, tfd, Variant.DT, InitConfig(0.1, 0), protocol=_fixed([(0, 0)], ids))
+    train(store, config, geometry, tfd, Variant.DT, InitConfig(0.1, 0), protocol=protocol)
 
 
 # Every entry point of ids from outside the program, each given a bad tail id
@@ -300,7 +301,7 @@ ID_ENTRY_POINTS = {
     "evaluate_split filter set": lambda params, ids: evaluate_split(params, [[0, 0, 1]], set(map(tuple, _triples(ids)))),
     "evaluate_split stored negatives": lambda params, ids: evaluate_split(params, [[0, 0, 1]], set(), _fixed([(0, 0)], ids)),
     "FilterIndex": lambda params, ids: FilterIndex(_triples(ids), params.n_entities, params.n_relations),
-    "train stored negatives": lambda params, ids: _train(ids),
+    "train stored negatives": lambda params, ids: _train(_fixed([(0, 0)], ids)),
 }
 
 BAD_IDS = {
@@ -337,6 +338,17 @@ class TestIdRule:
         params = make_random_model()  # 6 entities, 3 relations
         with pytest.raises(error, match=message):
             ID_ENTRY_POINTS[entry](params, ids)
+
+    def test_bool_list_among_integer_lists_refused(self, no_scoring):
+        # Stacked with an integer list, a bool list would become int64 and
+        # rank against entities 1 and 0.
+        table = {(0, 0): np.array([2, 3]), (1, 0): np.array([True, False])}
+        protocol = EvalProtocol(EvalMode.FIXED_NEGATIVES, NegativesTable(table, 2))
+        message = r"^tail ids must be integers, got dtype bool$"
+        with pytest.raises(TypeError, match=message):
+            evaluate_split(make_random_model(), [[0, 0, 1], [1, 0, 2]], set(), protocol)
+        with pytest.raises(TypeError, match=message):
+            _train(protocol, valid=[("a", "r", "c"), ("b", "r", "d")])
 
     def test_filter_index_tails_takes_ids_through_operator_index(self):
         # int(1.7) would return head 1's tails.  Python's own bool is an int

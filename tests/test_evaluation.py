@@ -310,9 +310,10 @@ class TestScreen:
         split = np.column_stack([rng.integers(0, n, rows), rng.integers(0, 3, rows), rng.integers(0, n, rows)])
         split[::5, 2] = 0
         index = FilterIndex(split[::3], n_entities=n, n_relations=3)
-        # Fixed lists of 101 and of 20 negatives: `_score_ragged` walks each
-        # batch's candidates in tail-id order in `_TAIL_BLOCK`-row blocks,
-        # ending with a partial block.
+        # Fixed lists of 101 and of 20 negatives, each batch's one
+        # `_score_ragged` call holding its true tails too: the call walks
+        # rows * 102 or rows * 21 tails in tail-id order in `_TAIL_BLOCK`-row
+        # blocks, ending with a partial block.
         tables = {length: {(int(h), int(k)): rng.integers(0, n, length) for h, k, _ in split} for length in (101, 20)}
         assert rows * 102 % _TAIL_BLOCK and rows * 21 % _TAIL_BLOCK
         protocols = [EvalProtocol()] + [
@@ -479,6 +480,42 @@ class TestEvaluateSplit:
         full = evaluate_split(params, split, set(), EvalProtocol()).per_triple_ranks
         assert evaluate_split(params, split, set(), fixed).per_triple_ranks == full
         assert any(rank % 1 for _, rank in full)  # ties occur
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["full", "fixed"])
+    def test_one_exact_call_per_batch(self, monkeypatch, fixed):
+        # The true tails are scored with the candidates: one `_score_ragged`
+        # call and one NaN check per batch, and with fixed negatives each
+        # query's head side is computed once per batch.
+        n, rows, length = 30, _QUERY_BATCH + 5, 40
+        params = make_random_model(n_entities=n, n_relations=3, seed=4)
+        rng = np.random.default_rng(5)
+        split = np.column_stack([rng.integers(0, n, rows), rng.integers(0, 3, rows), rng.integers(0, n, rows)])
+        table = {(int(h), int(k)): rng.integers(0, n, length) for h, k, _ in split}
+        protocol = EvalProtocol(EvalMode.FIXED_NEGATIVES, NegativesTable(table, length)) if fixed else EvalProtocol()
+        monkeypatch.setattr(evaluation, "_CANDIDATE_BATCH", 20 * (length + 1) + 3)  # 20 queries a batch
+        size = 20 if fixed else _QUERY_BATCH
+        want = evaluate_split(params, split, set(), protocol).per_triple_ranks
+
+        calls = {"_score_ragged": [], "_refuse_nan": [], "_head_side": []}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def call(params, heads, *args):
+                calls[name].append(len(heads))
+                return real(params, heads, *args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(evaluation, "_score_ragged")
+        counted(model, "_head_side")
+        monkeypatch.setattr(evaluation, "_refuse_nan", lambda *args: calls["_refuse_nan"].append(0))
+        assert evaluate_split(params, split, set(), protocol).per_triple_ranks == want
+        batches = [min(size, rows - s) for s in range(0, rows, size)]
+        assert calls["_score_ragged"] == batches
+        assert len(calls["_refuse_nan"]) == len(batches)
+        if fixed:
+            assert calls["_head_side"] == batches
 
     @pytest.mark.parametrize(
         "protocol",

@@ -690,21 +690,24 @@ class TestTrainLoop:
     def test_uncovered_fixed_protocol_rejected_before_training(self, small_graph, monkeypatch, augment):
         # Without augmentation the table lacks the first validation pair; with
         # it, it covers every pair of the plain split but no inverse pair of
-        # the augmented one.  Either is found before the first step, not at
+        # the augmented one, and the combination itself is refused, in the
+        # command line's words.  Either is found before the first step, not at
         # the first validation.
         import pseudoe.training
 
         store, _, _ = small_graph
         valid = store.splits["valid"]
         pairs = {(h, k) for h, k, _ in valid.tolist()}
-        h, k, t = valid[0].tolist()
-        missing = (t, k + store.n_relations) if augment else (h, k)
+        h, k, _ = valid[0].tolist()
         table = {pair: np.array([0, 1]) for pair in pairs if augment or pair != (h, k)}
         protocol = EvalProtocol(EvalMode.FIXED_NEGATIVES, NegativesTable(table, 2))
         steps = []
         monkeypatch.setattr(pseudoe.training, "_loss_and_gradients", lambda *args: steps.append(args))
         config = TrainConfig(m_negatives=4, max_epochs=2, eval_every=2, augment_reverse=augment)
-        message = f"no fixed negatives stored for head={missing[0]}, relation={missing[1]}$"
+        if augment:
+            message = "^fixed-negatives protocol does not combine with augment_reverse$"
+        else:
+            message = f"^no fixed negatives stored for head={h}, relation={k}$"
         with pytest.raises(ProtocolError, match=message):
             train(
                 store, config, GeometryConfig(Signature(1, 7)), TfdParams(0.5, 0.5, 0.5, 0.2, 1.0), Variant.DT,
