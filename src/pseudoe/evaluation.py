@@ -163,8 +163,8 @@ def _stored_negatives(params: ModelParams, split: np.ndarray, negatives: Negativ
     """The stored negatives of each triple's (head, relation), one row each,
     checked before any scoring: a missing list or one not `negatives.length`
     long is refused by name, and every id by the id rule (`data._check_ids`),
-    a list of another dtype than integers before `np.stack` would promote a
-    bool list among integer ones."""
+    each list's dtype before `np.stack` could promote a bool list among
+    integer ones."""
     lists = []
     for h, k, _ in split.tolist():
         entry = negatives.table.get((h, k))
@@ -198,7 +198,7 @@ def _ranks(params: ModelParams, split: np.ndarray, index: FilterIndex, protocol:
     """Average-tie rank 1 + #better + #equal / 2 of every triple of ``split``.
 
     The triples are ranked in turn in batches, of at most `_QUERY_BATCH`
-    queries in full-filtered mode and at most `_CANDIDATE_BATCH` candidates in
+    queries in full-filtered mode and at most `_CANDIDATE_BATCH` tails in
     fixed-negatives mode.  The protocol gives each query the count of
     competitors already decided better and the candidates to score exactly
     (`_screened`, or the stored list with none decided); the batch's true
