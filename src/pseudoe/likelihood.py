@@ -68,21 +68,16 @@ def softplus(x):
 
 
 def sigmoid(x):
-    """1 / (1 + exp(-x)) without overflow warnings."""
+    """1 / (1 + exp(-x)) without overflow: exp(min(x, -x)) is exp(-x) at x >= 0,
+    exp(x) below, and keeps a NaN's sign, which exp(-|x|) would flip."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))[()]
 
 
 def log1mexp(x):
-    """log(1 - exp(x)) for x < 0, switching forms at -log 2 for accuracy."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    small = x < -np.log(2.0)
-    out[small] = np.log1p(-np.exp(x[small]))
-    out[~small] = np.log(-np.expm1(x[~small]))
-    return out if out.ndim else float(out)
+    """log(1 - exp(x)) for x < 0, switching forms at -log 2 for accuracy.  Each
+    form runs on every element, clamped to its own side of the cut: unclamped,
+    log1p(-exp(x)) warns at log1p(-1) wherever exp(x) rounds to 1."""
+    x, cut = np.asarray(x, dtype=np.float64), -np.log(2.0)
+    return np.where(x < cut, np.log1p(-np.exp(np.minimum(x, cut))), np.log(-np.expm1(np.maximum(x, cut))))[()]

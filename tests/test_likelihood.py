@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -26,6 +27,40 @@ def log_tfd(s2, dt, params):
     for beta = 0 ``params``, with |dx|^2 = s2 + dt^2 so that s^2 = s2."""
     dt = np.asarray(dt, dtype=np.float64)
     return _likelihood(params, dt, s2 + dt * dt, 0.0, 0.0, 0.0)[4]
+
+
+def masked_sigmoid(x):
+    """`sigmoid` as first written: each sign of x on its own gathered copy."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def masked_log1mexp(x):
+    """`log1mexp` as first written: each side of -log 2 on its own gathered copy."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    small = x < -np.log(2.0)
+    out[small] = np.log1p(-np.exp(x[small]))
+    out[~small] = np.log(-np.expm1(x[~small]))
+    return out
+
+
+CUT = -math.log(2.0)
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, CUT, math.nextafter(CUT, -math.inf),
+         math.nextafter(CUT, 0.0), -1e-17, -(2.0**-60), 1e4, -1e4]
+
+
+def helper_inputs():
+    """The edge values, where exp(x) rounds to 1 included, and a random spread
+    over both signs and many magnitudes."""
+    rng = np.random.default_rng(0)
+    spread = np.exp(rng.uniform(-60.0, 10.0, 2_000))
+    return np.concatenate([EDGES, rng.normal(0.0, 30.0, 2_000), spread, -spread])
 
 
 def mp_log_fd(x, tau, u, alpha):
@@ -61,6 +96,44 @@ class TestParams:
         settings = {"tau1": 1.0, "tau2": 1.0, "u": 0.0, "alpha": 0.5, "alpha_prime": 0.5, name: value}
         with pytest.raises(ValueError, match=f"^{message}$"):
             TfdParams(**settings)
+
+
+class TestHelpers:
+    """`sigmoid` and `log1mexp` run one expression on every element; they must
+    keep the bits of the masked forms, signed zeros and NaNs included."""
+
+    @pytest.mark.parametrize("helper,masked", [(sigmoid, masked_sigmoid), (log1mexp, masked_log1mexp)])
+    def test_bits_match_the_masked_forms(self, helper, masked):
+        x = helper_inputs()
+        with np.errstate(all="ignore"):  # log1mexp is undefined at x >= 0, as before
+            assert np.array_equal(helper(x).view(np.int64), masked(x).view(np.int64))
+
+    @pytest.mark.parametrize("helper", [sigmoid, log1mexp])
+    def test_no_warning_below_zero(self, helper):
+        # An untaken branch must not warn either: unclamped, log1p(-exp(x))
+        # runs log1p(-1) at x = -1e-17, where exp(x) rounds to 1.
+        x = helper_inputs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            helper(x[x < 0])
+            for value in x[x < 0][:20]:
+                helper(float(value))
+
+    def test_log1mexp_warns_where_it_is_undefined(self):
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            assert log1mexp(0.0) == -math.inf
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert math.isnan(log1mexp(1.0))
+
+    @pytest.mark.parametrize(
+        "helper,masked,value",
+        [(sigmoid, masked_sigmoid, v) for v in (0.0, -0.0, math.inf, -math.inf, -1e-17, 1e4, -3.5, 2.5)]
+        + [(log1mexp, masked_log1mexp, v) for v in (-math.inf, CUT, -1e-17, -1e4, -3.5)],
+    )
+    def test_scalar_in_float_out(self, helper, masked, value):
+        out = helper(value)
+        assert isinstance(out, float)
+        assert np.array([out]).view(np.int64)[0] == masked([value]).view(np.int64)[0]
 
 
 class TestLogFd:
