@@ -133,7 +133,10 @@ def _screened(params: ModelParams, queries: np.ndarray, index: FilterIndex):
         for q in share:
             h, k, t = queries[q].tolist()
             phi, margin = screen(q)  # fresh arrays, shifted in place
-            phi -= phi[t]
+            # phi_t = phi_c = +inf gives inf - inf: the NaN leaves c undecided,
+            # and the exact comparison decides it.
+            with np.errstate(invalid="ignore"):
+                phi -= phi[t]
             margin += margin[t]
             keep[:] = True
             keep[index.tails(h, k)] = False
@@ -162,9 +165,10 @@ def _refuse_augmented(mode: EvalMode, augmented: bool) -> None:
 def _stored_negatives(params: ModelParams, split: np.ndarray, negatives: NegativesTable) -> np.ndarray:
     """The stored negatives of each triple's (head, relation), one row each,
     checked before any scoring: a missing list or one not `negatives.length`
-    long is refused by name, and every id by the id rule (`data._check_ids`),
-    each list's dtype before `np.stack` could promote a bool list among
-    integer ones."""
+    long is refused by name, and every id by the id rule (`data._check_ids`).
+    Each list that is not already signed is checked on its own, before the
+    int64 stack: a bool list's dtype, and a uint list's values, which the cast
+    would otherwise hide (2**63 wraps negative)."""
     lists = []
     for h, k, _ in split.tolist():
         entry = negatives.table.get((h, k))
@@ -176,10 +180,10 @@ def _stored_negatives(params: ModelParams, split: np.ndarray, negatives: Negativ
                 f"fixed negatives for head={h}, relation={k} hold {entry.size} tails, "
                 f"the table's length is {negatives.length}"
             )
-        if entry.dtype.kind not in "iu":
+        if entry.dtype.kind != "i":
             _check_ids(params, h, k, entry)
         lists.append(entry)
-    table = np.stack(lists)
+    table = np.stack(lists, dtype=np.int64)
     _check_ids(params, split[:, 0], split[:, 1], table)
     return table
 

@@ -350,6 +350,25 @@ class TestIdRule:
         with pytest.raises(TypeError, match=message):
             _train(protocol, valid=[("a", "r", "c"), ("b", "r", "d")])
 
+    @staticmethod
+    def _mixed_table(last, dtype=np.uint64):
+        table = {(0, 0): np.array([2, 3]), (1, 0): np.array([last, 1], dtype=dtype)}
+        return EvalProtocol(EvalMode.FIXED_NEGATIVES, NegativesTable(table, 2))
+
+    def test_uint_list_among_int64_lists_ranks_as_int64(self):
+        # Stacked as they come, int64 and uint64 promote to float64, which the
+        # id rule refuses although every id is valid.
+        split = [[0, 0, 1], [1, 0, 2]]
+        mixed = evaluate_split(make_random_model(), split, set(), self._mixed_table(4))
+        plain = evaluate_split(make_random_model(), split, set(), self._mixed_table(4, np.int64))
+        assert mixed.per_triple_ranks == plain.per_triple_ranks
+
+    @pytest.mark.parametrize("bad", [6, 2**63])
+    def test_uint_id_out_of_range_named_by_its_value(self, bad, no_scoring):
+        # Cast to int64 first, 2**63 would wrap to -2**63.
+        with pytest.raises(IndexError, match=rf"^tail id out of range \[0, 6\): \[{bad}\]$"):
+            evaluate_split(make_random_model(), [[0, 0, 1], [1, 0, 2]], set(), self._mixed_table(bad))
+
     def test_filter_index_tails_takes_ids_through_operator_index(self):
         # int(1.7) would return head 1's tails.  Python's own bool is an int
         # to operator.index, as it is to `in`; numpy's is not.

@@ -76,6 +76,14 @@ class TestFilteredRank:
         want = 1.0 + np.sum(scores > true_score) + 0.5 * np.sum(scores == true_score)
         assert rank_of(params, (0, 0, 1), set(), fixed) == want
 
+    def test_true_tail_tied_at_plus_inf_with_another(self):
+        # The screen computes inf - inf for entity 4; the NaN leaves it
+        # undecided, without a warning, and the exact tie counts half.
+        params = make_random_model(n_t=1, variant=Variant.DT, seed=0)
+        params.node_bias[1] = params.node_bias[4] = np.inf
+        rank = rank_of(params, (0, 0, 1), set(), EvalProtocol())
+        assert rank == brute_force_rank(params, (0, 0, 1), set()) == 1.5
+
     def test_all_tied_with_fixed_negatives(self):
         params = make_random_model(seed=0)
         params.coords[:] = 0.0
