@@ -51,13 +51,15 @@ def masked_log1mexp(x):
 
 
 CUT = -math.log(2.0)
-EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, CUT, math.nextafter(CUT, -math.inf),
-         math.nextafter(CUT, 0.0), -1e-17, -(2.0**-60), 1e4, -1e4]
+EDGES = [
+    *(0.0, -0.0, math.inf, -math.inf, math.nan, 1e4, -1e4),
+    *(CUT, math.nextafter(CUT, -math.inf), math.nextafter(CUT, 0.0)),
+    *(-1e-17, -(2.0**-60)),  # exp(x) rounds to 1
+]
 
 
 def helper_inputs():
-    """The edge values, where exp(x) rounds to 1 included, and a random spread
-    over both signs and many magnitudes."""
+    """The edge values and a random spread over both signs and many magnitudes."""
     rng = np.random.default_rng(0)
     spread = np.exp(rng.uniform(-60.0, 10.0, 2_000))
     return np.concatenate([EDGES, rng.normal(0.0, 30.0, 2_000), spread, -spread])
