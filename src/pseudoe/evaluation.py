@@ -112,8 +112,8 @@ def _screened(params: ModelParams, queries: np.ndarray, index: FilterIndex):
     `_screen` reads the entity table once for the whole batch, with matrix
     products that BLAS threads.  Its per-query decisions are shares, from
     `_SHARED_ENTITIES` entities up: each query is one item of `_in_shares`,
-    which finishes the query's screen and masks its filtered tails in a
-    buffer of its share's own.  No item calls `_in_shares` or BLAS.
+    which finishes the query's screen and writes its count and undecided ids
+    straight into the batch's arrays.  No item calls `_in_shares` or BLAS.
 
     The screen bounds every entity's exact score within its margin of its
     screened score, the true tail t's included, so a candidate c is better
@@ -121,37 +121,34 @@ def _screened(params: ModelParams, queries: np.ndarray, index: FilterIndex):
     sum.  The rounding of the difference, within eps (|phi_c| + |phi_t|), and
     of the sum, within eps (margin_c + margin_t), fits in the spare half of
     the two margins: each is twice its bound and at least 128 eps (1 + |phi|).
-    If phi_t or margin_t is infinite or NaN, so is every sum or difference (an
-    infinite phi_t makes margin_t infinite), no comparison holds, and every
-    unfiltered entity of the query is rescored, in `_CANDIDATE_BATCH` slices.
+    The filtered tails and t itself are pinned to phi = -inf, margin = 0:
+    decided, and not better.  The sum m of two margins is >= 0 or NaN, and
+    for such m, |phi| > m holds exactly when phi > m or phi < -m does, so
+    one comparison of |phi| finds every decided entity.  If phi_t or
+    margin_t is infinite or NaN, so is every sum or difference (an infinite
+    phi_t makes margin_t infinite), no comparison holds, and every unfiltered
+    entity of the query is rescored, in `_CANDIDATE_BATCH` slices.
     """
     screen = _screen(params, queries[:, 0], queries[:, 1])
+    better = np.zeros(len(queries), dtype=np.int64)
+    undecided = [None] * len(queries)
 
     def decide(share):
-        keep = np.empty(params.n_entities, dtype=bool)
-        decided = []
         for q in share:
             h, k, t = queries[q].tolist()
-            phi, margin = screen(q)  # fresh arrays, shifted in place
+            phi, margin = screen(q)  # fresh arrays, shifted and pinned in place
             # phi_t = phi_c = +inf gives inf - inf: the NaN leaves c undecided,
             # and the exact comparison decides it.
             with np.errstate(invalid="ignore"):
                 phi -= phi[t]
             margin += margin[t]
-            keep[:] = True
-            keep[index.tails(h, k)] = False
-            keep[t] = False  # the true triple is never its own competitor
-            above, below = phi > margin, phi < -margin
-            undecided = np.flatnonzero(keep & ~above & ~below)  # NaN differences included
-            decided.append((q, np.count_nonzero(keep & above), undecided))
-        return decided
+            out = np.append(index.tails(h, k), t)  # the true triple is never its own competitor
+            phi[out], margin[out] = -np.inf, 0.0
+            better[q] = np.count_nonzero(phi > margin)
+            undecided[q] = np.flatnonzero(~(np.abs(phi, out=phi) > margin))  # NaN differences included
 
-    better = np.zeros(len(queries), dtype=np.int64)
-    undecided = [None] * len(queries)
     width = params.n_entities if params.n_entities >= _SHARED_ENTITIES else 0  # 0: inline
-    for share in _in_shares(decide, range(len(queries)), width):
-        for q, above, rest in share:
-            better[q], undecided[q] = above, rest
+    _in_shares(decide, range(len(queries)), width)
     return better, undecided
 
 

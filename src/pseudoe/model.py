@@ -338,7 +338,10 @@ def _time_map(params: ModelParams, heads, rels, tails, lists):
     Each (heads[q], rels[q]) query owns one list of tails; its relation rows
     and the head's projection are computed once and gathered per tail.  dt
     is the time map of the translated side minus that of the scaled side,
-    (p_a + u) - r * p_b, with the sign of `_sides`.
+    (p_a + u) - r * p_b, with the sign of `_sides`.  For one query,
+    ``tails`` and ``lists`` may both be ``slice(None)``, every entity as its
+    one list: numpy broadcasts the relation row over a view of the table's
+    time columns, with the same bits, and a head projection stays one value.
     """
     n_t = params.n_t
     h = params.rel_h[rels]
@@ -510,7 +513,7 @@ def _screen(params: ModelParams, heads, rels):
     cross terms of every query as one matrix product, and the squared rows
     times each distinct weight row as another; no (N, n_x) temporary is
     formed.  dt and the biases are the kernel's own: `_time_map`, with every
-    entity as one list, and the same tables.
+    entity as one list (``slice(None)``), and the same tables.
 
     *The rounding bound.*  With eps = 2^-53 the unit roundoff and gamma_k =
     k eps / (1 - k eps), a dot product of length n computed in any order,
@@ -580,9 +583,8 @@ def _screen(params: ModelParams, heads, rels):
         np.matmul(weights, squared[:, n_t:].T, out=quad[:, rows])
     quad_norm = np.sqrt(quad)
 
-    # Every entity as one list of tails; |u| per query, with BLAS, here.
-    tails, one_list, tail_bias = np.arange(n), np.zeros(n, dtype=np.intp), np.abs(params.node_bias)
-    u_norm = [math.sqrt(row @ row) for row in u]
+    # |u| per query, with BLAS, here.
+    tail_bias, u_norm = np.abs(params.node_bias), [math.sqrt(row @ row) for row in u]
 
     def screen(q: int):
         head, rel = int(heads[q]), int(rels[q])
@@ -593,7 +595,7 @@ def _screen(params: ModelParams, heads, rels):
         dx2_err = 4.0 * gamma * (size * size)
 
         head_bias, rel_bias = params.node_bias[head], params.rel_c[rel]
-        _, dt = _time_map(params, heads[q : q + 1], rels[q : q + 1], tails, one_list)
+        _, dt = _time_map(params, heads[q : q + 1], rels[q : q + 1], slice(None), slice(None))
         z1, z2, z3, zw, log_p, phi = _likelihood(tfd, dt, query_dx2, head_bias, params.node_bias, rel_bias)
         z_size = 1.0 + np.abs(z1) + np.abs(z2) + np.abs(z3) + np.abs(zw)
         log_p_drift = dx2_err / tfd.tau1 + 2.0 * _LIBM_ULPS * _UNIT_ROUNDOFF * z_size

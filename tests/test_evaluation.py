@@ -84,6 +84,28 @@ class TestFilteredRank:
         rank = rank_of(params, (0, 0, 1), set(), EvalProtocol())
         assert rank == brute_force_rank(params, (0, 0, 1), set()) == 1.5
 
+    @pytest.mark.parametrize("bias", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_filtered_tail_with_non_finite_bias_is_pinned(self, monkeypatch, bias):
+        # Filtered tail 4 screens at NaN or +inf: it is neither counted better
+        # nor rescored, so its NaN is not refused, and the rank is brute
+        # force's over the unfiltered candidates.  The model of
+        # `TestScreen::test_likelihood_within_rounding_of_one` leaves every
+        # other candidate to the kernel.
+        params = make_random_model(n_entities=20, beta=1.0, u=5.0, tau1=0.1, sigma=0.01, seed=3)
+        params.node_bias[4] = bias
+        filter_set = {(0, 0, 1), (0, 0, 4), (0, 0, 6)}
+        scored = []
+
+        def score_ragged(params, heads, rels, tails, lists):
+            scored.extend(tails[len(heads) :].tolist())  # the candidates, after the true tails
+            return real(params, heads, rels, tails, lists)
+
+        real = evaluation._score_ragged
+        monkeypatch.setattr(evaluation, "_score_ragged", score_ragged)
+        rank = rank_of(params, (0, 0, 1), filter_set, EvalProtocol())
+        assert sorted(scored) == [c for c in range(20) if c != 1 and (0, 0, c) not in filter_set]
+        assert rank == brute_force_rank(params, (0, 0, 1), filter_set)
+
     def test_all_tied_with_fixed_negatives(self):
         params = make_random_model(seed=0)
         params.coords[:] = 0.0

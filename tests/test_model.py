@@ -243,6 +243,29 @@ class TestScoreLists:
         assert peak < 4 * tails.nbytes
 
 
+class TestTimeMap:
+    """Every entity as one query's list, given as ``slice(None)``, keeps the
+    bits of the gathered lists: the screen's margin assumes the kernel's own dt."""
+
+    @pytest.mark.parametrize("variant,n_t", [(Variant.DT, 1), (Variant.MT, 3), (Variant.MT, 41), (Variant.BOTH, 2)])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("cylinder", [None, 2.5])
+    def test_view_of_every_entity_bit_equal_to_gathered_lists(self, variant, n_t, swap, cylinder):
+        n = 3 * _TAIL_BLOCK + 5
+        params = make_random_model(
+            n_entities=n, n_relations=4, n_t=n_t, n_x=7, variant=variant, cylinder=cylinder, seed=7, swap=swap
+        )
+        everyone, one_list = np.arange(n), np.zeros(n, dtype=np.intp)
+        for head, rel in ((0, 0), (5, 2), (n - 1, 3)):
+            heads, rels = np.array([head]), np.array([rel])
+            proj, dt = model._time_map(params, heads, rels, slice(None), slice(None))
+            want_proj, want_dt = model._time_map(params, heads, rels, everyone, one_list)
+            assert dt.shape == (n,)
+            np.testing.assert_array_equal(dt.view(np.int64), want_dt.view(np.int64))
+            # Swapped, the scaled side is the head: its projection stays one value.
+            np.testing.assert_array_equal(np.broadcast_to(proj, (n,)).view(np.int64), want_proj.view(np.int64))
+
+
 class TestInit:
     def test_deterministic(self):
         geo = GeometryConfig(Signature(2, 3))
