@@ -59,14 +59,21 @@ HITS_AT = (1, 3, 10)
 
 @dataclass(frozen=True)
 class EvalProtocol:
-    """How candidates are chosen: every entity, or a stored list per query."""
+    """How candidates are chosen: every entity, or a stored list per query.
+
+    ``mode`` may be given by its value, e.g. ``"fixed"``; a negatives table
+    comes with the fixed-negatives mode and with no other.
+    """
 
     mode: EvalMode = EvalMode.FULL_FILTERED
     negatives: NegativesTable | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", EvalMode(self.mode))
         if self.mode is EvalMode.FIXED_NEGATIVES and self.negatives is None:
             raise ProtocolError("fixed-negatives evaluation requires a negatives table")
+        if self.mode is EvalMode.FULL_FILTERED and self.negatives is not None:
+            raise ProtocolError("full-filtered evaluation ranks every entity and takes no negatives table")
 
 
 @dataclass

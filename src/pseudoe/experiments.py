@@ -84,7 +84,7 @@ def run_direction(beta: float, seed: int = 10):
     time factors orient the chain; at beta = 1 the score is symmetric under
     head-tail exchange and the fraction collapses to one half.
     """
-    store, _, _ = chain_graph(seed=0)
+    store = chain_graph(seed=0)
     tfd = TfdParams(tau1=0.5, tau2=0.15, u=0.5, alpha=0.05, alpha_prime=1.0, beta=beta)
     config = TrainConfig(
         m_negatives=20, batch_size=32, learning_rate=0.05, optimizer=OptimizerKind.ADAM,
@@ -104,7 +104,7 @@ def run_bias_degree(seed: int = 3):
     components against edge degree, the node-level bias/degree correlation,
     and the trained model plus store for follow-up probes.
     """
-    store, _, _ = degree_skewed_graph(seed=0)
+    store = degree_skewed_graph(seed=0)
     degrees = store.entity_degrees()
     tfd = TfdParams(tau1=0.5, tau2=0.5, u=0.5, alpha=0.2, alpha_prime=1.0, beta=0.1)
     config = TrainConfig(

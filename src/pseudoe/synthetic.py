@@ -2,8 +2,9 @@
 
 Three families: a directed tree plus symmetric cliques (memorization target),
 directed chains (direction-sensitivity target) and a Zipf-weighted random
-digraph (degree-skew target for the bias analysis).  Generators return string
-triples so they round-trip through the normal data pipeline.
+digraph (degree-skew target for the bias analysis).  Each store is built from
+string triples through the normal data pipeline; `tree_clique_graph` also
+returns its triples, for writing a dataset to disk.
 """
 
 from __future__ import annotations
@@ -62,10 +63,9 @@ def tree_clique_graph(
     return store, train, valid
 
 
-def chain_graph(
-    n_chains: int = 2, chain_length: int = 25, seed: int = 0
-) -> tuple[TripleStore, list, list]:
-    """Directed chains with skip links, all under a single ``precedes`` relation.
+def chain_graph(seed: int = 0) -> TripleStore:
+    """Two directed chains of 25 nodes with skip links, all under a single
+    ``precedes`` relation.
 
     Each chain keeps its full backbone i -> i+1 in training; the skip edges
     i -> i+2 are split between training and holdout.  The backbone orders
@@ -73,22 +73,20 @@ def chain_graph(
     can orient the held-out skips without ever seeing them.
     """
     rng = np.random.default_rng(seed)
-    train, held = [], []
-    for c in range(n_chains):
+    chain_length, train, held = 25, [], []
+    for c in range(2):
         names = [f"c{c}_{i}" for i in range(chain_length)]
         for i in range(chain_length - 1):
             train.append((names[i], "precedes", names[i + 1]))
         for i in range(chain_length - 2):
             edge = (names[i], "precedes", names[i + 2])
             (held if rng.random() < 0.5 else train).append(edge)
-    store = build_store(train, held, held)
-    return store, train, held
+    return build_store(train, held, held)
 
 
-def degree_skewed_graph(
-    n_nodes: int = 200, n_edges: int = 1200, n_clusters: int = 10, seed: int = 0
-) -> tuple[TripleStore, list, list]:
-    """Clustered digraph with Zipf-weighted endpoints under one ``links`` relation.
+def degree_skewed_graph(seed: int = 0) -> TripleStore:
+    """1,200 edges over 200 nodes in 10 clusters, with Zipf-weighted
+    endpoints, under one ``links`` relation.
 
     Edges mostly stay within a cluster (geometric structure for the distance
     term to capture) while endpoint popularity follows a heavy-tailed Zipf
@@ -96,6 +94,7 @@ def degree_skewed_graph(
     bias terms to capture).  Popularity ranks are shuffled so degree does
     not correlate with cluster id.
     """
+    n_nodes, n_clusters = 200, 10
     rng = np.random.default_rng(seed)
     weights = 1.0 / np.arange(1, n_nodes + 1)
     weights = rng.permutation(weights / weights.sum())
@@ -104,7 +103,7 @@ def degree_skewed_graph(
     names = [f"v{i}" for i in range(n_nodes)]
     seen = set()
     triples = []
-    while len(triples) < n_edges:
+    while len(triples) < 1200:
         h = int(rng.choice(n_nodes, p=weights))
         if rng.random() < 0.9:
             pool = members[cluster[h]]
@@ -117,5 +116,4 @@ def degree_skewed_graph(
         seen.add((h, t))
         triples.append((names[h], "links", names[t]))
     train, valid = holdout_split(triples, rng, valid_fraction=0.15, from_train=False)
-    store = build_store(train, valid, valid)
-    return store, train, valid
+    return build_store(train, valid, valid)

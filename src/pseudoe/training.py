@@ -200,8 +200,10 @@ def sample_negatives_batch(
     Replacements are uniform over the whole entity vocabulary, sampled
     independently; duplicates and accidental true triples are allowed.
     BOTH mode corrupts the tail in the first m/2 slots and the head in the
-    rest; TAIL_ONLY corrupts the tail in all m.
+    rest; TAIL_ONLY corrupts the tail in all m.  ``mode`` may be given by
+    its value, e.g. ``"tail_only"``.
     """
+    mode = NegativeMode(mode)
     if m % 2 != 0 or m < 0:
         raise ValueError(f"m must be a non-negative even integer, got {m}")
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)

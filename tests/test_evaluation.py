@@ -175,6 +175,29 @@ class TestFilteredRank:
         with pytest.raises(ProtocolError):
             EvalProtocol(mode=EvalMode.FIXED_NEGATIVES)
 
+    def test_protocol_mode_by_value(self):
+        # "fixed" ranks against the stored list, as the enum member does.
+        params = make_random_model(n_entities=8, seed=0)
+        negatives = NegativesTable({(0, 0): np.array([2, 5])}, 2)
+        by_value = EvalProtocol(mode="fixed", negatives=negatives)
+        assert by_value.mode is EvalMode.FIXED_NEGATIVES
+        want = rank_of(params, (0, 0, 1), set(), EvalProtocol(EvalMode.FIXED_NEGATIVES, negatives))
+        assert rank_of(params, (0, 0, 1), set(), by_value) == want
+        assert EvalProtocol(mode="full").mode is EvalMode.FULL_FILTERED
+        with pytest.raises(ProtocolError, match="requires a negatives table"):
+            EvalProtocol(mode="fixed")
+        with pytest.raises(ValueError, match="'bogus' is not a valid EvalMode"):
+            EvalProtocol(mode="bogus")
+
+    def test_full_protocol_refuses_a_table(self):
+        # Full-filtered ranking would ignore the stored lists without a word.
+        negatives = NegativesTable({(0, 0): np.array([2, 5])}, 2)
+        for mode in (EvalMode.FULL_FILTERED, "full"):
+            with pytest.raises(ProtocolError, match="^full-filtered evaluation ranks every entity and takes no"):
+                EvalProtocol(mode=mode, negatives=negatives)
+        with pytest.raises(ProtocolError, match="takes no negatives table"):
+            EvalProtocol(negatives=negatives)
+
     def test_filtering_monotone(self):
         params = make_random_model(seed=13)
         triple = (0, 0, 3)

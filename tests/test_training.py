@@ -91,6 +91,15 @@ class TestSampleNegatives:
         negs = sample_negatives_batch(np.array([[2, 1, 4]]), 6, NegativeMode.TAIL_ONLY, rng, 10)[0].tolist()
         assert all(h == 2 and k == 1 for h, k, _ in negs)
 
+    def test_mode_by_value(self):
+        # "tail_only" corrupts only tails, as the enum member does.
+        batch = np.array([[2, 1, 4], [3, 0, 5]])
+        for mode in NegativeMode:
+            got = sample_negatives_batch(batch, 6, mode.value, np.random.default_rng(3), 10)
+            np.testing.assert_array_equal(got, sample_negatives_batch(batch, 6, mode, np.random.default_rng(3), 10))
+        with pytest.raises(ValueError, match="'nonsense' is not a valid NegativeMode"):
+            sample_negatives_batch(batch, 6, "nonsense", np.random.default_rng(3), 10)
+
     def test_uniform_over_vocabulary(self):
         rng = np.random.default_rng(99)
         n, draws = 10, 100_000
