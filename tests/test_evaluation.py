@@ -16,6 +16,9 @@ from pseudoe.evaluation import (
     aggregate,
     beta_sweep,
     evaluate_split,
+    format_report,
+    write_report_csv,
+    write_sweep_csv,
 )
 from pseudoe.evaluation import _QUERY_BATCH
 from pseudoe.model import _TAIL_BLOCK, _screen, score_many, score_tails
@@ -458,6 +461,19 @@ class TestAggregate:
         total = sum(s.count for s in report.per_relation.values())
         assert weighted / total == pytest.approx(report.mrr, abs=1e-12)
 
+    def test_per_relation_figures_are_means_over_its_ranks_in_input_order(self):
+        # Bit for bit: each relation's figures are np.mean over exactly the
+        # array of its ranks, in the order the pairs came.
+        rng = np.random.default_rng(11)
+        ranks = [((i, int(rng.integers(0, 7)), 0), float(rng.integers(2, 400)) / 2) for i in range(1000)]
+        report = aggregate(ranks)
+        assert list(report.per_relation) == sorted({k for (_, k, _), _ in ranks})
+        for k, stats in report.per_relation.items():
+            r = np.asarray([rank for (_, rel, _), rank in ranks if rel == k])
+            assert stats.count == r.size
+            assert stats.mrr == float(np.mean(1.0 / r))
+            assert stats.hits == {c: float(np.mean(r <= c)) for c in (1, 3, 10)}
+
 
 class TestEvaluateSplit:
     def test_separable_model_is_perfect(self):
@@ -631,3 +647,63 @@ class TestBetaSweep:
         params = make_random_model(seed=6)
         with pytest.raises(ValueError, match="beta 0.5: models must be >= 1, got 0"):
             beta_sweep([(0.0, [params]), (0.5, iter([]))], self.split, set())
+
+
+class TestReportFiles:
+    """The exact bytes of the text report, `report.csv` and `sweep.csv`."""
+
+    report = aggregate(
+        [((0, 2, 1), 1.0), ((1, 0, 2), 2.5), ((2, 2, 3), 11.0), ((3, 1, 0), 3.0), ((4, 0, 1), 1.5), ((5, 2, 0), 7.0)]
+    )
+    names = {0: "parent_of", 1: "same_group", 2: "inv:parent_of"}.get
+
+    def test_text_report(self):
+        overall = (
+            "triples  mrr      hits@1     hits@3     hits@10  \n"
+            "6        0.4390   0.1667     0.6667     0.8333   "
+        )
+        assert format_report(self.report) == overall
+        assert format_report(self.report, self.names, per_relation=True) == overall + (
+            "\n\n"
+            "relation                         count  mrr      hits@10\n"
+            "parent_of                        2      0.5333   1.0000\n"
+            "same_group                       1      0.3333   1.0000\n"
+            "inv:parent_of                    3      0.4113   0.6667"
+        )
+        assert format_report(self.report, per_relation=True).splitlines()[-3:] == [
+            "0                                2      0.5333   1.0000",
+            "1                                1      0.3333   1.0000",
+            "2                                3      0.4113   0.6667",
+        ]
+
+    def test_report_csv(self, tmp_path):
+        write_report_csv(self.report, tmp_path / "named.csv", self.names)
+        assert (tmp_path / "named.csv").read_bytes() == (
+            b"relation,count,mrr,hits1,hits3,hits10\r\n"
+            b"ALL,6,0.438961039,0.1666666667,0.6666666667,0.8333333333\r\n"
+            b"parent_of,2,0.5333333333,0,1,1\r\n"
+            b"same_group,1,0.3333333333,0,1,1\r\n"
+            b"inv:parent_of,3,0.4112554113,0.3333333333,0.3333333333,0.6666666667\r\n"
+        )
+        write_report_csv(self.report, tmp_path / "ids.csv")
+        assert (tmp_path / "ids.csv").read_bytes().splitlines()[2:] == [
+            b"0,2,0.5333333333,0,1,1",
+            b"1,1,0.3333333333,0,1,1",
+            b"2,3,0.4112554113,0.3333333333,0.3333333333,0.6666666667",
+        ]
+
+    def test_sweep_csv(self, tmp_path):
+        rows = [(0.0, 0, 0.25, 0.0), (0.5, 2, 1 / 3, 0.125), (1.0, 1, 0.1, 1 / 7)]
+        write_sweep_csv(rows, tmp_path / "named.csv", self.names)
+        assert (tmp_path / "named.csv").read_bytes() == (
+            b"beta,relation,mrr,sd\r\n"
+            b"0,parent_of,0.25,0\r\n"
+            b"0.5,inv:parent_of,0.3333333333,0.125\r\n"
+            b"1,same_group,0.1,0.1428571429\r\n"
+        )
+        write_sweep_csv(rows, tmp_path / "ids.csv")
+        assert (tmp_path / "ids.csv").read_bytes().splitlines()[1:] == [
+            b"0,0,0.25,0",
+            b"0.5,2,0.3333333333,0.125",
+            b"1,1,0.1,0.1428571429",
+        ]

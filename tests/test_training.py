@@ -29,6 +29,7 @@ from pseudoe.training import (
     SgdOptimizer,
     Sm3Optimizer,
     TrainConfig,
+    TrainLogRow,
     _loss_and_gradients,
     _Segments,
     _take,
@@ -38,6 +39,7 @@ from pseudoe.training import (
     nll_loss,
     sample_negatives_batch,
     train,
+    write_log_csv,
 )
 
 from gradcheck import max_gradient_mismatch
@@ -633,6 +635,17 @@ class TestTrainConfig:
     def test_augmentation_forces_tail_only(self):
         assert TrainConfig(augment_reverse=True).negative_mode is NegativeMode.TAIL_ONLY
         assert TrainConfig(augment_reverse=False).negative_mode is NegativeMode.BOTH
+
+
+def test_log_csv_bytes(tmp_path):
+    # An epoch without validation leaves its two validation fields empty.
+    log = [TrainLogRow(1, 7.865912345678, None, None, 0.12345), TrainLogRow(2, 7.8270001, 1 / 9.5, 0.25, 1.5)]
+    write_log_csv(log, tmp_path / "log.csv")
+    assert (tmp_path / "log.csv").read_bytes() == (
+        b"epoch,mean_loss,val_mrr,val_hits10,wall_seconds\r\n"
+        b"1,7.865912346,,,0.123\r\n"
+        b"2,7.8270001,0.1052631579,0.25,1.500\r\n"
+    )
 
 
 @pytest.fixture(scope="module")
