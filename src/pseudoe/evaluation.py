@@ -254,28 +254,22 @@ def _filter_index(params: ModelParams, filter_set) -> FilterIndex:
     return filter_set
 
 
+def _stats(ranks: np.ndarray) -> tuple[float, dict[int, float]]:
+    """MRR and hits@k at `HITS_AT` of an array of ranks."""
+    return float(np.mean(1.0 / ranks)), {k: float(np.mean(ranks <= k)) for k in HITS_AT}
+
+
 def aggregate(ranks) -> RankReport:
     """MRR, hits@k at `HITS_AT` and per-relation breakdown from (triple, rank) pairs."""
     ranks = list(ranks)
     if not ranks:
         raise ValueError("cannot aggregate an empty rank list")
     values = np.asarray([r for _, r in ranks], dtype=np.float64)
-    recip = 1.0 / values
-    report = RankReport(
-        per_triple_ranks=ranks,
-        mrr=float(recip.mean()),
-        hits_at={k: float(np.mean(values <= k)) for k in HITS_AT},
-    )
-    by_rel: dict[int, list[float]] = defaultdict(list)
-    for (h, k, t), r in ranks:
-        by_rel[int(k)].append(r)
-    for k, rel_ranks in sorted(by_rel.items()):
-        arr = np.asarray(rel_ranks)
-        report.per_relation[k] = RelationStats(
-            mrr=float(np.mean(1.0 / arr)),
-            hits={c: float(np.mean(arr <= c)) for c in HITS_AT},
-            count=arr.size,
-        )
+    rels = np.asarray([k for (_, k, _), _ in ranks])
+    report = RankReport(ranks, *_stats(values))
+    for k in np.unique(rels):
+        rel_ranks = values[rels == k]  # in input order
+        report.per_relation[int(k)] = RelationStats(*_stats(rel_ranks), count=rel_ranks.size)
     return report
 
 
@@ -342,44 +336,46 @@ def beta_sweep(
     return rows
 
 
+def _relation_rows(report: RankReport, relation_names):
+    """(name, stats) of each relation of ``report`` in id order, named by id without ``relation_names``."""
+    names = relation_names or str
+    for rel, stats in report.per_relation.items():
+        yield names(rel), stats
+
+
 def format_report(report: RankReport, relation_names=None, per_relation: bool = False) -> str:
     """Human-readable metrics table."""
-    ks = sorted(report.hits_at)
-    lines = ["triples  mrr      " + "  ".join(f"hits@{k:<4d}" for k in ks)]
-    hits = "  ".join(f"{report.hits_at[k]:<9.4f}" for k in ks)
+    lines = ["triples  mrr      " + "  ".join(f"hits@{k:<4d}" for k in HITS_AT)]
+    hits = "  ".join(f"{report.hits_at[k]:<9.4f}" for k in HITS_AT)
     lines.append(f"{len(report.per_triple_ranks):<8d} {report.mrr:<8.4f} {hits}")
     if per_relation:
         lines.append("")
         lines.append("relation                         count  mrr      hits@10")
-        for rel, stats in report.per_relation.items():
-            name = relation_names(rel) if relation_names else str(rel)
+        for name, stats in _relation_rows(report, relation_names):
             lines.append(f"{name:<32s} {stats.count:<6d} {stats.mrr:<8.4f} {stats.hits.get(10, float('nan')):.4f}")
     return "\n".join(lines)
 
 
-def write_report_csv(report: RankReport, path, relation_names=None) -> None:
-    """CSV with one ALL row plus one row per relation: relation, count, mrr, hits1, hits3, hits10."""
-    ks = sorted(report.hits_at)
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` as a CSV file at ``path``."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["relation", "count", "mrr"] + [f"hits{k}" for k in ks])
-        w.writerow(
-            ["ALL", len(report.per_triple_ranks), f"{report.mrr:.10g}"]
-            + [f"{report.hits_at[k]:.10g}" for k in ks]
-        )
-        for rel, stats in report.per_relation.items():
-            name = relation_names(rel) if relation_names else str(rel)
-            w.writerow(
-                [name, stats.count, f"{stats.mrr:.10g}"]
-                + [f"{stats.hits.get(k, float('nan')):.10g}" for k in ks]
-            )
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_report_csv(report: RankReport, path, relation_names=None) -> None:
+    """CSV with one ALL row plus one row per relation: relation, count, mrr, hits1, hits3, hits10."""
+    overall = RelationStats(report.mrr, report.hits_at, len(report.per_triple_ranks))
+    rows = [
+        [name, stats.count, f"{stats.mrr:.10g}"] + [f"{stats.hits.get(k, float('nan')):.10g}" for k in HITS_AT]
+        for name, stats in [("ALL", overall), *_relation_rows(report, relation_names)]
+    ]
+    _write_csv(path, ["relation", "count", "mrr"] + [f"hits{k}" for k in HITS_AT], rows)
 
 
 def write_sweep_csv(rows, path, relation_names=None) -> None:
     """Tidy CSV of beta-sweep rows: beta, relation, mrr, sd."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["beta", "relation", "mrr", "sd"])
-        for beta, rel, mrr, sd in rows:
-            name = relation_names(rel) if relation_names else str(rel)
-            w.writerow([f"{beta:.10g}", name, f"{mrr:.10g}", f"{sd:.10g}"])
+    names = relation_names or str
+    lines = [[f"{beta:.10g}", names(rel), f"{mrr:.10g}", f"{sd:.10g}"] for beta, rel, mrr, sd in rows]
+    _write_csv(path, ["beta", "relation", "mrr", "sd"], lines)

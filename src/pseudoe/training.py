@@ -45,7 +45,6 @@ a step is the same for any number of CPUs.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import time
@@ -578,19 +577,17 @@ class TrainLogRow:
 
 def write_log_csv(log: list[TrainLogRow], path) -> None:
     """Training log as CSV: epoch, mean_loss, val_mrr, val_hits10, wall_seconds."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "mean_loss", "val_mrr", "val_hits10", "wall_seconds"])
-        for row in log:
-            w.writerow(
-                [
-                    row.epoch,
-                    f"{row.mean_loss:.10g}",
-                    "" if row.val_mrr is None else f"{row.val_mrr:.10g}",
-                    "" if row.val_hits10 is None else f"{row.val_hits10:.10g}",
-                    f"{row.wall_seconds:.3f}",
-                ]
-            )
+    rows = [
+        [
+            row.epoch,
+            f"{row.mean_loss:.10g}",
+            "" if row.val_mrr is None else f"{row.val_mrr:.10g}",
+            "" if row.val_hits10 is None else f"{row.val_hits10:.10g}",
+            f"{row.wall_seconds:.3f}",
+        ]
+        for row in log
+    ]
+    evaluation._write_csv(path, ["epoch", "mean_loss", "val_mrr", "val_hits10", "wall_seconds"], rows)
 
 
 def train(
