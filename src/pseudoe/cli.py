@@ -93,19 +93,24 @@ def _parse_value(key: str, raw):
 
 
 def _read_config_file(path) -> dict:
-    values = {}
+    """The settings of a ``key = value`` file; each key may appear once."""
+    values, first_line = {}, {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, eq, raw = line.partition("=")
+            key = key.strip()
             try:
                 if not eq:
                     raise ValueError("expected 'key = value'")
-                values[key.strip()] = _parse_value(key.strip(), raw)
+                if key in first_line:
+                    raise ValueError(f"key {key!r} repeated (first on line {first_line[key]})")
+                values[key] = _parse_value(key, raw)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            first_line[key] = lineno
     return values
 
 

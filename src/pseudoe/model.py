@@ -27,6 +27,7 @@ scaling for degree debiasing and the binary checkpoint format.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -106,6 +107,17 @@ class InitConfig:
     def __post_init__(self) -> None:
         if not self.sigma_init > 0:
             raise ValueError(f"sigma_init must be positive, got {self.sigma_init}")
+        _check_count("seed", self.seed, 0)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse ``value`` unless it is an integer, a numpy one included, of at least ``least`` (0 or 1)."""
+    try:
+        ok = operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a {'non-negative' if least == 0 else 'positive'} integer, got {value}")
 
 
 @dataclass

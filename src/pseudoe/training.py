@@ -56,7 +56,7 @@ import numpy as np
 from . import evaluation
 from .data import _check_triple_ids, augmented_store
 from .likelihood import sigmoid, softplus
-from .model import FROZEN, TABLES, _TAIL_BLOCK, InitConfig, ModelParams, _forward, _in_shares, _sides
+from .model import FROZEN, TABLES, _TAIL_BLOCK, InitConfig, ModelParams, _check_count, _forward, _in_shares, _sides
 from .model import init as model_init
 from .relmaps import Variant
 
@@ -122,11 +122,11 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "optimizer", OptimizerKind(self.optimizer))
-        if self.m_negatives <= 0 or self.m_negatives % 2 != 0:
+        for name in ("m_negatives", "batch_size", "max_epochs", "eval_every", "patience"):
+            _check_count(name, getattr(self, name), 1)
+        _check_count("seed", self.seed, 0)
+        if self.m_negatives % 2 != 0:
             raise ValueError(f"m_negatives must be a positive even integer, got {self.m_negatives}")
-        for name in ("batch_size", "max_epochs", "eval_every", "patience"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be a positive real, got {self.learning_rate}")
 

@@ -67,6 +67,7 @@ class TestResolveConfig:
             ("# comment\n\nnot_a_key = 1\n", "unknown configuration key 'not_a_key'"),
             ("seed = 3\nswap_transforms = maybe\n", "swap_transforms: expected a boolean, got 'maybe'"),
             ("seed 3\n", "expected 'key = value'"),
+            ("n_x = 8\nn_x = 16\n", "key 'n_x' repeated (first on line 1)"),
         ):
             cfg.write_text(text, encoding="utf-8")
             lineno = len(text.splitlines())
@@ -511,6 +512,7 @@ class TestSweepAndStats:
             ("tau1", "inf", "a positive real"),
             ("tau2", "inf", "a positive real"),
             ("learning_rate", "inf", "a positive real"),
+            ("seed", "-1", "a non-negative integer"),
         ):
             assert main(train + ["--set", key, value]) == 1
             assert capsys.readouterr().err == f"error: {key} must be {rule}, got {value}\n"

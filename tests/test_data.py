@@ -43,9 +43,11 @@ class TestLoadTriples:
         assert len(load_triples(p)) == 2
 
     def test_arity_error_names_line(self, tmp_path):
-        p = write(tmp_path / "t.txt", "a\tr\n")
-        with pytest.raises(ParseError, match=":1"):
-            load_triples(p)
+        # A line of spaces is not empty, so it is refused, not skipped.
+        for text, lineno, columns in (("a\tr\n", 1, 2), ("a\tr\tb\n   \n", 2, 1)):
+            p = write(tmp_path / "t.txt", text)
+            with pytest.raises(ParseError, match=f"t.txt:{lineno}: expected 3 tab-separated columns, got {columns}$"):
+                load_triples(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

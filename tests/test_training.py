@@ -621,6 +621,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("batch_size", 2.5), ("eval_every", 2.5), ("m_negatives", 4.0), ("patience", 0.5), ("seed", 1.5), ("seed", -1)],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        # eval_every = 2.5 would validate every 5 epochs, batch_size = 2.5
+        # fail inside range; a numpy integer is an integer.
+        rule = "a non-negative integer" if name == "seed" else "a positive integer"
+        with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {value}$"):
+            TrainConfig(**{name: value})
+        if name == "seed":
+            with pytest.raises(ValueError, match=f"^seed must be {rule}, got {value}$"):
+                InitConfig(0.1, seed=value)
+        assert getattr(TrainConfig(**{name: np.int64(2)}), name) == 2
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_learning_rate_refused(self, value):
         with pytest.raises(ValueError, match=f"^learning_rate must be a positive real, got {value}$"):
