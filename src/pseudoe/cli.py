@@ -155,18 +155,25 @@ def _run_settings(config: RunConfig):
     )
 
 
-def _protocol(kind: str, negatives: str | None, store, augmented: bool, split: str) -> EvalProtocol:
-    """The evaluation protocol ``kind`` over ``store``, which holds reversed
-    triples when ``augmented``, for ranking its split ``split``: the rules of
-    every command.  A negatives file belongs to the fixed protocol and must
-    cover every (head, relation) pair of that split, checked before any work."""
+def _run_store(config: RunConfig):
+    """The dataset of ``config``, with reversed triples when ``augment_reverse``
+    is set: the one store that `train` and `sweep-beta` train and rank on."""
+    store = load_dataset(config.data)
+    return augmented_store(store) if config.augment_reverse else store
+
+
+def _protocol(kind: str, negatives: str | None, store, split: str) -> EvalProtocol:
+    """The evaluation protocol ``kind`` over ``store`` for ranking its split
+    ``split``: the rules of every command.  A negatives file belongs to the
+    fixed protocol and must cover every (head, relation) pair of that split,
+    checked before any work."""
     if kind == "full":
         if negatives is not None:
             raise ValueError(f"negatives file {negatives} given, but protocol 'full' ranks every entity")
         return EvalProtocol()
     if kind != "fixed":
         raise ValueError(f"unknown protocol {kind!r} (expected 'full' or 'fixed')")
-    evaluation._refuse_augmented(EvalMode.FIXED_NEGATIVES, augmented)
+    evaluation._refuse_augmented(EvalMode.FIXED_NEGATIVES, store.augmented)
     if negatives is None:
         raise ValueError("fixed-negatives protocol requires a negatives file")
     table = load_negatives(negatives, store)
@@ -183,17 +190,16 @@ def _protocol(kind: str, negatives: str | None, store, augmented: bool, split: s
 
 
 def _load_model(checkpoint, data, gamma_b: float = 1.0):
-    """The checkpoint's model with its node biases scaled by ``gamma_b``, the
-    dataset it scores, augmented when the model has twice the dataset's
-    relations, and whether it is."""
+    """The checkpoint's model with its node biases scaled by ``gamma_b`` and
+    the dataset it scores, augmented when the model has twice the dataset's
+    relations."""
     params = load_checkpoint(checkpoint)
     store = load_dataset(data)
     if params.n_entities != store.n_entities:
         raise ValueError(
             f"checkpoint has {params.n_entities} entities but the dataset has {store.n_entities}"
         )
-    augmented = params.n_relations == 2 * store.n_relations
-    if augmented:
+    if params.n_relations == 2 * store.n_relations:
         store = augmented_store(store)
     elif params.n_relations != store.n_relations:
         raise ValueError(
@@ -201,13 +207,13 @@ def _load_model(checkpoint, data, gamma_b: float = 1.0):
         )
     if gamma_b != 1.0:
         params = scale_node_bias(params, gamma_b)
-    return params, store, augmented
+    return params, store
 
 
 def cmd_train(args) -> int:
     config = resolve_config(args.preset, args.config, _collect_overrides(args))
     train_cfg, tfd, geometry, init_cfg, variant = _run_settings(config)
-    store = load_dataset(config.data)
+    store = _run_store(config)
     params, log = training.train(
         store,
         train_cfg,
@@ -215,7 +221,7 @@ def cmd_train(args) -> int:
         tfd,
         variant,
         init_cfg=init_cfg,
-        protocol=_protocol(config.protocol, config.negatives, store, config.augment_reverse, "valid"),
+        protocol=_protocol(config.protocol, config.negatives, store, "valid"),
         swap_transforms=config.swap_transforms,
     )
     out = Path(config.out)
@@ -229,8 +235,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    params, store, augmented = _load_model(args.checkpoint, args.data, args.gamma_b)
-    protocol = _protocol(args.protocol, args.negatives, store, augmented, args.split)
+    params, store = _load_model(args.checkpoint, args.data, args.gamma_b)
+    protocol = _protocol(args.protocol, args.negatives, store, args.split)
     report = evaluation.evaluate_split(params, store.splits[args.split], store.filter_index, protocol)
     text = evaluation.format_report(report, store.id_to_relation.get, per_relation=args.per_relation)
     print(text)
@@ -253,7 +259,7 @@ def _resolve_name(name: str, vocab: dict, what: str) -> int:
 def cmd_rank(args) -> int:
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
-    params, store, _ = _load_model(args.checkpoint, args.data, args.gamma_b)
+    params, store = _load_model(args.checkpoint, args.data, args.gamma_b)
     head = _resolve_name(args.head, store.entity_to_id, "entity")
     rel = _resolve_name(args.relation, store.relation_to_id, "relation")
     scores = score_tails(params, head, rel, np.arange(params.n_entities))
@@ -285,14 +291,12 @@ def cmd_sweep_beta(args) -> int:
     if args.checkpoint:
         if args.repeats > 1:
             raise ValueError("--repeats applies only to retraining; a checkpoint is rescored once per beta")
-        params, store, augmented = _load_model(args.checkpoint, config.data)
+        params, store = _load_model(args.checkpoint, config.data)
         tfd = params.tfd  # the model's own likelihood settings; only beta changes
     else:
-        data = load_dataset(config.data)
-        augmented = config.augment_reverse
-        store = augmented_store(data) if augmented else data
+        store = _run_store(config)
     tfds = [dataclasses.replace(tfd, beta=_beta(b)) for b in args.betas.split(",")]
-    protocol = _protocol(config.protocol, config.negatives, store, augmented, "valid")
+    protocol = _protocol(config.protocol, config.negatives, store, "valid")
 
     def models(tfd):
         """The checkpoint rescored under ``tfd``, or ``--repeats`` models trained under it."""
@@ -301,7 +305,7 @@ def cmd_sweep_beta(args) -> int:
             return
         for seed in range(config.seed, config.seed + args.repeats):
             trained, _ = training.train(
-                data,
+                store,
                 dataclasses.replace(train_cfg, seed=seed),
                 geometry,
                 tfd,

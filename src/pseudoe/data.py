@@ -8,8 +8,9 @@ union of all splits, held as a `FilterIndex` of sorted integer codes.  Fixed
 negative candidate lists (one line per (head, relation) pair, negatives
 comma-separated) support the fixed-negatives evaluation protocol.  This
 module alone turns names into ids and adds reversed triples: relation k's
-inverse is k + n_relations, named ``inv:<name>``.  Its `_check_ids` is the
-one rule for ids, run once where each input enters the program.
+inverse is k + n_relations, named ``inv:<name>``, and the store it returns
+records that it is augmented.  Its `_check_ids` is the one rule for ids, run
+once where each input enters the program.
 """
 
 from __future__ import annotations
@@ -123,12 +124,14 @@ class FilterIndex:
 
 @dataclass
 class TripleStore:
-    """Integer-encoded triples with bidirectional vocabularies and a filter index."""
+    """Integer-encoded triples with bidirectional vocabularies and a filter
+    index; ``augmented``, set by `augmented_store` alone, marks reversed triples."""
 
     entity_to_id: dict[str, int]
     relation_to_id: dict[str, int]
     splits: dict[str, np.ndarray]
     filter_index: FilterIndex
+    augmented: bool = False
 
     def __post_init__(self) -> None:
         self.id_to_entity = {i: name for name, i in self.entity_to_id.items()}
@@ -309,4 +312,4 @@ def augmented_store(store: TripleStore) -> TripleStore:
         relation_to_id[inv] = k + n_r
     splits = {name: augment_reverse(rows, n_r) for name, rows in store.splits.items()}
     filter_index = FilterIndex(np.concatenate(list(splits.values())), store.n_entities, 2 * n_r)
-    return TripleStore(dict(store.entity_to_id), relation_to_id, splits, filter_index)
+    return TripleStore(dict(store.entity_to_id), relation_to_id, splits, filter_index, augmented=True)

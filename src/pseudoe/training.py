@@ -5,10 +5,9 @@ The loss over a batch of observed triples is
     L = -sum_pos [ log sigmoid(phi(pos)) + sum_neg log(1 - sigmoid(phi(neg))) ]
 
 with m uniformly drawn corruptions per positive: m/2 head and m/2 tail
-replacements, or all m on the tail when reversed-triple augmentation
-(`data.augmented_store`) is on (the reversed triples already cover the head
-direction, so the head-corruption term is dropped; this coupling is
-enforced).
+replacements, or all m on the tail when the store holds reversed triples
+(``store.augmented``, set by `data.augmented_store`): they already cover the
+head direction, so the head-corruption term is dropped.
 
 Gradients are exact, hand-derived chain-rule expressions through the score
 pipeline.  Each table's rows are summed per entity or relation in the order
@@ -54,7 +53,7 @@ from enum import Enum
 import numpy as np
 
 from . import evaluation
-from .data import _check_triple_ids, augmented_store
+from .data import _check_triple_ids
 from .likelihood import sigmoid, softplus
 from .model import FROZEN, TABLES, _TAIL_BLOCK, InitConfig, ModelParams, _check_count, _forward, _in_shares, _sides
 from .model import init as model_init
@@ -106,8 +105,7 @@ class TrainConfig:
     """Knobs of the minibatch loop.
 
     m_negatives must be even (half head, half tail corruptions in BOTH mode).
-    With augment_reverse the corruption mode is forced to tail-only.  The
-    optimizer may be given by its value, e.g. ``"sm3"``.
+    The optimizer may be given by its value, e.g. ``"sm3"``.
     """
 
     m_negatives: int = 10
@@ -117,7 +115,6 @@ class TrainConfig:
     max_epochs: int = 200
     eval_every: int = 5
     patience: int = 10
-    augment_reverse: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -129,10 +126,6 @@ class TrainConfig:
             raise ValueError(f"m_negatives must be a positive even integer, got {self.m_negatives}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be a positive real, got {self.learning_rate}")
-
-    @property
-    def negative_mode(self) -> NegativeMode:
-        return NegativeMode.TAIL_ONLY if self.augment_reverse else NegativeMode.BOTH
 
 
 class _DenseView:
@@ -602,21 +595,20 @@ def train(
 ) -> tuple[ModelParams, list[TrainLogRow]]:
     """Minibatch training with periodic validation and early stopping.
 
-    ``store`` is a TripleStore; with ``config.augment_reverse`` its augmented
-    view (reversed triples, doubled relation vocabulary) is trained on and
-    negatives corrupt tails only.  The model starts from ``init_cfg``, and
-    the shuffles and negatives are drawn from ``config.seed``.  Validation MRR is computed every
-    ``eval_every`` epochs under ``protocol`` (filtered ranking against the
-    full vocabulary by default) and the best checkpoint is returned together
-    with the per-epoch log.  An empty validation split, and stored negatives
-    that do not cover it or meet an augmented split, are rejected before
-    the first epoch.
+    ``store`` is the TripleStore trained on, as given: a caller that wants
+    reversed triples passes `data.augmented_store` of it, and negatives then
+    corrupt tails only.  The model starts from ``init_cfg``, and the shuffles
+    and negatives are drawn from ``config.seed``.  Validation MRR is computed
+    every ``eval_every`` epochs under ``protocol`` (filtered ranking against
+    the full vocabulary by default) and the best checkpoint is returned
+    together with the per-epoch log.  An empty validation split, and stored
+    negatives that do not cover it or meet an augmented store, are rejected
+    before the first epoch.
     """
     if protocol is None:
         protocol = evaluation.EvalProtocol()
-    evaluation._refuse_augmented(protocol.mode, config.augment_reverse)
-    if config.augment_reverse:
-        store = augmented_store(store)
+    evaluation._refuse_augmented(protocol.mode, store.augmented)
+    negative_mode = NegativeMode.TAIL_ONLY if store.augmented else NegativeMode.BOTH
     train_triples = store.splits["train"]
     valid_triples = store.splits["valid"]
     if valid_triples.shape[0] == 0:
@@ -649,9 +641,7 @@ def train(
         total_loss = 0.0
         for step, start in enumerate(range(0, order.size, config.batch_size), start=1):
             batch = train_triples[order[start : start + config.batch_size]]
-            negs = sample_negatives_batch(
-                batch, config.m_negatives, config.negative_mode, rng, store.n_entities
-            )
+            negs = sample_negatives_batch(batch, config.m_negatives, negative_mode, rng, store.n_entities)
             try:
                 loss, tape = _loss_and_gradients(params, batch, negs)
             except DivergenceError as exc:

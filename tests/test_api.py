@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pkgutil
 
@@ -15,6 +16,15 @@ REMOVED = {
     "_threads_from_env", "_check_counts", "_tail_dt", "_relation_map", "ForwardCache", "_store_for_params",
     "filtered_rank",
 }
+
+
+def test_train_config_holds_no_augmentation():
+    # Augmentation is a property of the store trained on (TripleStore.augmented),
+    # and so is the corruption mode it implies.
+    from pseudoe.training import TrainConfig
+
+    assert "augment_reverse" not in {f.name for f in dataclasses.fields(TrainConfig)}
+    assert not hasattr(TrainConfig(), "negative_mode")
 
 
 def test_public_names_resolve_and_removed_names_stay_gone():

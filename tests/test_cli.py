@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from pseudoe.cli import RunConfig, _from_config, main, resolve_config, write_resolved
-from pseudoe.data import load_dataset, load_negatives
+from pseudoe.data import augment_reverse, augmented_store, load_dataset, load_negatives
 from pseudoe.evaluation import EvalMode, EvalProtocol, evaluate_split, format_report
+from pseudoe.geometry import GeometryConfig, Signature
 from pseudoe.likelihood import TfdParams
-from pseudoe.model import load_checkpoint, save_checkpoint, scale_node_bias
+from pseudoe.model import InitConfig, load_checkpoint, save_checkpoint, scale_node_bias
 from pseudoe.presets import PRESETS
+from pseudoe.relmaps import Variant
 from pseudoe.synthetic import tree_clique_graph
-from pseudoe.training import TrainConfig
+from pseudoe.training import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,19 @@ class TestTrainCommand:
         assert run_training(toy_data, out_a, seed=7) == 0
         assert run_training(toy_data, out_b, seed=7) == 0
         assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
+
+    def test_augmented_run_trains_the_augmented_store(self, toy_data, tmp_path):
+        # The command trains on the augmented dataset as a library caller
+        # does: train(augmented_store(store), ...).
+        assert run_training(toy_data, tmp_path / "cli", extra=["--set", "augment_reverse", "true"]) == 0
+        config = TrainConfig(m_negatives=4, batch_size=32, learning_rate=0.05, max_epochs=10, eval_every=5, seed=7)
+        tfd = TfdParams(tau1=0.5, tau2=0.5, u=0.5, alpha=0.2, alpha_prime=1.0, beta=0.0)
+        params, _ = train(
+            augmented_store(load_dataset(toy_data)), config, GeometryConfig(Signature(1, 7)), tfd, Variant.DT,
+            init_cfg=InitConfig(0.1, seed=7),
+        )
+        save_checkpoint(params, tmp_path / "library.ckpt")
+        assert (tmp_path / "cli" / "model.ckpt").read_bytes() == (tmp_path / "library.ckpt").read_bytes()
 
     def test_rerun_from_frozen_config(self, toy_data, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -576,6 +591,23 @@ class TestSweepAndStats:
         assert [line.split(",")[:2] for line in lines[1:]] == [[b, name] for b in ("1", "0") for name, _ in relations]
         # Each point's two models start from different seeds.
         assert all(float(line.split(",")[3]) > 0 for line in lines[1:])
+
+    def test_augmented_sweep_reverses_the_dataset_once(self, toy_data, tmp_path, monkeypatch):
+        # One augmented store serves the ranking and every model trained: one
+        # reversal per split, not one more set per beta point and repeat.
+        import pseudoe.data
+
+        reversed_splits = []
+
+        def counting_augment_reverse(triples, n_relations):
+            reversed_splits.append(len(triples))
+            return augment_reverse(triples, n_relations)
+
+        monkeypatch.setattr(pseudoe.data, "augment_reverse", counting_augment_reverse)
+        argv = ["sweep-beta", "--data", str(toy_data), "--out", str(tmp_path), "--betas", "0,0.5"]
+        argv += ["--set", "augment_reverse", "true", "--set", "max_epochs", "1", "--set", "n_x", "7"]
+        assert main(argv) == 0
+        assert len(reversed_splits) == 3
 
     def test_sweep_rescore(self, toy_data, tmp_path):
         run_out = tmp_path / "run"

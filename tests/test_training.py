@@ -647,10 +647,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(optimizer="nonsense")
 
-    def test_augmentation_forces_tail_only(self):
-        assert TrainConfig(augment_reverse=True).negative_mode is NegativeMode.TAIL_ONLY
-        assert TrainConfig(augment_reverse=False).negative_mode is NegativeMode.BOTH
-
 
 def test_log_csv_bytes(tmp_path):
     # An epoch without validation leaves its two validation fields empty.
@@ -673,9 +669,10 @@ class TestTrainLoop:
         tfd = TfdParams(tau1=0.5, tau2=0.5, u=0.5, alpha=0.2, alpha_prime=1.0, beta=0.1)
         config = TrainConfig(
             m_negatives=4, batch_size=32, learning_rate=lr, optimizer=optimizer,
-            max_epochs=epochs, eval_every=3, patience=10, seed=seed, augment_reverse=augment,
+            max_epochs=epochs, eval_every=3, patience=10, seed=seed,
         )
         geometry = GeometryConfig(Signature(1, 7))
+        store = augmented_store(store) if augment else store
         return train(store, config, geometry, tfd, Variant.DT, init_cfg=InitConfig(0.1, seed))
 
     def test_deterministic_log(self, small_graph):
@@ -708,6 +705,26 @@ class TestTrainLoop:
         assert losses[-1] < losses[0]
 
     @pytest.mark.parametrize("augment", [False, True])
+    def test_negative_mode_follows_the_store(self, small_graph, monkeypatch, augment):
+        # An augmented store already holds the head direction as reversed
+        # triples, so every batch corrupts tails only; a plain store's
+        # batches corrupt heads and tails.
+        import pseudoe.training
+
+        store, _, _ = small_graph
+        modes = []
+
+        def recording_sampler(batch, m, mode, rng, n_entities):
+            modes.append(mode)
+            return sample_negatives_batch(batch, m, mode, rng, n_entities)
+
+        monkeypatch.setattr(pseudoe.training, "sample_negatives_batch", recording_sampler)
+        self._run(store, OptimizerKind.ADAM, 0.05, epochs=2, augment=augment)
+        expected = NegativeMode.TAIL_ONLY if augment else NegativeMode.BOTH
+        n_train = (augmented_store(store) if augment else store).splits["train"].shape[0]
+        assert modes == [expected] * (2 * -(-n_train // 32))
+
+    @pytest.mark.parametrize("augment", [False, True])
     def test_empty_validation_split_rejected_before_training(self, small_graph, monkeypatch, augment):
         import pseudoe.training
 
@@ -715,10 +732,10 @@ class TestTrainLoop:
         empty = dataclasses.replace(store, splits={**store.splits, "valid": np.zeros((0, 3), dtype=np.int64)})
         steps = []
         monkeypatch.setattr(pseudoe.training, "_loss_and_gradients", lambda *args: steps.append(args))
-        config = TrainConfig(m_negatives=4, max_epochs=2, eval_every=1, augment_reverse=augment)
+        config = TrainConfig(m_negatives=4, max_epochs=2, eval_every=1)
         with pytest.raises(ValueError, match="the validation split is empty"):
             train(
-                empty, config, GeometryConfig(Signature(1, 7)), TfdParams(0.5, 0.5, 0.5, 0.2, 1.0), Variant.DT,
+                augmented_store(empty) if augment else empty, config, GeometryConfig(Signature(1, 7)), TfdParams(0.5, 0.5, 0.5, 0.2, 1.0), Variant.DT,
                 init_cfg=InitConfig(0.1, config.seed),
             )
         assert steps == []
@@ -740,15 +757,15 @@ class TestTrainLoop:
         protocol = EvalProtocol(EvalMode.FIXED_NEGATIVES, NegativesTable(table, 2))
         steps = []
         monkeypatch.setattr(pseudoe.training, "_loss_and_gradients", lambda *args: steps.append(args))
-        config = TrainConfig(m_negatives=4, max_epochs=2, eval_every=2, augment_reverse=augment)
+        config = TrainConfig(m_negatives=4, max_epochs=2, eval_every=2)
         if augment:
             message = "^fixed-negatives protocol does not combine with augment_reverse$"
         else:
             message = f"^no fixed negatives stored for head={h}, relation={k}$"
         with pytest.raises(ProtocolError, match=message):
             train(
-                store, config, GeometryConfig(Signature(1, 7)), TfdParams(0.5, 0.5, 0.5, 0.2, 1.0), Variant.DT,
-                init_cfg=InitConfig(0.1, config.seed), protocol=protocol,
+                augmented_store(store) if augment else store, config, GeometryConfig(Signature(1, 7)),
+                TfdParams(0.5, 0.5, 0.5, 0.2, 1.0), Variant.DT, init_cfg=InitConfig(0.1, config.seed), protocol=protocol,
             )
         assert steps == []
 
