@@ -95,7 +95,7 @@ def _parse_value(key: str, raw):
 def _read_config_file(path) -> dict:
     """The settings of a ``key = value`` file; each key may appear once."""
     values, first_line = {}, {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:  # a leading byte-order mark is dropped
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

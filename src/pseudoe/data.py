@@ -10,7 +10,8 @@ comma-separated) support the fixed-negatives evaluation protocol.  This
 module alone turns names into ids and adds reversed triples: relation k's
 inverse is k + n_relations, named ``inv:<name>``, and the store it returns
 records that it is augmented.  Its `_check_ids` is the one rule for ids, run
-once where each input enters the program.
+once where each input enters the program, and `_check_count` the one rule
+for counts.
 """
 
 from __future__ import annotations
@@ -61,6 +62,16 @@ def _check_ids(sizes, heads, rels, tails) -> None:
         bad = ids[(ids < 0) | (ids >= size)].tolist()
         if bad:
             raise IndexError(f"{side} id out of range [0, {size}): {bad[:5]}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse ``value`` unless it is an integer, a numpy one included, of at least ``least`` (0 or 1)."""
+    try:
+        ok = operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a {'non-negative' if least == 0 else 'positive'} integer, got {value}")
 
 
 def _check_triple_ids(sizes, *triples) -> None:
@@ -192,7 +203,7 @@ def _read_rows(path):
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:  # a leading byte-order mark is dropped
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:

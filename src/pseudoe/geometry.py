@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_count
+
 __all__ = ["Signature", "GeometryConfig"]
 
 
@@ -21,10 +23,8 @@ class Signature:
     n_x: int
 
     def __post_init__(self) -> None:
-        if self.n_t < 1:
-            raise ValueError(f"n_t must be >= 1, got {self.n_t}")
-        if self.n_x < 1:
-            raise ValueError(f"n_x must be >= 1, got {self.n_x}")
+        _check_count("n_t", self.n_t, 1)
+        _check_count("n_x", self.n_x, 1)
 
     @property
     def dim(self) -> int:

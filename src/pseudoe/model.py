@@ -27,7 +27,6 @@ scaling for degree debiasing and the binary checkpoint format.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -35,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import _check_ids
+from .data import _check_count, _check_ids
 from .geometry import GeometryConfig, Signature
 from .likelihood import TfdParams, log1mexp, sigmoid, softplus
 from .relmaps import Variant, check_time_dimensions, warn_if_time_not_shared
@@ -105,19 +104,9 @@ class InitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.sigma_init > 0:
-            raise ValueError(f"sigma_init must be positive, got {self.sigma_init}")
+        if not (math.isfinite(self.sigma_init) and self.sigma_init > 0):
+            raise ValueError(f"sigma_init must be a positive real, got {self.sigma_init}")
         _check_count("seed", self.seed, 0)
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse ``value`` unless it is an integer, a numpy one included, of at least ``least`` (0 or 1)."""
-    try:
-        ok = operator.index(value) >= least
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a {'non-negative' if least == 0 else 'positive'} integer, got {value}")
 
 
 @dataclass

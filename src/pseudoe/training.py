@@ -53,9 +53,9 @@ from enum import Enum
 import numpy as np
 
 from . import evaluation
-from .data import _check_triple_ids
+from .data import _check_count, _check_triple_ids
 from .likelihood import sigmoid, softplus
-from .model import FROZEN, TABLES, _TAIL_BLOCK, InitConfig, ModelParams, _check_count, _forward, _in_shares, _sides
+from .model import FROZEN, TABLES, _TAIL_BLOCK, InitConfig, ModelParams, _forward, _in_shares, _sides
 from .model import init as model_init
 from .relmaps import Variant
 
@@ -196,7 +196,8 @@ def sample_negatives_batch(
     its value, e.g. ``"tail_only"``.
     """
     mode = NegativeMode(mode)
-    if m % 2 != 0 or m < 0:
+    _check_count("m", m, 0)
+    if m % 2 != 0:
         raise ValueError(f"m must be a non-negative even integer, got {m}")
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     out = np.repeat(batch[:, None, :], m, axis=1)

@@ -77,6 +77,12 @@ class TestResolveConfig:
                 resolve_config(None, cfg)
             assert str(info.value) == f"{cfg}:{lineno}: {message}"
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # A file saved with a leading BOM sets the same keys as one without.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes("n_x = 8\nseed = 3\n".encode("utf-8-sig"))
+        assert resolve_config(None, cfg) == RunConfig(n_x=8, seed=3)
+
     def test_preset_values(self):
         config = resolve_config("hetionet-both")
         assert config.n_x == 200
@@ -527,6 +533,7 @@ class TestSweepAndStats:
             ("tau1", "inf", "a positive real"),
             ("tau2", "inf", "a positive real"),
             ("learning_rate", "inf", "a positive real"),
+            ("sigma_init", "inf", "a positive real"),
             ("seed", "-1", "a non-negative integer"),
         ):
             assert main(train + ["--set", key, value]) == 1

@@ -34,6 +34,17 @@ class TestLoadTriples:
         p = write(tmp_path / "t.txt", "a\tr\tb\n")
         assert load_triples(p) == [("a", "r", "b")]
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # A leading BOM is not part of the first head's name, so it makes no
+        # entity of its own.
+        text = "a\tr\tb\nb\tr\ta\na\tr\tc\n"
+        plain = write(tmp_path / "plain.txt", text)
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert load_triples(marked) == load_triples(plain) == [("a", "r", "b"), ("b", "r", "a"), ("a", "r", "c")]
+        store = build_store(load_triples(marked), [], [])
+        assert store.entity_to_id == {"a": 0, "b": 1, "c": 2}
+
     def test_empty_file(self, tmp_path):
         p = write(tmp_path / "t.txt", "")
         assert load_triples(p) == []

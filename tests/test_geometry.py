@@ -15,9 +15,11 @@ class TestTypes:
     def test_signature_dim(self):
         assert Signature(2, 3).dim == 5
 
-    @pytest.mark.parametrize("n_t,n_x", [(0, 3), (1, 0), (-1, 2)])
+    @pytest.mark.parametrize("n_t,n_x", [(0, 3), (1, 0), (-1, 2), (1.5, 3), ("2", 3)])
     def test_signature_rejects_nonpositive(self, n_t, n_x):
-        with pytest.raises(ValueError):
+        # A count is a positive integer: 1.5 or "2" would fail later, unnamed.
+        name, value = ("n_x", n_x) if n_t == 1 else ("n_t", n_t)
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {value}$"):
             Signature(n_t, n_x)
 
     def test_geometry_rejects_bad_circumference(self):

@@ -81,6 +81,10 @@ class TestSampleNegatives:
         with pytest.raises(ValueError):
             sample_negatives_batch(np.array([[0, 0, 1]]), 3, NegativeMode.BOTH, rng, 5)
 
+    def test_float_count_rejected(self, rng):
+        with pytest.raises(ValueError, match="^m must be a non-negative integer, got 4.0$"):
+            sample_negatives_batch(np.array([[0, 0, 1]]), 4.0, NegativeMode.BOTH, rng, 5)
+
     def test_structure_both(self, rng):
         negs = sample_negatives_batch(np.array([[2, 1, 4]]), 4, NegativeMode.BOTH, rng, 10)[0].tolist()
         assert len(negs) == 4
