@@ -739,8 +739,8 @@ class TestTrainLoop:
         config = TrainConfig(m_negatives=4, max_epochs=2, eval_every=1)
         with pytest.raises(ValueError, match="the validation split is empty"):
             train(
-                augmented_store(empty) if augment else empty, config, GeometryConfig(Signature(1, 7)), TfdParams(0.5, 0.5, 0.5, 0.2, 1.0), Variant.DT,
-                init_cfg=InitConfig(0.1, config.seed),
+                augmented_store(empty) if augment else empty, config, GeometryConfig(Signature(1, 7)),
+                TfdParams(0.5, 0.5, 0.5, 0.2, 1.0), Variant.DT, init_cfg=InitConfig(0.1, config.seed),
             )
         assert steps == []
 
